@@ -6,17 +6,9 @@ MCD/FPC evaluation."""
 __version__ = "0.1.0"
 
 from .config import RunConfig, load_config, serialize_config
-from .denoiser import Conditioner, Denoiser, ModelConfig
+from .denoiser import Denoiser, ModelConfig
 from .diffusion import diffusion_loss, forward_sample, gaussian, reverse_step, sample
-from .features import (
-    F0Contour,
-    LoudnessContour,
-    MelConfig,
-    MelSpectrogram,
-    MelStats,
-    PpgSequence,
-    QuantizedContour,
-)
+from .features import F0Contour, MelConfig, MelStats
 from .rng import RandomStream
 from .schedule import NoiseSchedule, linear_schedule, step_stats
 from .tensor import Tensor, backward
@@ -25,18 +17,13 @@ from .training import Adam, Checkpoint, FeatureStats, TrainingSample, load_check
 __all__ = [
     "Adam",
     "Checkpoint",
-    "Conditioner",
     "Denoiser",
     "F0Contour",
     "FeatureStats",
-    "LoudnessContour",
     "MelConfig",
-    "MelSpectrogram",
     "MelStats",
     "ModelConfig",
     "NoiseSchedule",
-    "PpgSequence",
-    "QuantizedContour",
     "RandomStream",
     "RunConfig",
     "Tensor",

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import featio, gradcheck, metrics
 from .config import load_config
-from .denoiser import parameter_count
 from .diffusion import sample
 from .errors import (
     ConfigError,
@@ -27,18 +26,15 @@ from .errors import (
     InputError,
     MetricUndefinedError,
     ShapeError,
-    StateError,
 )
 from .features import (
     F0Contour,
-    LoudnessContour,
     compute_log_mel,
     compute_loudness,
     estimate_f0,
     invert_log_mel,
     load_ppg,
     read_wav,
-    save_ppg,
     synth_ppg,
     write_wav,
 )
@@ -60,7 +56,6 @@ _ERRORS = (
     InputError,
     MetricUndefinedError,
     ShapeError,
-    StateError,
     OSError,
 )
 
@@ -83,10 +78,10 @@ def cmd_extract(args) -> int:
 
     if args.ppg is not None:
         ppg = load_ppg(args.ppg)
-        if ppg.frames != frames:
-            raise InputError(f"PPG frames {ppg.frames} != mel frames {frames}")
-        if ppg.dim != cfg.ppg_dim:
-            raise InputError(f"PPG dim {ppg.dim} != configured {cfg.ppg_dim}")
+        if ppg.shape[0] != frames:
+            raise InputError(f"PPG frames {ppg.shape[0]} != mel frames {frames}")
+        if ppg.shape[1] != cfg.ppg_dim:
+            raise InputError(f"PPG dim {ppg.shape[1]} != configured {cfg.ppg_dim}")
     else:
         ppg = synth_ppg(frames, cfg.ppg_dim, seed=args.synth_ppg)
 
@@ -95,8 +90,8 @@ def cmd_extract(args) -> int:
     stem = Path(args.wav).stem
     featio.write_feat(out / f"{stem}.mel.feat", log_mel)
     featio.write_feat(out / f"{stem}.f0.feat", f0.hz)
-    featio.write_feat(out / f"{stem}.loud.feat", loud.values)
-    save_ppg(out / f"{stem}.ppg.feat", ppg)
+    featio.write_feat(out / f"{stem}.loud.feat", loud)
+    featio.write_feat(out / f"{stem}.ppg.feat", ppg)
     return 0
 
 
@@ -116,7 +111,7 @@ def load_corpus(data_dir) -> list[TrainingSample]:
                 name=stem,
                 ppg=featio.read_feat(paths["ppg"]),
                 f0=F0Contour(hz=featio.read_feat(paths["f0"])),
-                loudness=LoudnessContour(values=featio.read_feat(paths["loud"])),
+                loudness=featio.read_feat(paths["loud"]),
                 log_mel=featio.read_feat(paths["mel"]),
             )
         )
@@ -145,20 +140,18 @@ def cmd_convert(args) -> int:
     loud_values = featio.read_feat(args.loud)
     if hz.ndim != 1 or loud_values.ndim != 1:
         raise FormatError("f0 and loudness features must be rank 1")
-    frames = ppg.frames
+    frames, ppg_dim = ppg.shape
     if not (len(hz) == len(loud_values) == frames):
         raise InputError(
             f"feature frame counts differ: ppg {frames}, f0 {len(hz)}, loudness {len(loud_values)}"
         )
-    if ppg.dim != cfg.ppg_dim:
-        raise ConfigError(f"PPG dim {ppg.dim} != checkpoint model dim {cfg.ppg_dim}")
+    if ppg_dim != cfg.ppg_dim:
+        raise ConfigError(f"PPG dim {ppg_dim} != checkpoint model dim {cfg.ppg_dim}")
 
     if args.logf0_shift:
         hz = np.where(hz > 0, hz * math.exp(args.logf0_shift), 0.0)
-    f0_bins, loud_bins = conditioner_bins(
-        ckpt.stats, F0Contour(hz=hz), LoudnessContour(values=loud_values), cfg.n_bins
-    )
-    cond = model.build_conditioner(ppg.values, f0_bins, loud_bins)
+    f0_bins, loud_bins = conditioner_bins(ckpt.stats, F0Contour(hz=hz), loud_values, cfg.n_bins)
+    cond = model.build_conditioner(ppg, f0_bins, loud_bins)
     rng = RandomStream(args.seed).split("sample")
     mel = sample(ckpt.schedule, model, cond, frames, cfg.n_mels, rng).data
 

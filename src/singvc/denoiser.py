@@ -24,7 +24,7 @@ exactly zero noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,25 +47,6 @@ class ModelConfig:
     ppg_dim: int = 218
     cond_dim: int = 256
     n_bins: int = 256
-
-
-@dataclass(frozen=True)
-class StepEmbedding:
-    """Raw 128-dim sinusoid (64 sin then 64 cos) and its FC+Swish projection."""
-
-    t_emb: np.ndarray
-    projected: Tensor
-
-
-@dataclass(frozen=True)
-class Conditioner:
-    """Fused per-frame conditioning embedding, [frames, cond_dim]."""
-
-    e: Tensor
-
-    @property
-    def frames(self) -> int:
-        return self.e.shape[0]
 
 
 def sinusoidal_step_vector(t: int) -> np.ndarray:
@@ -161,19 +142,19 @@ class Denoiser:
     def _conv(self, name: str, x: Tensor, dilation: int = 1) -> Tensor:
         return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], dilation)
 
-    def encode_step(self, t: int) -> StepEmbedding:
-        base = sinusoidal_step_vector(t)
-        h = Tensor(base[None, :])
+    def encode_step(self, t: int) -> Tensor:
+        """[1, 512]: the step's sinusoid through two FC+Swish layers."""
+        h = Tensor(sinusoidal_step_vector(t)[None, :])
         h = T.swish(self._step_fc("step_fc1", h))
-        h = T.swish(self._step_fc("step_fc2", h))
-        return StepEmbedding(t_emb=base, projected=h)
+        return T.swish(self._step_fc("step_fc2", h))
 
     def step_vector(self, t: int) -> Tensor:
         """The [1, channels] step vector added to every frame at step t."""
-        return self._step_fc("step_proj", self.encode_step(t).projected)
+        return self._step_fc("step_proj", self.encode_step(t))
 
-    def build_conditioner(self, ppg_values, f0_bins, loud_bins) -> Conditioner:
-        """e = prenet(ppg) + f0_table[f0_bins] + loud_table[loud_bins], per frame."""
+    def build_conditioner(self, ppg_values, f0_bins, loud_bins) -> Tensor:
+        """[frames, cond_dim]: prenet(ppg) + f0_table[f0_bins] +
+        loud_table[loud_bins], per frame."""
         ppg = ppg_values if isinstance(ppg_values, Tensor) else Tensor(ppg_values)
         f0_bins = np.asarray(f0_bins)
         loud_bins = np.asarray(loud_bins)
@@ -186,19 +167,18 @@ class Denoiser:
             raise ShapeError(f"ppg dim {ppg.shape[1]} != configured {self.cfg.ppg_dim}")
         e = self._fc("ppg_prenet", ppg)
         e = T.add(e, T.embedding_lookup(self.params["f0_table"], f0_bins))
-        e = T.add(e, T.embedding_lookup(self.params["loud_table"], loud_bins))
-        return Conditioner(e=e)
+        return T.add(e, T.embedding_lookup(self.params["loud_table"], loud_bins))
 
-    def predict_eps(self, y_t: Tensor, t: int, cond: Conditioner) -> Tensor:
+    def predict_eps(self, y_t: Tensor, t: int, cond: Tensor) -> Tensor:
         cfg = self.cfg
         if y_t.data.ndim != 2 or y_t.shape[1] != cfg.n_mels:
             raise ShapeError(f"expected [frames, {cfg.n_mels}] input, got {y_t.shape}")
-        if cond.frames != y_t.shape[0]:
-            raise ShapeError(f"conditioner frames {cond.frames} != input frames {y_t.shape[0]}")
+        if cond.shape[0] != y_t.shape[0]:
+            raise ShapeError(f"conditioner frames {cond.shape[0]} != input frames {y_t.shape[0]}")
 
         h = T.relu(self._conv("input_conv", T.transpose(y_t)))          # [C, L]
         h = T.add(h, T.transpose(self.step_vector(t)))                  # broadcast over frames
-        ec = T.transpose(cond.e)                                        # [cond_dim, L]
+        ec = T.transpose(cond)                                          # [cond_dim, L]
 
         c = cfg.channels
         skip = None

@@ -17,10 +17,6 @@ class FormatError(ValueError):
     """A binary file does not conform to its declared format."""
 
 
-class StateError(RuntimeError):
-    """An operation was attempted in a state that does not support it."""
-
-
 class ContractError(RuntimeError):
     """An API contract was violated (e.g. backward on a non-scalar)."""
 

@@ -2,7 +2,8 @@
 
 Layout: magic "FEAT1" (5 bytes), u8 format version = 1, u32 LE rank,
 rank x u32 LE dims, then row-major 32-bit LE floats.  Integer contours are
-stored as floats.
+stored as floats.  Reading rejects NaN and infinite values, which no feature
+can hold and which would otherwise surface far from the file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 MAGIC = b"FEAT1"
 VERSION = 1
@@ -55,4 +56,8 @@ def read_feat(path) -> np.ndarray:
     if len(raw) != header + 4 * count:
         raise FormatError(f"{path}: {len(raw) - header - 4 * count} trailing bytes at byte {header + 4 * count}")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=header)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], dims))
+        raise InputError(f"{path}: non-finite value {data[bad[0]]} at index {index}")
     return data.reshape(dims).astype(np.float64)

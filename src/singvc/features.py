@@ -1,6 +1,11 @@
 """Audio feature extraction: mel spectrograms, F0, loudness, quantization,
 PPG handling, and best-effort mel inversion.
 
+Features are plain float64 arrays with frames on axis 0 (log-mel and PPGs
+[frames, dim], loudness [frames]); quantized contours are int64 bins.  Only
+F0 has a type, `F0Contour`, which carries the rule that a frame is voiced
+iff hz > 0.
+
 Fixed conventions (tests depend on these):
   * frames = ceil(num_samples / hop); frame t is centered at sample t*hop via
     reflect padding of win//2 per side (zero-padded when the signal is too
@@ -22,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError, StateError
-from .featio import read_feat, write_feat
+from .errors import ConfigError, FormatError, InputError
+from .featio import read_feat
 from .rng import RandomStream
 
 LOG_MEL_FLOOR = 1e-5
@@ -39,33 +44,6 @@ class MelConfig:
     n_mels: int = 80
     fmin: float = 0.0
     fmax: float = 12000.0
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    """Normalized log-mel values in [-1, 1], [frames, n_mels]."""
-
-    values: np.ndarray
-    n_mels: int
-    hop_size: int
-    sample_rate: int
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class PpgSequence:
-    values: np.ndarray  # [frames, ppg_dim]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -85,21 +63,6 @@ class F0Contour:
 
     def __len__(self) -> int:
         return len(self.hz)
-
-
-@dataclass(frozen=True)
-class LoudnessContour:
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class QuantizedContour:
-    bins: np.ndarray  # int64 in [0, n_bins)
-    lo: float
-    hi: float
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +184,6 @@ class MelStats:
         return (normalized + 1.0) / 2.0 * (self.hi - self.lo) + self.lo
 
 
-def compute_mel(wav: np.ndarray, cfg: MelConfig, stats: MelStats, sample_rate: int | None = None) -> MelSpectrogram:
-    """Normalized mel spectrogram using the provided statistics."""
-    values = stats.normalize(compute_log_mel(wav, cfg, sample_rate))
-    return MelSpectrogram(values=values, n_mels=cfg.n_mels, hop_size=cfg.hop_size, sample_rate=cfg.sample_rate)
-
-
 # ---------------------------------------------------------------------------
 # F0
 
@@ -346,58 +303,57 @@ def compute_loudness(
     n_fft: int = 2048,
     win: int = 2048,
     hop: int = 240,
-) -> LoudnessContour:
-    """Per-frame natural log of the A-weighted power-spectrum sum."""
+) -> np.ndarray:
+    """Per-frame natural log of the A-weighted power-spectrum sum, [frames]."""
     power = np.abs(stft(wav, n_fft, win, hop)) ** 2
     freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     weights = 10.0 ** (a_weighting_db(freqs) / 10.0)
     weights[freqs <= 0] = 0.0
-    return LoudnessContour(values=np.log(power @ weights + LOUDNESS_FLOOR))
+    return np.log(power @ weights + LOUDNESS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # quantization
 
 
-def quantize(values: np.ndarray, lo: float, hi: float, n_bins: int = 256) -> QuantizedContour:
-    """bin = clamp(floor((v - lo) / (hi - lo) * n_bins), 0, n_bins - 1)."""
+def quantize(values: np.ndarray, lo: float, hi: float, n_bins: int = 256) -> np.ndarray:
+    """int64 bin = clamp(floor((v - lo) / (hi - lo) * n_bins), 0, n_bins - 1)."""
     if not lo < hi:
         raise ConfigError(f"quantization range invalid: lo {lo} >= hi {hi}")
     scaled = (np.asarray(values, dtype=np.float64) - lo) / (hi - lo) * n_bins
-    bins = np.clip(np.floor(scaled), 0, n_bins - 1).astype(np.int64)
-    return QuantizedContour(bins=bins, lo=lo, hi=hi)
+    return np.clip(np.floor(scaled), 0, n_bins - 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # PPG
 
 
-def synth_ppg(frames: int, dim: int = 218, seed: int = 0) -> PpgSequence:
-    """Synthetic stand-in for ASR posteriors: temporally smoothed noise,
-    softmax-normalized per frame."""
+def synth_ppg(frames: int, dim: int = 218, seed: int = 0) -> np.ndarray:
+    """Synthetic stand-in for ASR posteriors, [frames, dim]: temporally
+    smoothed noise, softmax-normalized per frame."""
     if frames <= 0 or dim <= 0:
         raise InputError(f"frames and dim must be positive, got {frames}, {dim}")
     rng = RandomStream(seed).split("synth-ppg")
     raw = rng.normal((frames, dim))
     kernel = hann_window(9)
     kernel /= kernel.sum()
-    smooth = np.apply_along_axis(lambda col: np.convolve(col, kernel, mode="same"), 0, raw)
+    # the centered `frames` samples of the full convolution; mode="same" would
+    # return len(kernel) samples when frames < len(kernel)
+    half = len(kernel) // 2
+    smooth = np.apply_along_axis(lambda col: np.convolve(col, kernel)[half : half + frames], 0, raw)
     logits = smooth * 4.0
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
-    return PpgSequence(values=p)
+    return p
 
 
-def load_ppg(path) -> PpgSequence:
+def load_ppg(path) -> np.ndarray:
+    """[frames, ppg_dim] PPGs from a FEAT1 file."""
     values = read_feat(path)
     if values.ndim != 2:
         raise FormatError(f"{path}: PPG file must be rank 2, got rank {values.ndim}")
-    return PpgSequence(values=values)
-
-
-def save_ppg(path, ppg: PpgSequence) -> None:
-    write_feat(path, ppg.values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +398,6 @@ def invert_log_mel(log_mel: np.ndarray, cfg: MelConfig, iterations: int = 32) ->
         phase = np.angle(stft(wav, cfg.n_fft, cfg.win_size, cfg.hop_size))
         wav = _istft(mag * np.exp(1j * phase), cfg.n_fft, cfg.win_size, cfg.hop_size, num_samples)
     return wav
-
-
-def invert_mel(mel: MelSpectrogram, stats: MelStats | None, cfg: MelConfig, iterations: int = 32) -> np.ndarray:
-    if stats is None:
-        raise StateError("mel inversion requires the stored normalization statistics")
-    return invert_log_mel(stats.denormalize(mel.values), cfg, iterations)
 
 
 # ---------------------------------------------------------------------------

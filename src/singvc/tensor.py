@@ -51,9 +51,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """Attach the tape node if any input participates in gradients."""
@@ -185,17 +182,6 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    # a [C, L] plus a [C] vector broadcasts over time (columns)
-    if a.data.ndim == 2 and b.data.ndim == 1 and b.shape[0] == a.shape[0]:
-        out = Tensor(a.data + b.data[:, None])
-
-        def grad_fn_col(g):
-            if a.requires_grad:
-                a.accumulate(g)
-            if b.requires_grad:
-                b.accumulate(g.sum(axis=1))
-
-        return _record(out, (a, b), grad_fn_col)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"add shapes not broadcastable: {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data)

@@ -13,14 +13,17 @@ Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
 config block (key=value lines, run config plus training-state keys), the four
 schedule tables, then named tensor records {u16 name length, name UTF-8,
 u32 rank, u32 x rank dims, float64 LE data}.  Payloads are 64-bit so that a
-reloaded state continues training bit-exactly.
+reloaded state continues training bit-exactly.  Saves are atomic: the file is
+written under a temporary name in the same directory and renamed over the
+target, so an interrupted save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser
 from .diffusion import diffusion_loss, gaussian
 from .errors import ConfigError, DataError, DivergenceError, FormatError
-from .features import F0Contour, LoudnessContour, MelStats, quantize
+from .features import F0Contour, MelStats, quantize
 from .rng import RandomStream
 from .schedule import NoiseSchedule, linear_schedule
 from .tensor import Tensor
@@ -61,7 +64,7 @@ class TrainingSample:
     name: str
     ppg: np.ndarray
     f0: F0Contour
-    loudness: LoudnessContour
+    loudness: np.ndarray
     log_mel: np.ndarray
 
     @property
@@ -77,6 +80,11 @@ class TrainingSample:
         }
         if len(set(frames.values())) != 1:
             raise DataError(f"utterance {self.name!r}: frame counts differ: {frames}")
+        for kind, values in (("ppg", self.ppg), ("f0", self.f0.hz),
+                             ("loudness", self.loudness), ("mel", self.log_mel)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                raise DataError(f"utterance {self.name!r}: non-finite {kind} value at frame {int(bad[0][0])}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> Feature
         f0_lo, f0_hi = np.percentile(voiced, [0.1, 99.9])
     else:
         f0_lo, f0_hi = np.log(cfg.f0_min), np.log(cfg.f0_max)
-    loud = np.concatenate([s.loudness.values for s in data])
+    loud = np.concatenate([s.loudness for s in data])
     loud_lo, loud_hi = np.percentile(loud, [0.1, 99.9])
     if f0_hi - f0_lo < 1e-6:
         f0_hi = f0_lo + 1e-6
@@ -112,12 +120,12 @@ def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> Feature
                         loud_lo=float(loud_lo), loud_hi=float(loud_hi))
 
 
-def conditioner_bins(stats: FeatureStats, f0: F0Contour, loudness: LoudnessContour,
+def conditioner_bins(stats: FeatureStats, f0: F0Contour, loudness: np.ndarray,
                      n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Quantized melody and loudness bins; unvoiced frames land in bin 0
     because log-F0 = 0 clamps to the low edge."""
-    f0_bins = quantize(f0.log_f0, stats.f0_lo, stats.f0_hi, n_bins).bins
-    loud_bins = quantize(loudness.values, stats.loud_lo, stats.loud_hi, n_bins).bins
+    f0_bins = quantize(f0.log_f0, stats.f0_lo, stats.f0_hi, n_bins)
+    loud_bins = quantize(loudness, stats.loud_lo, stats.loud_hi, n_bins)
     return f0_bins, loud_bins
 
 
@@ -174,7 +182,6 @@ class Adam:
 
 @dataclass
 class Checkpoint:
-    version: int
     config: RunConfig
     schedule: NoiseSchedule
     params: dict[str, np.ndarray]
@@ -194,6 +201,18 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            _write_checkpoint(f, ckpt)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(f, ckpt: Checkpoint) -> None:
     extras = {
         "iteration": str(ckpt.iteration),
         "adam_step": str(ckpt.adam_step),
@@ -208,29 +227,28 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     }
     block = serialize_config(ckpt.config, extras).encode("utf-8")
     s = ckpt.schedule
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<B", ckpt.version))
-        f.write(struct.pack("<I", len(block)))
-        f.write(block)
-        f.write(struct.pack("<I", s.steps))
-        for table in (s.beta, s.alpha, s.alpha_bar, s.sigma):
-            f.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
+    f.write(CKPT_MAGIC)
+    f.write(struct.pack("<B", CKPT_VERSION))
+    f.write(struct.pack("<I", len(block)))
+    f.write(block)
+    f.write(struct.pack("<I", s.steps))
+    for table in (s.beta, s.alpha, s.alpha_bar, s.sigma):
+        f.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
 
-        def record(name: str, arr: np.ndarray) -> None:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    def record(name: str, arr: np.ndarray) -> None:
+        encoded = name.encode("utf-8")
+        f.write(struct.pack("<H", len(encoded)))
+        f.write(encoded)
+        f.write(struct.pack("<I", arr.ndim))
+        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
-        for name in sorted(ckpt.params):
-            record(name, ckpt.params[name])
-        for name in sorted(ckpt.adam_m):
-            record(f"adam.m.{name}", ckpt.adam_m[name])
-        for name in sorted(ckpt.adam_v):
-            record(f"adam.v.{name}", ckpt.adam_v[name])
+    for name in sorted(ckpt.params):
+        record(name, ckpt.params[name])
+    for name in sorted(ckpt.adam_m):
+        record(f"adam.m.{name}", ckpt.adam_m[name])
+    for name in sorted(ckpt.adam_v):
+        record(f"adam.v.{name}", ckpt.adam_v[name])
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -283,7 +301,6 @@ def load_checkpoint(path) -> Checkpoint:
             params[name] = arr
 
     return Checkpoint(
-        version=version,
         config=config,
         schedule=schedule,
         params=params,
@@ -363,20 +380,13 @@ def train(
         rng = master.split("train")
         start_iter = 0
 
-    prepared = [
-        _Prepared(
-            name=s.name,
-            mel=stats.mel.normalize(s.log_mel),
-            ppg=s.ppg,
-            f0_bins=conditioner_bins(stats, s.f0, s.loudness, cfg.n_bins)[0],
-            loud_bins=conditioner_bins(stats, s.f0, s.loudness, cfg.n_bins)[1],
-        )
-        for s in data
-    ]
+    prepared = []
+    for s in data:
+        f0_bins, loud_bins = conditioner_bins(stats, s.f0, s.loudness, cfg.n_bins)
+        prepared.append(_Prepared(s.name, stats.mel.normalize(s.log_mel), s.ppg, f0_bins, loud_bins))
 
     def snapshot(iteration: int) -> Checkpoint:
         return Checkpoint(
-            version=CKPT_VERSION,
             config=cfg,
             schedule=schedule,
             params={k: v.data.copy() for k, v in model.params.items()},
@@ -395,7 +405,7 @@ def train(
     try:
         for it in range(start_iter + 1, cfg.n_iter + 1):
             tic = time.perf_counter()
-            terms = []
+            total = None
             meta = []
             for b in range(cfg.batch):
                 u = int(rng.integers(0, len(prepared), 1)[0])
@@ -406,11 +416,9 @@ def train(
                 eps = gaussian((seg, cfg.n_mels), rng)
                 sl = slice(start, start + seg)
                 cond = model.build_conditioner(item.ppg[sl], item.f0_bins[sl], item.loud_bins[sl])
-                terms.append(diffusion_loss(schedule, model, Tensor(item.mel[sl]), cond, t, eps))
+                term = diffusion_loss(schedule, model, Tensor(item.mel[sl]), cond, t, eps)
+                total = term if total is None else T.add(total, term)
                 meta.append((t, f"{item.name}[{start}:{start + seg}]"))
-            total = terms[0]
-            for term in terms[1:]:
-                total = T.add(total, term)
             total = T.scale(total, 1.0 / cfg.batch)
             loss = float(total.data)
             if not np.isfinite(loss):

@@ -87,7 +87,7 @@ def _overfit_sample() -> TrainingSample:
     wav = harmonic_voice()
     return TrainingSample(
         name="one",
-        ppg=synth_ppg(64, OVERFIT_CFG.ppg_dim, 0).values,
+        ppg=synth_ppg(64, OVERFIT_CFG.ppg_dim, 0),
         f0=estimate_f0(wav, 24000, 240, 40.0, 800.0),
         loudness=compute_loudness(wav, 24000),
         log_mel=compute_log_mel(wav, OVERFIT_CFG.mel_config()),

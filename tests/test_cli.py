@@ -111,6 +111,18 @@ class TestTrain:
                    "--out", ckpt, "--resume", ckpt) == 0
         assert load_checkpoint(ckpt).iteration == 15  # n_iter already reached
 
+    def test_non_finite_mel_is_error(self, cli_workspace, extracted, tmp_path, capsys):
+        data = tmp_path / "nan_feats"
+        data.mkdir()
+        for src in extracted.glob("utt0.*.feat"):
+            (data / src.name).write_bytes(src.read_bytes())
+        mel = featio.read_feat(data / "utt0.mel.feat")
+        mel[4, 2] = np.nan
+        featio.write_feat(data / "utt0.mel.feat", mel)
+        assert run("train", "--data", data, "--config", cli_workspace["cfg_small"],
+                   "--out", tmp_path / "x.ckpt") == 1
+        assert "utt0.mel.feat: non-finite value nan at index (4, 2)" in capsys.readouterr().err
+
     def test_empty_data_dir_is_error(self, cli_workspace, tmp_path):
         assert run("train", "--data", tmp_path, "--config", cli_workspace["cfg_small"],
                    "--out", tmp_path / "x.ckpt") == 1
@@ -159,6 +171,19 @@ class TestConvert:
                        "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
                        "--out", out, *flags) == 0
         assert featio.read_feat(denorm).min() < featio.read_feat(norm).min()
+
+    @pytest.mark.parametrize("kind", ["ppg", "f0", "loud"])
+    def test_non_finite_feature_is_error(self, extracted, trained, tmp_path, capsys, kind):
+        paths = {k: extracted / f"utt0.{k}.feat" for k in ("ppg", "f0", "loud")}
+        values = featio.read_feat(paths[kind])
+        values[7] = np.nan
+        paths[kind] = tmp_path / f"nan.{kind}.feat"
+        featio.write_feat(paths[kind], values)
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", paths["ppg"], "--f0", paths["f0"],
+                   "--loud", paths["loud"], "--out", out) == 1
+        assert f"nan.{kind}.feat: non-finite value nan at index (7" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_frame_mismatch_is_error(self, cli_workspace, extracted, trained, tmp_path):
         short = tmp_path / "short.f0.feat"

@@ -57,9 +57,8 @@ class TestStepEncoding:
         assert dists.min() > 0.0
 
     def test_projection_shape(self, toy_model):
-        emb = toy_model.encode_step(5)
-        assert emb.t_emb.shape == (128,)
-        assert emb.projected.shape == (1, 512)
+        assert sinusoidal_step_vector(5).shape == (128,)
+        assert toy_model.encode_step(5).shape == (1, 512)
 
     def test_one_adam_step_moves_step_vectors_little(self):
         # ADAM moves every stored weight by about lr; the step path must turn
@@ -71,13 +70,13 @@ class TestStepEncoding:
         steps = range(1, 51)
 
         def table():
-            return np.stack([model.encode_step(t).projected.data[0] for t in steps])
+            return np.stack([model.encode_step(t).data[0] for t in steps])
 
         before = table()
         direction = RandomStream(1).normal(before.shape)
         loss = None
         for row, t in enumerate(steps):
-            term = T.tsum(T.mul(model.encode_step(t).projected, Tensor(direction[row : row + 1])))
+            term = T.tsum(T.mul(model.encode_step(t), Tensor(direction[row : row + 1])))
             loss = term if loss is None else T.add(loss, term)
         backward(loss)
         Adam().step(model.params, lr=4e-3)
@@ -92,14 +91,14 @@ class TestConditioner:
             model.params[name].data[:] = 0.0
         _, ppg, f0_bins, loud_bins = toy_inputs(6)
         cond = model.build_conditioner(ppg, f0_bins, loud_bins)
-        np.testing.assert_array_equal(cond.e.data, np.zeros((6, TOY.cond_dim)))
+        np.testing.assert_array_equal(cond.data, np.zeros((6, TOY.cond_dim)))
 
     def test_locality_of_bin_change(self, toy_model):
         _, ppg, f0_bins, loud_bins = toy_inputs(6)
-        base = toy_model.build_conditioner(ppg, f0_bins, loud_bins).e.data
+        base = toy_model.build_conditioner(ppg, f0_bins, loud_bins).data
         changed = loud_bins.copy()
         changed[3] = (changed[3] + 1) % TOY.n_bins
-        other = toy_model.build_conditioner(ppg, f0_bins, changed).e.data
+        other = toy_model.build_conditioner(ppg, f0_bins, changed).data
         diff = np.abs(base - other).sum(axis=1)
         assert diff[3] > 0
         np.testing.assert_array_equal(diff[np.arange(6) != 3], np.zeros(5))
@@ -109,7 +108,7 @@ class TestConditioner:
         cond = default_model.build_conditioner(
             rng.normal((9, 218)), rng.integers(0, 256, 9), rng.integers(0, 256, 9)
         )
-        assert cond.e.shape == (9, 256)
+        assert cond.shape == (9, 256)
 
     def test_frame_mismatch_rejected(self, toy_model):
         _, ppg, f0_bins, loud_bins = toy_inputs(6)

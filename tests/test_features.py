@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from singvc import featio
-from singvc.errors import ConfigError, FormatError, InputError, StateError
+from singvc.errors import ConfigError, FormatError, InputError
 from singvc.features import (
     F0Contour,
     LOG_MEL_FLOOR,
     LOUDNESS_FLOOR,
     MelConfig,
-    MelSpectrogram,
     MelStats,
     a_weighting_db,
     compute_log_mel,
     compute_loudness,
-    compute_mel,
     estimate_f0,
     frame_count,
     invert_log_mel,
-    invert_mel,
     median_f0,
     mel_filterbank,
     quantize,
@@ -187,33 +184,34 @@ class TestLoudness:
     def test_doubling_amplitude_adds_log4(self):
         quiet = compute_loudness(sine(440.0, amp=0.25), 24000)
         loud = compute_loudness(sine(440.0, amp=0.5), 24000)
-        np.testing.assert_allclose(loud.values - quiet.values, math.log(4.0), atol=1e-6)
+        np.testing.assert_allclose(loud - quiet, math.log(4.0), atol=1e-6)
 
     def test_silence_floored_constant(self):
         contour = compute_loudness(np.zeros(24000), 24000)
-        np.testing.assert_array_equal(contour.values, np.full(100, math.log(LOUDNESS_FLOOR)))
+        np.testing.assert_array_equal(contour, np.full(100, math.log(LOUDNESS_FLOOR)))
 
     def test_finite_everywhere(self):
         contour = compute_loudness(RandomStream(1).normal(10000) * 0.1, 24000)
-        assert np.all(np.isfinite(contour.values))
+        assert np.all(np.isfinite(contour))
 
 
 class TestQuantize:
     def test_boundaries(self):
         q = quantize(np.array([0.0, 1.0]), 0.0, 1.0)
-        assert q.bins[0] == 0 and q.bins[1] == 255
+        assert q[0] == 0 and q[1] == 255
+        assert q.dtype == np.int64
 
     def test_stated_formula_midpoint(self):
         v = 0.0 + (1.0 - 0.0) * (127.5 / 256)
-        assert quantize(np.array([v]), 0.0, 1.0).bins[0] == 127
+        assert quantize(np.array([v]), 0.0, 1.0)[0] == 127
 
     def test_clamping(self):
         q = quantize(np.array([-10.0, 10.0]), 0.0, 1.0)
-        assert q.bins[0] == 0 and q.bins[1] == 255
+        assert q[0] == 0 and q[1] == 255
 
     def test_monotone(self):
         v = np.sort(RandomStream(2).normal(200) * 3)
-        bins = quantize(v, -2.0, 2.0).bins
+        bins = quantize(v, -2.0, 2.0)
         assert np.all(np.diff(bins) >= 0)
 
     def test_invalid_range_rejected(self):
@@ -224,25 +222,29 @@ class TestQuantize:
 class TestPpg:
     def test_rows_sum_to_one(self):
         ppg = synth_ppg(50, 218, seed=3)
-        np.testing.assert_allclose(ppg.values.sum(axis=1), np.ones(50), atol=1e-9)
-        assert np.all(ppg.values > 0)
+        np.testing.assert_allclose(ppg.sum(axis=1), np.ones(50), atol=1e-9)
+        assert np.all(ppg > 0)
 
     def test_default_dim(self):
-        assert synth_ppg(5).dim == 218
+        assert synth_ppg(5).shape[1] == 218
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(synth_ppg(20, 32, seed=9).values, synth_ppg(20, 32, seed=9).values)
+        np.testing.assert_array_equal(synth_ppg(20, 32, seed=9), synth_ppg(20, 32, seed=9))
 
     def test_roundtrip_bit_identical(self, tmp_path):
         ppg = synth_ppg(20, 32, seed=4)
         p1, p2 = tmp_path / "a.feat", tmp_path / "b.feat"
-        featio.write_feat(p1, ppg.values)
+        featio.write_feat(p1, ppg)
         featio.write_feat(p2, featio.read_feat(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_frames_rejected(self):
         with pytest.raises(InputError):
             synth_ppg(0, 10)
+
+    @pytest.mark.parametrize("frames", [1, 5, 8, 9, 10])
+    def test_one_row_per_frame_around_the_smoothing_width(self, frames):
+        assert synth_ppg(frames, 4).shape == (frames, 4)
 
 
 class TestFeatFormat:
@@ -282,6 +284,15 @@ class TestFeatFormat:
         with pytest.raises(FormatError, match="version"):
             featio.read_feat(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_with_index(self, tmp_path, bad):
+        arr = np.ones((4, 3))
+        arr[2, 1] = bad
+        path = tmp_path / "nf.feat"
+        featio.write_feat(path, arr)
+        with pytest.raises(InputError, match=r"nf\.feat: non-finite value .* at index \(2, 1\)"):
+            featio.read_feat(path)
+
 
 class TestInvertMel:
     def test_roundtrip_correlation_on_sine(self):
@@ -302,16 +313,6 @@ class TestInvertMel:
         rec = invert_log_mel(np.full((25, 80), math.log(LOG_MEL_FLOOR)), CFG, iterations=1)
         assert len(rec) == 25 * CFG.hop_size
 
-    def test_missing_stats_is_state_error(self):
-        mel = MelSpectrogram(values=np.zeros((5, 80)), n_mels=80, hop_size=240, sample_rate=24000)
-        with pytest.raises(StateError):
-            invert_mel(mel, None, CFG)
-
-    def test_with_stats_runs(self):
-        stats = MelStats(lo=math.log(LOG_MEL_FLOOR), hi=2.0)
-        mel = MelSpectrogram(values=-np.ones((5, 80)), n_mels=80, hop_size=240, sample_rate=24000)
-        assert len(invert_mel(mel, stats, CFG, iterations=1)) == 5 * 240
-
 
 class TestAlignment:
     def test_all_contours_same_frame_count(self):
@@ -320,7 +321,7 @@ class TestAlignment:
             frames = compute_log_mel(wav, CFG).shape[0]
             assert len(estimate_f0(wav, 24000, 240, 40.0, 800.0)) == frames
             assert len(compute_loudness(wav, 24000)) == frames
-            assert synth_ppg(frames, 16, 0).frames == frames
+            assert synth_ppg(frames, 16, 0).shape[0] == frames
 
 
 class TestWavIO:
@@ -357,11 +358,3 @@ class TestWavIO:
         path.write_bytes(b"not audio at all")
         with pytest.raises(FormatError):
             read_wav(path)
-
-
-def test_compute_mel_wrapper():
-    wav = sine(440.0)
-    stats = MelStats.from_corpus([compute_log_mel(wav, CFG)])
-    mel = compute_mel(wav, CFG, stats)
-    assert mel.frames == 100 and mel.n_mels == 80
-    assert mel.values.min() >= -1.0 and mel.values.max() <= 1.0

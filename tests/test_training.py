@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from singvc.config import RunConfig
 from singvc.denoiser import Denoiser
 from singvc.diffusion import diffusion_loss, gaussian
 from singvc.errors import ConfigError, DataError, DivergenceError, FormatError
-from singvc.features import F0Contour, LoudnessContour
+from singvc.features import F0Contour
 from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule
 from singvc.tensor import Tensor
@@ -46,7 +47,7 @@ def make_sample(name="utt0", frames=32, seed=0, n_mels=8, ppg_dim=12):
         name=name,
         ppg=np.abs(rng.normal((frames, ppg_dim))),
         f0=F0Contour(hz=hz),
-        loudness=LoudnessContour(values=rng.normal(frames) - 10.0),
+        loudness=rng.normal(frames) - 10.0,
         log_mel=rng.normal((frames, n_mels)),
     )
 
@@ -181,10 +182,19 @@ class TestTrainLoop:
             name="bad",
             ppg=np.zeros((5, 12)),
             f0=F0Contour(hz=np.zeros(6)),
-            loudness=LoudnessContour(values=np.zeros(5)),
+            loudness=np.zeros(5),
             log_mel=np.zeros((5, 8)),
         )
         with pytest.raises(DataError, match="bad"):
+            train([bad], TOY_CFG)
+
+    @pytest.mark.parametrize("kind", ["ppg", "f0", "loudness", "mel"])
+    def test_non_finite_feature_rejected(self, kind):
+        s = make_sample()
+        ppg, hz, loud, mel = s.ppg.copy(), s.f0.hz.copy(), s.loudness.copy(), s.log_mel.copy()
+        {"ppg": ppg, "f0": hz, "loudness": loud, "mel": mel}[kind][5] = np.nan
+        bad = TrainingSample(s.name, ppg, F0Contour(hz=hz), loud, mel)
+        with pytest.raises(DataError, match=rf"utt0.*non-finite {kind} value at frame 5"):
             train([bad], TOY_CFG)
 
     def test_wrong_ppg_dim_rejected(self):
@@ -235,6 +245,19 @@ class TestCheckpoint:
         bigger = RunConfig(**{**TOY_CFG.__dict__, "channels": 16})
         with pytest.raises(ConfigError, match="channels"):
             train(corpus, bigger, resume=load_checkpoint(path))
+
+    def test_failed_save_keeps_previous_file(self, corpus, tmp_path):
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        # parameters are written in name order and "zzz" cannot be converted
+        # to float64, so the write fails after the other parameters went out
+        broken = dataclasses.replace(ckpt, params={**ckpt.params, "zzz": np.array(["x"])})
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.ckpt"]
 
     def test_truncated_file_rejected(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
