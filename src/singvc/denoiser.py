@@ -17,8 +17,10 @@ per step; units then cross Swish's turning point at z = -1.28, below which
 a quieter output means a lower z, and sink until most diffusion steps share
 one step vector.  The fan-in constant scales those moves by 1/sqrt(fan_in).
 
-The final convolution is zero-initialized so an untrained model predicts
-exactly zero noise.
+Conv weights are stored tap-major, [K, C_out, C_in] (see ``tensor.conv1d``),
+and drawn at init in [C_out, C_in, K] order so seeded inits do not depend
+on the layout.  The final convolution is zero-initialized so an untrained
+model predicts exactly zero noise.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class Denoiser:
             p[f"{name}.b"] = T.zeros((1, d_out), requires_grad=True)
 
         def conv(name, c_out, c_in, width):
-            p[f"{name}.w"] = _fan_in_uniform(rng, (c_out, c_in, width), c_in * width)
+            # drawn [C_out, C_in, K], stored tap-major [K, C_out, C_in]
+            w = _fan_in_uniform(rng, (c_out, c_in, width), c_in * width).data
+            p[f"{name}.w"] = Tensor(np.ascontiguousarray(w.transpose(2, 0, 1)), requires_grad=True)
             p[f"{name}.b"] = T.zeros((c_out,), requires_grad=True)
 
         fc("ppg_prenet", cfg.ppg_dim, e)
@@ -123,7 +127,7 @@ class Denoiser:
             conv(f"layer{i}.residual", c, c, 1)
             conv(f"layer{i}.skip", c, c, 1)
         conv("out_conv1", c, c, 1)
-        p["out_conv2.w"] = T.zeros((cfg.n_mels, c, 1), requires_grad=True)
+        p["out_conv2.w"] = T.zeros((1, cfg.n_mels, c), requires_grad=True)
         p["out_conv2.b"] = T.zeros((cfg.n_mels,), requires_grad=True)
         return cls(cfg, p)
 

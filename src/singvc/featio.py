@@ -21,6 +21,7 @@ VERSION = 1
 
 def write_feat(path, array) -> None:
     arr = np.ascontiguousarray(array, dtype="<f4")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<B", VERSION))

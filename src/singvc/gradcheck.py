@@ -93,16 +93,16 @@ def run_checks(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE) -> list[Chec
     check("matmul", {"a": a, "b": b}, lambda: T.tsum(T.matmul(a, b)))
 
     x = _param(rng, (2, 7))
-    w = _param(rng, (3, 2, 3))
+    w = _param(rng, (3, 3, 2))
     bias = _param(rng, (3,))
     check("conv1d_k3", {"x": x, "w": w, "b": bias},
           lambda: T.tsum(T.conv1d(x, w, bias, dilation=1)))
 
-    w2 = _param(rng, (3, 2, 3))
+    w2 = _param(rng, (3, 3, 2))
     check("conv1d_k3_d2", {"x": x, "w": w2, "b": bias},
           lambda: T.tsum(T.conv1d(x, w2, bias, dilation=2)))
 
-    w1 = _param(rng, (4, 2, 1))
+    w1 = _param(rng, (1, 4, 2))
     b1 = _param(rng, (4,))
     check("conv1d_k1", {"x": x, "w": w1, "b": b1},
           lambda: T.tsum(T.conv1d(x, w1, b1)))

@@ -118,15 +118,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
-    """Same-length 1-d convolution of [C_in, L] with weight [C_out, C_in, K].
+    """Same-length 1-d convolution of [C_in, L] with weight [K, C_out, C_in].
 
-    Symmetric zero padding of (K-1)*dilation/2 per side keeps the output
-    length equal to the input length (non-causal).  K must be odd; K=1 is a
-    per-frame linear map.
+    The weight is stored tap-major so each tap ``weight[tap]`` is a contiguous
+    [C_out, C_in] matrix that goes straight to BLAS in the forward
+    (``W[tap] @ x``) and both backward products; a [C_out, C_in, K] layout
+    makes every tap a strided view.  Symmetric zero padding of
+    (K-1)*dilation/2 per side keeps the output length equal to the input
+    length (non-causal).  K must be odd; K=1 is a per-frame linear map.
     """
     if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise ShapeError(f"conv1d expects [C_in,L] and [C_out,C_in,K], got {x.shape}, {weight.shape}")
-    c_out, c_in, k = weight.shape
+        raise ShapeError(f"conv1d expects [C_in,L] and [K,C_out,C_in], got {x.shape}, {weight.shape}")
+    k, c_out, c_in = weight.shape
     if k % 2 == 0:
         raise ConfigError(f"conv1d kernel size must be odd, got {k}")
     if dilation < 1:
@@ -141,21 +144,21 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
     xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
     acc = np.zeros((c_out, length))
     for tap in range(k):
-        acc += weight.data[:, :, tap] @ xp[:, tap * dilation : tap * dilation + length]
+        acc += weight.data[tap] @ xp[:, tap * dilation : tap * dilation + length]
     out = Tensor(acc + bias.data[:, None])
 
     def grad_fn(g):
         if weight.requires_grad:
             gw = np.empty_like(weight.data)
             for tap in range(k):
-                gw[:, :, tap] = g @ xp[:, tap * dilation : tap * dilation + length].T
+                np.matmul(g, xp[:, tap * dilation : tap * dilation + length].T, out=gw[tap])
             weight.accumulate(gw)
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=1))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for tap in range(k):
-                gxp[:, tap * dilation : tap * dilation + length] += weight.data[:, :, tap].T @ g
+                gxp[:, tap * dilation : tap * dilation + length] += weight.data[tap].T @ g
             x.accumulate(gxp[:, pad : pad + length] if pad else gxp)
 
     return _record(out, (x, weight, bias), grad_fn)
@@ -253,13 +256,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # branch keeps exp bounded for both signs
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -40,8 +40,10 @@ from .tensor import Tensor
 
 CKPT_MAGIC = b"DSVC"
 # 2: step-path FC weights are stored at unit scale (see denoiser); a version-1
-# file holds fan-in-scaled ones and would silently shrink the step vectors
-CKPT_VERSION = 2
+# file holds fan-in-scaled ones and would silently shrink the step vectors.
+# 3: conv weights are stored tap-major, [K, C_out, C_in]; a version-2 file
+# holds them as [C_out, C_in, K]
+CKPT_VERSION = 3
 
 _STATE_KEYS = (
     "iteration",

@@ -154,6 +154,13 @@ class TestConvert:
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
 
+    def test_out_into_missing_directory(self, cli_workspace, extracted, trained, tmp_path):
+        out = tmp_path / "missing" / "dir" / "conv.mel.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out, "--seed", 7) == 0
+        assert featio.read_feat(out).shape == (100, 16)
+
     def test_wav_output(self, cli_workspace, extracted, trained, tmp_path):
         from singvc.features import read_wav
 

@@ -143,7 +143,7 @@ class TestPredictEps:
         # finite-difference oracle on a 4-frame, 8-mel toy config
         cfg = ModelConfig(n_mels=8, channels=8, layers=2, ppg_dim=12, cond_dim=16, n_bins=16)
         model = Denoiser.init(cfg, RandomStream(4).split("fd"))
-        model.params["out_conv2.w"].data[:] = RandomStream(5).normal((8, 8, 1)) * 0.3
+        model.params["out_conv2.w"].data[:] = RandomStream(5).normal((8, 8, 1)).transpose(2, 0, 1) * 0.3
         rng = RandomStream(6)
         y0 = Tensor(rng.normal((4, 8)))
         eps = Tensor(rng.normal((4, 8)))
@@ -159,15 +159,15 @@ class TestPredictEps:
         model.zero_grads()
         backward(run())
         w = model.params["layer1.cond.w"]
-        ad = w.grad[2, 3, 0]
+        ad = w.grad[0, 2, 3]
 
         h = 1e-5
-        keep = w.data[2, 3, 0]
-        w.data[2, 3, 0] = keep + h
+        keep = w.data[0, 2, 3]
+        w.data[0, 2, 3] = keep + h
         hi = float(run().data)
-        w.data[2, 3, 0] = keep - h
+        w.data[0, 2, 3] = keep - h
         lo = float(run().data)
-        w.data[2, 3, 0] = keep
+        w.data[0, 2, 3] = keep
         fd = (hi - lo) / (2 * h)
         assert abs(ad - fd) / max(abs(ad), abs(fd), 1e-3) < 1e-4
 
@@ -175,7 +175,7 @@ class TestPredictEps:
         frames, shift = 32, 5
         y, ppg, f0_bins, loud_bins = toy_inputs(frames)
         model = Denoiser.init(TOY, RandomStream(0).split("toy"))
-        model.params["out_conv2.w"].data[:] = RandomStream(7).normal((8, 8, 1)) * 0.3
+        model.params["out_conv2.w"].data[:] = RandomStream(7).normal((8, 8, 1)).transpose(2, 0, 1) * 0.3
 
         def shifted(arr, k):
             out = np.zeros_like(arr)

@@ -56,28 +56,47 @@ class TestMatmul:
         assert max_rel_err(b.grad, fd_grad(loss, b.data)) < 1e-6
 
 
+def conv1d_reference(w, x, b, dilation, g):
+    """The per-tap loop on a [C_out, C_in, K] weight: output and the x, w, b
+    gradients for upstream gradient g."""
+    c_out, _, k = w.shape
+    length = x.shape[1]
+    pad = (k - 1) * dilation // 2
+    xp = np.pad(x, ((0, 0), (pad, pad))) if pad else x
+    out = np.zeros((c_out, length))
+    for tap in range(k):
+        out += w[:, :, tap] @ xp[:, tap * dilation : tap * dilation + length]
+    gw = np.empty_like(w)
+    for tap in range(k):
+        gw[:, :, tap] = g @ xp[:, tap * dilation : tap * dilation + length].T
+    gxp = np.zeros_like(xp)
+    for tap in range(k):
+        gxp[:, tap * dilation : tap * dilation + length] += w[:, :, tap].T @ g
+    return out + b[:, None], gxp[:, pad : pad + length] if pad else gxp, gw, g.sum(axis=1)
+
+
 class TestConv1d:
     def test_k1_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 5)))
-        w = Tensor(np.eye(3)[:, :, None])
+        w = Tensor(np.eye(3)[None, :, :])
         out = T.conv1d(x, w, T.zeros(3))
         np.testing.assert_allclose(out.data, x.data)
 
     def test_k3_hand_convolution(self):
         x = Tensor([[0.0, 1.0, 0.0]])
-        w = Tensor([[[1.0, 1.0, 1.0]]])
+        w = Tensor([[[1.0]], [[1.0]], [[1.0]]])
         out = T.conv1d(x, w, T.zeros(1))
         np.testing.assert_array_equal(out.data, [[1.0, 1.0, 1.0]])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            T.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))), T.zeros(1))
+            T.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((2, 1, 1))), T.zeros(1))
 
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_gradients_match_finite_differences(self, dilation):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+        w = Tensor(np.ascontiguousarray(rng.normal(size=(3, 2, 3)).transpose(2, 0, 1)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         probe = rng.normal(size=(3, 5))
 
@@ -86,13 +105,58 @@ class TestConv1d:
             xp = np.pad(x.data, ((0, 0), (pad, pad)))
             acc = np.zeros((3, 5))
             for k in range(3):
-                acc += w.data[:, :, k] @ xp[:, k * dilation : k * dilation + 5]
+                acc += w.data[k] @ xp[:, k * dilation : k * dilation + 5]
             return float(((acc + b.data[:, None]) * probe).sum())
 
         out = T.tsum(T.mul(T.conv1d(x, w, b, dilation), Tensor(probe)))
         backward(out)
         for t in (x, w, b):
             assert max_rel_err(t.grad, fd_grad(loss, t.data)) < 1e-6
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("c_out, c_in, length", [(3, 2, 7), (48, 40, 37)])
+    def test_tap_major_matches_reference_bit_for_bit(self, k, dilation, c_out, c_in, length):
+        rng = np.random.default_rng(13)
+        w_ref = rng.normal(size=(c_out, c_in, k))
+        x = Tensor(rng.normal(size=(c_in, length)), requires_grad=True)
+        w = Tensor(np.ascontiguousarray(w_ref.transpose(2, 0, 1)), requires_grad=True)
+        b = Tensor(rng.normal(size=c_out), requires_grad=True)
+        probe = rng.normal(size=(c_out, length))
+        out_ref, gx_ref, gw_ref, gb_ref = conv1d_reference(w_ref, x.data, b.data, dilation, probe)
+
+        out = T.conv1d(x, w, b, dilation)
+        backward(T.tsum(T.mul(out, Tensor(probe))))
+        np.testing.assert_array_equal(out.data, out_ref)
+        np.testing.assert_array_equal(x.grad, gx_ref)
+        np.testing.assert_array_equal(w.grad, gw_ref.transpose(2, 0, 1))
+        np.testing.assert_array_equal(b.grad, gb_ref)
+
+
+def sigmoid_reference(x):
+    """Two-branch sigmoid through boolean masks."""
+    pos = x >= 0
+    out = np.empty_like(x)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_reference_byte_for_byte(self):
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, np.inf, 709.8, 745.2, 5e-324, tiny / 2, tiny, 1e-300, 36.8, 37.0]
+        rng = np.random.default_rng(17)
+        normals = [rng.normal(size=20_000) * s for s in (1e-8, 1.0, 10.0, 100.0, 1e3)]
+        x = np.concatenate([np.array(edges), -np.array(edges)] + normals)
+        got = T._sigmoid(x)
+        assert got.tobytes() == sigmoid_reference(x).tobytes()
+
+    def test_nan_stays_nan(self):
+        x = np.array([np.nan, -np.nan, 1.0])
+        got = T._sigmoid(x)
+        assert np.isnan(got[:2]).all() and got[2] == sigmoid_reference(x)[2]
 
 
 class TestElementwise:

@@ -270,13 +270,15 @@ class TestCheckpoint:
 
     def test_old_version_rejected(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
-        path = tmp_path / "v1.ckpt"
-        save_checkpoint(path, ckpt)
-        data = bytearray(path.read_bytes())
-        data[4] = 1  # the u8 version after the magic
-        path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version 1"):
-            load_checkpoint(path)
+        # 1: fan-in-scaled step weights; 2: conv weights [C_out, C_in, K]
+        for version in (1, 2):
+            path = tmp_path / f"v{version}.ckpt"
+            save_checkpoint(path, ckpt)
+            data = bytearray(path.read_bytes())
+            data[4] = version  # the u8 version after the magic
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError, match=f"version {version}"):
+                load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
