@@ -224,16 +224,13 @@ def estimate_f0(
     # d(tau) = E(0) + E(tau) - 2 * corr(tau), via one FFT per frame
     fft_len = 1 << int(np.ceil(np.log2(segs.shape[1] + w)))
     spec_full = np.fft.rfft(segs, n=fft_len, axis=1)
-    head = np.zeros_like(segs)
-    head[:, :w] = segs[:, :w]
-    spec_head = np.fft.rfft(head, n=fft_len, axis=1)
+    spec_head = np.fft.rfft(segs[:, :w], n=fft_len, axis=1)
     corr = np.fft.irfft(np.conj(spec_head) * spec_full, n=fft_len, axis=1)[:, :n_lags]
 
     sq = np.cumsum(segs**2, axis=1)
     energy = np.empty((count, n_lags))
     energy[:, 0] = sq[:, w - 1]
-    for tau in range(1, n_lags):
-        energy[:, tau] = sq[:, tau + w - 1] - sq[:, tau - 1]
+    energy[:, 1:] = sq[:, w : w + n_lags - 1] - sq[:, : n_lags - 1]
     d = np.maximum(energy[:, :1] + energy - 2.0 * corr, 0.0)
 
     # cumulative-mean normalization; flat (silent) frames pin to 1

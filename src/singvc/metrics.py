@@ -5,6 +5,15 @@ Conventions: cepstra are the orthonormal DCT-II of denormalized log-mel
 frames, 13 coefficients kept; coefficient 0 (frame energy) is excluded from
 MCD; MCD is averaged over the aligned pairs of the optimal path; FPC is
 computed on Hz over frames voiced in both contours.
+
+DTW fills its (N+1)×(M+1) cost table one anti-diagonal k = i + j at a time.
+In the flat C-order table a diagonal and its up, left and diagonal
+neighbours are stride-M slices of diagonals k−1 and k−2, so each diagonal
+is two `np.minimum` and one `np.add` into views, and every cell is still
+`local + min(up, left, diag)`, the same double a per-cell loop gives. The
+local Euclidean costs are written into the table first, ceil(N / D) rows at
+a time, so the [rows, M, D] difference stays near N·M doubles; memory is
+O(N·M). The backtrack breaks ties diagonal first, then up, then left.
 """
 
 from __future__ import annotations
@@ -58,6 +67,26 @@ def _as_frames(x) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
+def _check_finite(x: np.ndarray, name: str) -> None:
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise InputError(f"dtw input {name} has a non-finite value at frame {int(bad.argmax())}")
+
+
+def _local_costs(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = ||a[i] - b[j]||, ceil(N / D) rows of a at a time."""
+    ni, dim = a.shape
+    rows = -(-ni // max(dim, 1))
+    buf = np.empty((rows, b.shape[0], dim))
+    for r in range(0, ni, rows):
+        block = out[r : r + rows]
+        diff = buf[: len(block)]
+        np.subtract(a[r : r + rows, None], b[None], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=block)
+        np.sqrt(block, out=block)
+
+
 def dtw(a: np.ndarray, b: np.ndarray) -> tuple[AlignmentPath, float]:
     """Minimal-cost monotone alignment under Euclidean frame distance."""
     a = _as_frames(a)
@@ -67,18 +96,29 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[AlignmentPath, float]:
     ni, nj = a.shape[0], b.shape[0]
     if ni == 0 or nj == 0:
         raise InputError("dtw inputs must be non-empty")
+    _check_finite(a, "a")
+    _check_finite(b, "b")
 
-    # local Euclidean costs
-    diff = a[:, None, :] - b[None, :, :]
-    local = np.sqrt((diff**2).sum(axis=2))
-
-    acc = np.full((ni + 1, nj + 1), np.inf)
+    acc = np.empty((ni + 1, nj + 1))
+    acc[0] = np.inf
+    acc[1:, 0] = np.inf
     acc[0, 0] = 0.0
-    for i in range(1, ni + 1):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, nj + 1):
-            row[j] = local[i - 1, j - 1] + min(prev[j], row[j - 1], prev[j - 1])
+    _local_costs(a, b, acc[1:, 1:])
+
+    # anti-diagonal k holds cells (i, k - i); along it the flat index steps
+    # by nj, and up, left and diag sit at offsets -(nj + 1), -1 and -(nj + 2)
+    flat = acc.reshape(-1)
+    width = nj + 1
+    best = np.empty(min(ni, nj))
+    for k in range(2, ni + nj + 1):
+        i_lo = max(1, k - nj)
+        n = min(ni, k - 1) - i_lo + 1
+        s = i_lo * width + k - i_lo
+        e = s + (n - 1) * nj + 1
+        cell, m = flat[s:e:nj], best[:n]
+        np.minimum(flat[s - width : e - width : nj], flat[s - 1 : e - 1 : nj], out=m)
+        np.minimum(m, flat[s - width - 1 : e - width - 1 : nj], out=m)
+        np.add(cell, m, out=cell)
 
     pairs = [(ni - 1, nj - 1)]
     i, j = ni, nj

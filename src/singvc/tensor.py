@@ -45,8 +45,12 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private buffer in the data's layout: g may be a view (of a
+            # transpose, of another node's grad) or broadcast
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,30 @@ def enumerate_min_cost(a, b):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def dtw_reference(a, b):
+    """The per-cell loop the vectorised dtw replaced: local costs from the full
+    N x M x D difference, one Python step per table cell, the same backtrack."""
+    a = np.asarray(a, dtype=np.float64).reshape(len(a), -1)
+    b = np.asarray(b, dtype=np.float64).reshape(len(b), -1)
+    ni, nj = a.shape[0], b.shape[0]
+    local = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    acc = np.full((ni + 1, nj + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, ni + 1):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, nj + 1):
+            row[j] = local[i - 1, j - 1] + min(prev[j], row[j - 1], prev[j - 1])
+    pairs = [(ni - 1, nj - 1)]
+    i, j = ni, nj
+    while (i, j) != (1, 1):
+        choices = ((acc[i - 1, j - 1], i - 1, j - 1), (acc[i - 1, j], i - 1, j), (acc[i, j - 1], i, j - 1))
+        _, i, j = min(choices, key=lambda c: c[0])
+        pairs.append((i - 1, j - 1))
+    pairs.reverse()
+    return pairs, float(acc[ni, nj])
 
 
 def _path_is_valid(path: AlignmentPath, ni, nj):
@@ -90,6 +115,49 @@ class TestDtw:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputError):
             dtw(np.zeros((3, 2)), np.zeros((3, 4)))
+
+
+class TestDtwMatchesReference:
+    @pytest.mark.parametrize("dim", [1, 12])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["random", "tie_heavy"])
+    @pytest.mark.parametrize("ni, nj", [(1, 1), (1, 9), (9, 1), (37, 41), (50, 9)])
+    def test_same_path_and_cost_bytes(self, ni, nj, dim, rounded):
+        rng = RandomStream(11)
+        a, b = rng.normal((ni, dim)), rng.normal((nj, dim))
+        if rounded:  # integer frames: many equal local costs and equal table values
+            a, b = np.round(a), np.round(b)
+        path, cost = dtw(a, b)
+        ref_pairs, ref_cost = dtw_reference(a, b)
+        assert path.pairs == ref_pairs
+        assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+
+    def test_zero_width_frames(self):
+        # mcd on one-coefficient cepstra aligns frames with no coefficients left
+        a, b = np.zeros((4, 0)), np.zeros((6, 0))
+        path, cost = dtw(a, b)
+        assert (path.pairs, cost) == dtw_reference(a, b)
+
+    def test_peak_memory_is_a_few_tables(self):
+        # the N x M x D difference of the per-cell version peaked at 25 tables
+        ni, nj = 600, 640
+        rng = RandomStream(12)
+        a, b = rng.normal((ni, 12)), rng.normal((nj, 12))
+        tracemalloc.start()
+        try:
+            dtw(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ni * nj * 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_input_rejected(self, side, bad):
+        x, y = np.zeros((5, 3)), np.zeros((6, 3))
+        (x if side == "a" else y)[3, 1] = bad
+        (x if side == "a" else y)[4, 0] = bad
+        with pytest.raises(InputError, match=f"input {side} .* frame 3"):
+            dtw(x, y)
 
 
 class TestMelToCepstrum:

@@ -202,6 +202,28 @@ class TestEmbedding:
             T.embedding_lookup(table, [0, 1, 7])
 
 
+class TestAccumulate:
+    def test_transposed_input_grad_is_c_contiguous(self):
+        # x's first contribution is the transpose of a C-ordered matmul grad
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.ones((2, 4)))
+        backward(T.tsum(T.matmul(T.transpose(x), w)))
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+
+    def test_same_input_twice_sums(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        backward(T.tsum(T.scale(T.add(x, x), 1.5)))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+
+    def test_grad_does_not_alias_upstream(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        y = T.transpose(x)
+        backward(T.tsum(y))
+        y.grad[...] = 7.0
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
 class TestBackward:
     def test_square_sum(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
