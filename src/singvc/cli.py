@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, optimizer=False)
     cfg = ckpt.config
     model = ckpt.build_model()
 

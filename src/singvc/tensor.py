@@ -6,7 +6,9 @@ slicing, transpose and the two reductions.  Each differentiable op records
 (inputs, backward closure) on its output; ``backward`` replays the implicit
 tape in reverse topological order.  The tape is rebuilt on every forward pass
 and consumed by ``backward`` — calling backward twice on the same graph is a
-contract violation.
+contract violation.  Backward frees each node as it walks the tape: once a
+node's closure has run, its activation and gradient are released unless the
+caller still holds the tensor, which then keeps its ``.grad``.
 
 Conventions deliberately pinned here because tests rely on them:
   * everything is float64;
@@ -69,8 +71,10 @@ def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad tensor reachable from loss.
 
     The traversal order is a reverse topological sort of the recorded ops, so
-    each op contributes its input gradients exactly once.  The visited part of
-    the tape is cleared afterwards.
+    each op contributes its input gradients exactly once.  Each node leaves
+    the tape as soon as it has been processed, so peak memory is what the
+    forward held plus the gradients still in flight, not every activation
+    and every gradient at once.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -96,11 +100,16 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
+    # pop, not iterate: a node's consumers came earlier in the walk and have
+    # dropped their references to it, so once its closure has run, the next
+    # pop drops the last one unless the caller still holds the tensor
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
         node._inputs = ()
         node._backward = None
+    node = None
     loss._consumed = True
 
 

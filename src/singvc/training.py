@@ -16,10 +16,15 @@ u32 rank, u32 x rank dims, float64 LE data}.  Payloads are 64-bit so that a
 reloaded state continues training bit-exactly.  Saves are atomic: the file is
 written under a temporary name in the same directory and renamed over the
 target, so an interrupted save leaves the previous checkpoint intact.
+The reader streams: each record is read straight into its final array, its
+size checked against the bytes left in the file first, and a read for
+inference (``optimizer=False``) seeks past the ADAM moment records, which
+are twice the size of the parameters.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -32,7 +37,7 @@ from . import tensor as T
 from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser
 from .diffusion import diffusion_loss, gaussian
-from .errors import ConfigError, DataError, DivergenceError, FormatError
+from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from .features import F0Contour, MelStats, quantize
 from .rng import RandomStream
 from .schedule import NoiseSchedule, linear_schedule
@@ -187,22 +192,34 @@ class Checkpoint:
     config: RunConfig
     schedule: NoiseSchedule
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    # None when loaded without optimizer state (load_checkpoint(optimizer=False))
+    adam_m: dict[str, np.ndarray] | None
+    adam_v: dict[str, np.ndarray] | None
     adam_step: int
     stats: FeatureStats
     iteration: int
     rng_state: tuple[int, int]
 
     def build_model(self, trainable: bool = False) -> Denoiser:
+        """An inference model wraps the checkpoint's arrays; a trainable one
+        copies them, so optimizer steps never write into the checkpoint."""
         params = {
-            name: Tensor(arr.copy(), requires_grad=trainable)
+            name: Tensor(arr.copy() if trainable else arr, requires_grad=trainable)
             for name, arr in self.params.items()
         }
         return Denoiser(self.config.model_config(), params)
 
 
+def _require_optimizer_state(ckpt: Checkpoint, action: str) -> None:
+    # without the moments a resume would silently restart ADAM, and a saved
+    # file would look like a full checkpoint that restarts it later
+    if ckpt.adam_m is None or ckpt.adam_v is None:
+        raise ContractError(f"cannot {action} a checkpoint loaded without optimizer state; "
+                            "load it with optimizer=True")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    _require_optimizer_state(ckpt, "save")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -253,54 +270,68 @@ def _write_checkpoint(f, ckpt: Checkpoint) -> None:
         record(f"adam.v.{name}", ckpt.adam_v[name])
 
 
-def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    pos = 0
+def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
+    """Read a checkpoint record by record, each straight into its array.
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if len(raw) < pos + n:
-            raise FormatError(f"{path}: truncated {what} at byte {pos}")
-        chunk = raw[pos : pos + n]
-        pos += n
-        return chunk
+    With ``optimizer=False`` the ``adam.*`` records are skipped, not read,
+    and the checkpoint's ``adam_m``/``adam_v`` are None: enough for
+    inference, not for resuming.  Every length is checked against the bytes
+    left in the file before anything is allocated or read.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
 
-    if take(4, "magic") != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic at byte 0")
-    version = take(1, "version")[0]
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (block_len,) = struct.unpack("<I", take(4, "config length"))
-    block = take(block_len, "config block").decode("utf-8")
-    config, extras = parse_config_text(block, extra_keys=_STATE_KEYS)
-    missing = [k for k in _STATE_KEYS if k not in extras]
-    if missing:
-        raise FormatError(f"{path}: config block missing state keys {missing}")
+        def check(n: int, what: str) -> None:
+            if n > size - f.tell():
+                raise FormatError(f"{path}: truncated {what} at byte {f.tell()}")
 
-    (steps,) = struct.unpack("<I", take(4, "schedule length"))
-    tables = [
-        np.frombuffer(take(8 * steps, "schedule table"), dtype="<f8").astype(np.float64)
-        for _ in range(4)
-    ]
-    schedule = NoiseSchedule(beta=tables[0], alpha=tables[1], alpha_bar=tables[2], sigma=tables[3])
+        def take(n: int, what: str) -> bytes:
+            check(n, what)
+            return f.read(n)
 
-    params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    while pos < len(raw):
-        (name_len,) = struct.unpack("<H", take(2, "record name length"))
-        name = take(name_len, "record name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, "record rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
-        count = int(np.prod(dims))
-        data = np.frombuffer(take(8 * count, f"record {name!r}"), dtype="<f8")
-        arr = data.reshape(dims).astype(np.float64)
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m.") :]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v.") :]] = arr
-        else:
-            params[name] = arr
+        def take_array(dims: tuple[int, ...], what: str) -> np.ndarray:
+            check(8 * math.prod(dims), what)
+            arr = np.empty(dims, dtype="<f8")
+            f.readinto(arr)
+            return arr
+
+        if take(4, "magic") != CKPT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic at byte 0")
+        version = take(1, "version")[0]
+        if version != CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        (block_len,) = struct.unpack("<I", take(4, "config length"))
+        block = take(block_len, "config block").decode("utf-8")
+        config, extras = parse_config_text(block, extra_keys=_STATE_KEYS)
+        missing = [k for k in _STATE_KEYS if k not in extras]
+        if missing:
+            raise FormatError(f"{path}: config block missing state keys {missing}")
+
+        (steps,) = struct.unpack("<I", take(4, "schedule length"))
+        tables = [take_array((steps,), "schedule table") for _ in range(4)]
+        schedule = NoiseSchedule(beta=tables[0], alpha=tables[1], alpha_bar=tables[2], sigma=tables[3])
+
+        params: dict[str, np.ndarray] = {}
+        adam_m: dict[str, np.ndarray] | None = {} if optimizer else None
+        adam_v: dict[str, np.ndarray] | None = {} if optimizer else None
+        while f.tell() < size:
+            (name_len,) = struct.unpack("<H", take(2, "record name length"))
+            name = take(name_len, "record name").decode("utf-8")
+            (rank,) = struct.unpack("<I", take(4, "record rank"))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
+            what = f"record {name!r}"
+            if not optimizer and name.startswith(("adam.m.", "adam.v.")):
+                nbytes = 8 * math.prod(dims)
+                check(nbytes, what)
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
+            arr = take_array(dims, what)
+            if name.startswith("adam.m."):
+                adam_m[name[len("adam.m.") :]] = arr
+            elif name.startswith("adam.v."):
+                adam_v[name[len("adam.v.") :]] = arr
+            else:
+                params[name] = arr
 
     return Checkpoint(
         config=config,
@@ -366,6 +397,7 @@ def train(
     schedule = linear_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
     if resume is not None:
         _check_resume_config(cfg, resume)
+        _require_optimizer_state(resume, "resume from")
         stats = resume.stats
         model = resume.build_model(trainable=True)
         adam = Adam()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,34 @@ class TestBackward:
         probe = Tensor(np.arange(10.0).reshape(5, 2))
         backward(T.tsum(T.mul(T.transpose(u), probe)))
         np.testing.assert_array_equal(u.grad, probe.data.T)
+
+    def test_nodes_are_released_as_backward_walks_the_tape(self):
+        # a 40-deep tanh chain holds 41 [256, 1024] buffers (2 MiB each);
+        # backward may add a few gradients and temporaries in flight, not one
+        # gradient per node
+        buf = 256 * 1024 * 8
+        x = Tensor(np.random.default_rng(3).normal(size=(256, 1024)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            h = x
+            for i in range(40):
+                h = T.tanh(h)
+                if i == 19:
+                    held = h
+            loss = T.tsum(h)
+            del h
+            forward_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - forward_bytes <= 4 * buf, f"backward peaked {(peak - forward_bytes) / 2**20:.1f} MiB above the forward"
+        # an intermediate the caller holds keeps its gradient
+        ys = [held.data]
+        for _ in range(20):
+            ys.append(np.tanh(ys[-1]))
+        g = np.ones_like(held.data)
+        for y in reversed(ys[1:]):
+            g = g * (1.0 - y * y)
+        np.testing.assert_array_equal(held.grad, g)

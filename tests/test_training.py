@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from singvc import cli, featio
 from singvc.config import RunConfig
 from singvc.denoiser import Denoiser
 from singvc.diffusion import diffusion_loss, gaussian
-from singvc.errors import ConfigError, DataError, DivergenceError, FormatError
+from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from singvc.features import F0Contour
 from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule
@@ -295,6 +298,119 @@ class TestCheckpoint:
         path = tmp_path / "toy.ckpt"
         train([sample], cfg, ckpt_path=path)
         assert path.stat().st_size < 10 * 1024 * 1024
+
+
+class TestRecordSizes:
+    @staticmethod
+    def header_bytes(path) -> bytes:
+        """The checkpoint up to its first tensor record."""
+        data = path.read_bytes()
+        (block_len,) = struct.unpack_from("<I", data, 5)
+        (steps,) = struct.unpack_from("<I", data, 9 + block_len)
+        return data[: 13 + block_len + 32 * steps]
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1)])
+    def test_oversized_record_rejected_before_allocating(self, corpus, tmp_path, dims):
+        # (65536,)*4 wraps to 0 elements in int64, (2**32-1)**2 to a negative
+        # byte count; both are far more than the file holds
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, ckpt)
+        record = struct.pack("<H", 1) + b"x" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+        path.write_bytes(self.header_bytes(path) + record + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated record 'x'"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    def test_oversized_skipped_record_rejected(self, corpus, tmp_path):
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, ckpt)
+        record = struct.pack("<H", 8) + b"adam.m.x" + struct.pack("<II", 1, 2**32 - 1)
+        path.write_bytes(self.header_bytes(path) + record)
+        with pytest.raises(FormatError, match="truncated record 'adam.m.x'"):
+            load_checkpoint(path, optimizer=False)
+
+
+MID_CFG = RunConfig(layers=6, channels=128, diffusion_steps=10, n_iter=1, batch=1,
+                    segment_frames=16, seed=2)
+
+
+@pytest.fixture(scope="module")
+def mid_checkpoint(tmp_path_factory):
+    """A 6 x 128 checkpoint at the published feature sizes, with conditioner
+    features for a 24-frame conversion."""
+    root = tmp_path_factory.mktemp("mid")
+    sample = make_sample("mid", frames=24, n_mels=MID_CFG.n_mels, ppg_dim=MID_CFG.ppg_dim)
+    train([sample], MID_CFG, ckpt_path=root / "mid.ckpt")
+    featio.write_feat(root / "ppg.feat", sample.ppg)
+    featio.write_feat(root / "f0.feat", sample.f0.hz)
+    featio.write_feat(root / "loud.feat", sample.loudness)
+    return root
+
+
+class TestInferenceLoad:
+    def test_params_only_load_peaks_near_parameter_bytes(self, mid_checkpoint):
+        path = mid_checkpoint / "mid.ckpt"
+        param_bytes = sum(a.nbytes for a in load_checkpoint(path).params.values())
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path, optimizer=False).build_model()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.params) > 0
+        assert peak < 1.3 * param_bytes, f"peak {peak / param_bytes:.2f}x the parameter bytes"
+
+    def test_params_only_load_matches_full_load(self, mid_checkpoint):
+        full = load_checkpoint(mid_checkpoint / "mid.ckpt")
+        lean = load_checkpoint(mid_checkpoint / "mid.ckpt", optimizer=False)
+        assert lean.adam_m is None and lean.adam_v is None
+        assert full.adam_m and full.adam_v
+        assert sorted(lean.params) == sorted(full.params)
+        for name, arr in full.params.items():
+            assert lean.params[name].tobytes() == arr.tobytes()
+        for field in ("adam_step", "iteration", "rng_state", "stats", "config"):
+            assert getattr(lean, field) == getattr(full, field)
+
+    def test_inference_model_shares_arrays_trainable_copies(self, mid_checkpoint):
+        ckpt = load_checkpoint(mid_checkpoint / "mid.ckpt", optimizer=False)
+        shared = ckpt.build_model()
+        owned = ckpt.build_model(trainable=True)
+        for name, arr in ckpt.params.items():
+            assert shared.params[name].data is arr
+            assert not np.shares_memory(owned.params[name].data, arr)
+            assert owned.params[name].requires_grad and not shared.params[name].requires_grad
+
+    def test_convert_output_equals_full_load(self, mid_checkpoint, tmp_path, monkeypatch):
+        def convert(tag):
+            out, wav = tmp_path / f"{tag}.mel.feat", tmp_path / f"{tag}.wav"
+            argv = ["convert", "--ckpt", mid_checkpoint / "mid.ckpt", "--ppg", mid_checkpoint / "ppg.feat",
+                    "--f0", mid_checkpoint / "f0.feat", "--loud", mid_checkpoint / "loud.feat",
+                    "--out", out, "--seed", 4, "--denorm", "--wav", wav]
+            assert cli.main([str(a) for a in argv]) == 0
+            return out.read_bytes(), wav.read_bytes()
+
+        lean = convert("lean")
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path, optimizer: load_checkpoint(path))
+        assert convert("full") == lean
+
+    def test_resume_and_save_need_optimizer_state(self, corpus, tmp_path):
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "r.ckpt"
+        save_checkpoint(path, ckpt)
+        lean = load_checkpoint(path, optimizer=False)
+        cfg = RunConfig(**{**TOY_CFG.__dict__, "n_iter": TOY_CFG.n_iter + 2})
+        with pytest.raises(ContractError, match="resume from a checkpoint loaded without optimizer state"):
+            train(corpus, cfg, resume=lean)
+        with pytest.raises(ContractError, match="save a checkpoint loaded without optimizer state"):
+            save_checkpoint(tmp_path / "lean.ckpt", lean)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.ckpt"]
 
 
 class TestFeatureStats:
