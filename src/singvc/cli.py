@@ -140,20 +140,13 @@ def cmd_convert(args) -> int:
     loud_values = featio.read_feat(args.loud)
     if hz.ndim != 1 or loud_values.ndim != 1:
         raise FormatError("f0 and loudness features must be rank 1")
-    frames, ppg_dim = ppg.shape
-    if not (len(hz) == len(loud_values) == frames):
-        raise InputError(
-            f"feature frame counts differ: ppg {frames}, f0 {len(hz)}, loudness {len(loud_values)}"
-        )
-    if ppg_dim != cfg.ppg_dim:
-        raise ConfigError(f"PPG dim {ppg_dim} != checkpoint model dim {cfg.ppg_dim}")
 
     if args.logf0_shift:
         hz = np.where(hz > 0, hz * math.exp(args.logf0_shift), 0.0)
     f0_bins, loud_bins = conditioner_bins(ckpt.stats, F0Contour(hz=hz), loud_values, cfg.n_bins)
     cond = model.build_conditioner(ppg, f0_bins, loud_bins)
     rng = RandomStream(args.seed).split("sample")
-    mel = sample(ckpt.schedule, model, cond, frames, cfg.n_mels, rng).data
+    mel = sample(ckpt.schedule, model, cond, len(ppg), cfg.n_mels, rng).data
 
     featio.write_feat(args.out, ckpt.stats.mel.denormalize(mel) if args.denorm else mel)
     if args.wav:

@@ -60,23 +60,6 @@ def sinusoidal_step_vector(t: int) -> np.ndarray:
     return np.concatenate([np.sin(freqs * t), np.cos(freqs * t)])
 
 
-def parameter_count(cfg: ModelConfig) -> int:
-    """Closed-form size of the parameter set for a given config."""
-    c, e, k, n = cfg.channels, cfg.cond_dim, cfg.kernel_size, cfg.layers
-    total = cfg.ppg_dim * e + e                     # PPG prenet
-    total += 2 * cfg.n_bins * e                     # melody + loudness tables
-    total += STEP_SIN_DIM * STEP_HIDDEN + STEP_HIDDEN
-    total += STEP_HIDDEN * STEP_HIDDEN + STEP_HIDDEN
-    total += STEP_HIDDEN * c + c                    # shared step projection
-    total += c * cfg.n_mels + c                     # input Conv1x1
-    total += n * (2 * c * c * k + 2 * c)            # dilated convs
-    total += n * (2 * c * e + 2 * c)                # conditioner Conv1x1
-    total += 2 * n * (c * c + c)                    # residual + skip Conv1x1
-    total += c * c + c                              # output Conv1x1 #1
-    total += cfg.n_mels * c + cfg.n_mels            # output Conv1x1 #2
-    return total
-
-
 def _fan_in_uniform(rng: RandomStream, shape, fan_in: int) -> Tensor:
     bound = 1.0 / math.sqrt(fan_in)
     u = rng.uniform(int(np.prod(shape))).reshape(shape)

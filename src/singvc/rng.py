@@ -62,10 +62,6 @@ class RandomStream:
     def state(self) -> tuple[int, int]:
         return (int(self._seed), self._counter)
 
-    @classmethod
-    def from_state(cls, state: tuple[int, int]) -> "RandomStream":
-        return cls(state[0], state[1])
-
     def split(self, label: str) -> "RandomStream":
         """Derive an independent child stream; does not advance this one."""
         with np.errstate(over="ignore"):

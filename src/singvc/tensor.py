@@ -28,7 +28,7 @@ from .errors import ContractError, ShapeError, ConfigError
 class Tensor:
     """N-d value carrier; participates in the gradient tape when required."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_backward", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -36,7 +36,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._inputs: tuple[Tensor, ...] = ()
         self._backward = None
-        self._consumed = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,10 +77,10 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
-        raise ContractError("backward called twice on the same tape; rerun the forward pass")
     if loss._backward is None:
-        raise ContractError("backward called with no recorded operations")
+        # backward clears the tape it walks, the loss's node included
+        raise ContractError("backward needs a loss with recorded operations: none were "
+                            "recorded, or backward already ran on it; rerun the forward pass")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -109,8 +108,6 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
         node._inputs = ()
         node._backward = None
-    node = None
-    loss._consumed = True
 
 
 # ---------------------------------------------------------------------------

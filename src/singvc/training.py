@@ -20,10 +20,16 @@ The reader streams: each record is read straight into its final array, its
 size checked against the bytes left in the file first, and a read for
 inference (``optimizer=False``) seeks past the ADAM moment records, which
 are twice the size of the parameters.
+
+A `Checkpoint` is the training state itself: `train` builds one, advances
+its parameter arrays, ADAM moments, stream and iteration in place, and saves
+it as it stands, so a save copies nothing.  A resumed run trains a deep copy
+of the checkpoint it is given, which the caller keeps unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -180,40 +186,41 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
+            # in place: a checkpoint holding these arrays sees every step
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / c1
+            v_hat = v / c2
             p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 @dataclass
 class Checkpoint:
+    """The training state: what a save writes and a resume continues from."""
+
     config: RunConfig
     schedule: NoiseSchedule
     params: dict[str, np.ndarray]
     # None when loaded without optimizer state (load_checkpoint(optimizer=False))
-    adam_m: dict[str, np.ndarray] | None
-    adam_v: dict[str, np.ndarray] | None
-    adam_step: int
+    adam: Adam | None
     stats: FeatureStats
     iteration: int
-    rng_state: tuple[int, int]
+    rng: RandomStream
 
     def build_model(self, trainable: bool = False) -> Denoiser:
-        """An inference model wraps the checkpoint's arrays; a trainable one
-        copies them, so optimizer steps never write into the checkpoint."""
-        params = {
-            name: Tensor(arr.copy() if trainable else arr, requires_grad=trainable)
-            for name, arr in self.params.items()
-        }
+        """A model that wraps the checkpoint's arrays without copying them,
+        so optimizer steps on a trainable one advance the checkpoint."""
+        params = {name: Tensor(arr, requires_grad=trainable) for name, arr in self.params.items()}
         return Denoiser(self.config.model_config(), params)
 
 
 def _require_optimizer_state(ckpt: Checkpoint, action: str) -> None:
     # without the moments a resume would silently restart ADAM, and a saved
     # file would look like a full checkpoint that restarts it later
-    if ckpt.adam_m is None or ckpt.adam_v is None:
+    if ckpt.adam is None:
         raise ContractError(f"cannot {action} a checkpoint loaded without optimizer state; "
                             "load it with optimizer=True")
 
@@ -234,9 +241,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def _write_checkpoint(f, ckpt: Checkpoint) -> None:
     extras = {
         "iteration": str(ckpt.iteration),
-        "adam_step": str(ckpt.adam_step),
-        "rng_seed": str(ckpt.rng_state[0]),
-        "rng_counter": str(ckpt.rng_state[1]),
+        "adam_step": str(ckpt.adam.step_count),
+        "rng_seed": str(ckpt.rng.state[0]),
+        "rng_counter": str(ckpt.rng.state[1]),
         "mel_lo": repr(ckpt.stats.mel.lo),
         "mel_hi": repr(ckpt.stats.mel.hi),
         "f0_lo": repr(ckpt.stats.f0_lo),
@@ -252,7 +259,7 @@ def _write_checkpoint(f, ckpt: Checkpoint) -> None:
     f.write(block)
     f.write(struct.pack("<I", s.steps))
     for table in (s.beta, s.alpha, s.alpha_bar, s.sigma):
-        f.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(table, dtype="<f8"))
 
     def record(name: str, arr: np.ndarray) -> None:
         encoded = name.encode("utf-8")
@@ -260,21 +267,21 @@ def _write_checkpoint(f, ckpt: Checkpoint) -> None:
         f.write(encoded)
         f.write(struct.pack("<I", arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
     for name in sorted(ckpt.params):
         record(name, ckpt.params[name])
-    for name in sorted(ckpt.adam_m):
-        record(f"adam.m.{name}", ckpt.adam_m[name])
-    for name in sorted(ckpt.adam_v):
-        record(f"adam.v.{name}", ckpt.adam_v[name])
+    for name in sorted(ckpt.adam.m):
+        record(f"adam.m.{name}", ckpt.adam.m[name])
+    for name in sorted(ckpt.adam.v):
+        record(f"adam.v.{name}", ckpt.adam.v[name])
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint record by record, each straight into its array.
 
     With ``optimizer=False`` the ``adam.*`` records are skipped, not read,
-    and the checkpoint's ``adam_m``/``adam_v`` are None: enough for
+    and the checkpoint's ``adam`` is None: enough for
     inference, not for resuming.  Every length is checked against the bytes
     left in the file before anything is allocated or read.
     """
@@ -312,8 +319,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         schedule = NoiseSchedule(beta=tables[0], alpha=tables[1], alpha_bar=tables[2], sigma=tables[3])
 
         params: dict[str, np.ndarray] = {}
-        adam_m: dict[str, np.ndarray] | None = {} if optimizer else None
-        adam_v: dict[str, np.ndarray] | None = {} if optimizer else None
+        adam = Adam() if optimizer else None
         while f.tell() < size:
             (name_len,) = struct.unpack("<H", take(2, "record name length"))
             name = take(name_len, "record name").decode("utf-8")
@@ -327,19 +333,19 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                 continue
             arr = take_array(dims, what)
             if name.startswith("adam.m."):
-                adam_m[name[len("adam.m.") :]] = arr
+                adam.m[name[len("adam.m.") :]] = arr
             elif name.startswith("adam.v."):
-                adam_v[name[len("adam.v.") :]] = arr
+                adam.v[name[len("adam.v.") :]] = arr
             else:
                 params[name] = arr
 
+    if adam is not None:
+        adam.step_count = int(extras["adam_step"])
     return Checkpoint(
         config=config,
         schedule=schedule,
         params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_step=int(extras["adam_step"]),
+        adam=adam,
         stats=FeatureStats(
             mel=MelStats(lo=float(extras["mel_lo"]), hi=float(extras["mel_hi"])),
             f0_lo=float(extras["f0_lo"]),
@@ -348,7 +354,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             loud_hi=float(extras["loud_hi"]),
         ),
         iteration=int(extras["iteration"]),
-        rng_state=(int(extras["rng_seed"]), int(extras["rng_counter"])),
+        rng=RandomStream(int(extras["rng_seed"]), int(extras["rng_counter"])),
     )
 
 
@@ -384,7 +390,8 @@ def train(
     ckpt_path=None,
 ) -> tuple[Checkpoint, list[float]]:
     """Run cfg.n_iter total iterations (resume continues the counter);
-    returns the final checkpoint and the per-iteration losses of this call."""
+    returns the final training state and the per-iteration losses of this
+    call.  A resume trains a copy of `resume`, never `resume` itself."""
     if not data:
         raise DataError("empty training corpus")
     for sample in data:
@@ -394,50 +401,37 @@ def train(
                 f"utterance {sample.name!r}: ppg dim {sample.ppg.shape[1]} != configured {cfg.ppg_dim}"
             )
 
-    schedule = linear_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
     if resume is not None:
         _check_resume_config(cfg, resume)
         _require_optimizer_state(resume, "resume from")
-        stats = resume.stats
-        model = resume.build_model(trainable=True)
-        adam = Adam()
-        adam.step_count = resume.adam_step
-        adam.m = {k: v.copy() for k, v in resume.adam_m.items()}
-        adam.v = {k: v.copy() for k, v in resume.adam_v.items()}
-        rng = RandomStream.from_state(resume.rng_state)
-        start_iter = resume.iteration
+        state = copy.deepcopy(resume)
+        state.config = cfg
     else:
-        stats = compute_feature_stats(data, cfg)
         master = RandomStream(cfg.seed)
-        model = Denoiser.init(cfg.model_config(), master.split("init"))
-        adam = Adam()
-        rng = master.split("train")
-        start_iter = 0
+        init = Denoiser.init(cfg.model_config(), master.split("init")).params
+        state = Checkpoint(
+            config=cfg,
+            schedule=linear_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end),
+            params={name: p.data for name, p in init.items()},
+            adam=Adam(),
+            stats=compute_feature_stats(data, cfg),
+            iteration=0,
+            rng=master.split("train"),
+        )
+    model = state.build_model(trainable=True)
+    rng = state.rng
 
     prepared = []
     for s in data:
-        f0_bins, loud_bins = conditioner_bins(stats, s.f0, s.loudness, cfg.n_bins)
-        prepared.append(_Prepared(s.name, stats.mel.normalize(s.log_mel), s.ppg, f0_bins, loud_bins))
-
-    def snapshot(iteration: int) -> Checkpoint:
-        return Checkpoint(
-            config=cfg,
-            schedule=schedule,
-            params={k: v.data.copy() for k, v in model.params.items()},
-            adam_m={k: v.copy() for k, v in adam.m.items()},
-            adam_v={k: v.copy() for k, v in adam.v.items()},
-            adam_step=adam.step_count,
-            stats=stats,
-            iteration=iteration,
-            rng_state=rng.state,
-        )
+        f0_bins, loud_bins = conditioner_bins(state.stats, s.f0, s.loudness, cfg.n_bins)
+        prepared.append(_Prepared(s.name, state.stats.mel.normalize(s.log_mel), s.ppg, f0_bins, loud_bins))
 
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     if log_file:
         log_file.write("iteration,loss,wall_ms\n")
     losses: list[float] = []
     try:
-        for it in range(start_iter + 1, cfg.n_iter + 1):
+        for it in range(state.iteration + 1, cfg.n_iter + 1):
             tic = time.perf_counter()
             total = None
             meta = []
@@ -450,7 +444,7 @@ def train(
                 eps = gaussian((seg, cfg.n_mels), rng)
                 sl = slice(start, start + seg)
                 cond = model.build_conditioner(item.ppg[sl], item.f0_bins[sl], item.loud_bins[sl])
-                term = diffusion_loss(schedule, model, Tensor(item.mel[sl]), cond, t, eps)
+                term = diffusion_loss(state.schedule, model, Tensor(item.mel[sl]), cond, t, eps)
                 total = term if total is None else T.add(total, term)
                 meta.append((t, f"{item.name}[{start}:{start + seg}]"))
             total = T.scale(total, 1.0 / cfg.batch)
@@ -462,18 +456,18 @@ def train(
                 )
             model.zero_grads()
             T.backward(total)
-            adam.step(model.params, cfg.lr, cfg.grad_clip)
+            state.adam.step(model.params, cfg.lr, cfg.grad_clip)
+            state.iteration = it
             losses.append(loss)
             wall_ms = (time.perf_counter() - tic) * 1e3
             if log_file and (it % max(1, cfg.log_every) == 0 or it == cfg.n_iter):
                 log_file.write(f"{it},{loss!r},{wall_ms:.3f}\n")
             if ckpt_path and cfg.ckpt_every > 0 and it % cfg.ckpt_every == 0:
-                save_checkpoint(ckpt_path, snapshot(it))
+                save_checkpoint(ckpt_path, state)
     finally:
         if log_file:
             log_file.close()
 
-    final = snapshot(max(cfg.n_iter, start_iter))
     if ckpt_path:
-        save_checkpoint(ckpt_path, final)
-    return final, losses
+        save_checkpoint(ckpt_path, state)
+    return state, losses

@@ -199,6 +199,16 @@ class TestConvert:
                    "--f0", short, "--loud", extracted / "utt0.loud.feat",
                    "--out", tmp_path / "x.feat") == 1
 
+    def test_ppg_dim_mismatch_is_error(self, extracted, trained, tmp_path, capsys):
+        ppg = featio.read_feat(extracted / "utt0.ppg.feat")
+        wide = tmp_path / "wide.ppg.feat"
+        featio.write_feat(wide, np.concatenate([ppg, ppg[:, :1]], axis=1))
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", wide, "--f0", extracted / "utt0.f0.feat",
+                   "--loud", extracted / "utt0.loud.feat", "--out", out) == 1
+        assert "ppg dim" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
 
 class TestEval:
     def test_self_eval_is_perfect(self, extracted, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from singvc import tensor as T
-from singvc.denoiser import Denoiser, ModelConfig, parameter_count, sinusoidal_step_vector
+from singvc.denoiser import Denoiser, ModelConfig, sinusoidal_step_vector
 from singvc.diffusion import diffusion_loss
 from singvc.errors import InputError, ShapeError
 from singvc.rng import RandomStream
@@ -200,11 +200,3 @@ class TestPredictEps:
             cond = toy_model.build_conditioner(ppg, f0_bins, loud_bins)
             assert toy_model.predict_eps(y, 2, cond).shape == (frames, TOY.n_mels)
         assert set(toy_model.params) == names_before
-
-
-class TestParameterCount:
-    @pytest.mark.parametrize("cfg", [TOY, ModelConfig()])
-    def test_closed_form_matches_actual(self, cfg):
-        model = Denoiser.init(cfg, RandomStream(8).split("count"))
-        actual = sum(p.data.size for p in model.params.values())
-        assert actual == parameter_count(cfg)

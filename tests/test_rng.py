@@ -32,7 +32,7 @@ def test_split_streams_uncorrelated_and_stable():
 def test_state_roundtrip_continues_stream():
     s = RandomStream(5)
     s.normal(17)
-    resumed = RandomStream.from_state(s.state)
+    resumed = RandomStream(*s.state)
     np.testing.assert_array_equal(s.normal((3, 4)), resumed.normal((3, 4)))
 
 

@@ -115,6 +115,43 @@ class TestAdam:
         opt.step({"p": p}, lr=1.0, grad_clip=1.0)
         np.testing.assert_allclose(opt.m["p"], 0.1 * np.array([0.6, 0.8]))
 
+    @pytest.mark.parametrize("grad_clip", [0.0, 1.0])
+    def test_in_place_update_matches_out_of_place_reference(self, grad_clip):
+        rng = RandomStream(21)
+        shapes = {"a": (5, 7), "b": (3,)}
+        init = {n: rng.normal(shape) for n, shape in shapes.items()}
+        grads = [{n: 2.0 * rng.normal(shape) for n, shape in shapes.items()} for _ in range(6)]
+
+        # the update as it was before the moments were updated in place:
+        # every step binds new moment arrays
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        ref = {n: a.copy() for n, a in init.items()}
+        m = {n: np.zeros_like(a) for n, a in init.items()}
+        v = {n: np.zeros_like(a) for n, a in init.items()}
+        for count, step_grads in enumerate(grads, start=1):
+            if grad_clip > 0.0:
+                norm = np.sqrt(sum(float((g**2).sum()) for g in step_grads.values()))
+                assert norm > grad_clip  # the clipping branch runs
+                step_grads = {n: g * (grad_clip / norm) for n, g in step_grads.items()}
+            c1, c2 = 1.0 - b1**count, 1.0 - b2**count
+            for n, g in step_grads.items():
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                ref[n] -= lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
+
+        params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+        opt = Adam()
+        for count, step_grads in enumerate(grads, start=1):
+            for n, p in params.items():
+                p.grad = step_grads[n]
+            opt.step(params, lr, grad_clip)
+            if count == 1:
+                moments = {n: (opt.m[n], opt.v[n]) for n in params}
+        for n, p in params.items():
+            assert p.data.tobytes() == ref[n].tobytes()
+            assert opt.m[n].tobytes() == m[n].tobytes() and opt.v[n].tobytes() == v[n].tobytes()
+            assert opt.m[n] is moments[n][0] and opt.v[n] is moments[n][1]
+
 
 class TestStratifiedStep:
     def test_batch_mixture_uniform(self):
@@ -370,22 +407,23 @@ class TestInferenceLoad:
     def test_params_only_load_matches_full_load(self, mid_checkpoint):
         full = load_checkpoint(mid_checkpoint / "mid.ckpt")
         lean = load_checkpoint(mid_checkpoint / "mid.ckpt", optimizer=False)
-        assert lean.adam_m is None and lean.adam_v is None
-        assert full.adam_m and full.adam_v
+        assert lean.adam is None
+        assert full.adam.m and full.adam.v and full.adam.step_count == MID_CFG.n_iter
         assert sorted(lean.params) == sorted(full.params)
         for name, arr in full.params.items():
             assert lean.params[name].tobytes() == arr.tobytes()
-        for field in ("adam_step", "iteration", "rng_state", "stats", "config"):
+        assert lean.rng.state == full.rng.state
+        for field in ("iteration", "stats", "config"):
             assert getattr(lean, field) == getattr(full, field)
 
-    def test_inference_model_shares_arrays_trainable_copies(self, mid_checkpoint):
+    def test_inference_and_trainable_models_share_arrays(self, mid_checkpoint):
         ckpt = load_checkpoint(mid_checkpoint / "mid.ckpt", optimizer=False)
         shared = ckpt.build_model()
-        owned = ckpt.build_model(trainable=True)
+        trainable = ckpt.build_model(trainable=True)
         for name, arr in ckpt.params.items():
             assert shared.params[name].data is arr
-            assert not np.shares_memory(owned.params[name].data, arr)
-            assert owned.params[name].requires_grad and not shared.params[name].requires_grad
+            assert trainable.params[name].data is arr
+            assert trainable.params[name].requires_grad and not shared.params[name].requires_grad
 
     def test_convert_output_equals_full_load(self, mid_checkpoint, tmp_path, monkeypatch):
         def convert(tag):
@@ -411,6 +449,49 @@ class TestInferenceLoad:
         with pytest.raises(ContractError, match="save a checkpoint loaded without optimizer state"):
             save_checkpoint(tmp_path / "lean.ckpt", lean)
         assert [p.name for p in tmp_path.iterdir()] == ["r.ckpt"]
+
+
+class TestTrainingState:
+    def test_saves_write_the_live_state_without_copies(self, tmp_path, monkeypatch):
+        # from the last ADAM step to train's return only the checkpoint save
+        # runs; writing the live arrays allocates no copy of the state
+        sample = make_sample("mid", frames=24, n_mels=MID_CFG.n_mels, ppg_dim=MID_CFG.ppg_dim)
+        after_step = []
+        inner = Adam.__dict__["step"]
+
+        def step(self, *args, **kwargs):
+            inner(self, *args, **kwargs)
+            after_step.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(Adam, "step", step)
+        tracemalloc.start()
+        try:
+            state, _ = train([sample], MID_CFG, ckpt_path=tmp_path / "s.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_bytes = sum(a.nbytes for arrays in (state.params, state.adam.m, state.adam.v)
+                          for a in arrays.values())
+        assert len(after_step) == MID_CFG.n_iter
+        growth = peak - after_step[-1]
+        assert growth < 0.1 * state_bytes, f"save phase +{growth / state_bytes:.2f}x the state bytes"
+
+    def test_resume_leaves_its_argument_unchanged(self, corpus):
+        ckpt, _ = train(corpus, TOY_CFG)
+
+        def fingerprint(ck):
+            arrays = {n: a.tobytes() for n, a in ck.params.items()}
+            arrays.update({f"m.{n}": a.tobytes() for n, a in ck.adam.m.items()})
+            arrays.update({f"v.{n}": a.tobytes() for n, a in ck.adam.v.items()})
+            return arrays, ck.adam.step_count, ck.iteration, ck.rng.state
+
+        before = fingerprint(ckpt)
+        cfg = RunConfig(**{**TOY_CFG.__dict__, "n_iter": TOY_CFG.n_iter + 3})
+        state, losses = train(corpus, cfg, resume=ckpt)
+        assert len(losses) == 3 and state.iteration == cfg.n_iter
+        assert fingerprint(ckpt) == before
+        assert fingerprint(state) != before
 
 
 class TestFeatureStats:
