@@ -158,8 +158,7 @@ def cmd_convert(args) -> int:
 def _aligned_fpc(ref_hz: np.ndarray, hyp_hz: np.ndarray) -> float:
     if len(ref_hz) != len(hyp_hz):
         path, _ = metrics.dtw(ref_hz[:, None], hyp_hz[:, None])
-        idx = np.array(path.pairs)
-        ref_hz, hyp_hz = ref_hz[idx[:, 0]], hyp_hz[idx[:, 1]]
+        ref_hz, hyp_hz = ref_hz[path[:, 0]], hyp_hz[path[:, 1]]
     return metrics.fpc(F0Contour(hz=ref_hz), F0Contour(hz=hyp_hz))
 
 

@@ -77,7 +77,9 @@ class Denoiser:
     def init(cls, cfg: ModelConfig, rng: RandomStream) -> "Denoiser":
         """Fan-in uniform weights (unit-scale U(-1, 1) on the step path),
         zero biases, N(0, 0.01^2) embedding tables, zero-initialized final
-        convolution."""
+        convolution.  The insertion order of ``params`` is the training
+        state's parameter order: ADAM sums its clip norm in it and a
+        checkpoint writes its records in it."""
         c, e, k = cfg.channels, cfg.cond_dim, cfg.kernel_size
         p: dict[str, Tensor] = {}
 
@@ -113,10 +115,6 @@ class Denoiser:
         p["out_conv2.w"] = T.zeros((1, cfg.n_mels, c), requires_grad=True)
         p["out_conv2.b"] = T.zeros((cfg.n_mels,), requires_grad=True)
         return cls(cfg, p)
-
-    def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
 
     def _fc(self, name: str, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])

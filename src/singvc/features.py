@@ -33,6 +33,7 @@ from .rng import RandomStream
 
 LOG_MEL_FLOOR = 1e-5
 LOUDNESS_FLOOR = 1e-10
+YIN_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,12 @@ def estimate_f0(
     f_min: float,
     f_max: float,
     frame_length: int = 2048,
-    threshold: float = 0.1,
 ) -> F0Contour:
     """Per-frame F0 by normalized autocorrelation (YIN-style).
 
     The squared-difference function over candidate lags is normalized by its
-    cumulative mean, the first dip under `threshold` is picked (walked to its
-    local minimum), and the lag is refined by parabolic interpolation.
+    cumulative mean, the first dip under `YIN_THRESHOLD` is picked (walked to
+    its local minimum), and the lag is refined by parabolic interpolation.
     Frames with no dip under the threshold are unvoiced (hz = 0); silence has
     a flat normalized curve at 1 and is therefore unvoiced automatically.
     """
@@ -242,7 +242,7 @@ def estimate_f0(
     hz = np.zeros(count)
     for i in range(count):
         row = dn[i]
-        below = np.nonzero(row[tau_min : tau_max + 1] < threshold)[0]
+        below = np.nonzero(row[tau_min : tau_max + 1] < YIN_THRESHOLD)[0]
         if below.size == 0:
             continue
         tau = tau_min + int(below[0])

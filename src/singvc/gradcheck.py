@@ -22,6 +22,7 @@ from .tensor import Tensor
 
 FD_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
+MAX_COORDS = 48  # finite-difference coordinates checked per input
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ def finite_difference(func, array: np.ndarray, coords) -> np.ndarray:
     return out
 
 
-def compare_gradients(build, inputs: dict[str, Tensor], rng: RandomStream,
-                      max_coords: int = 48) -> float:
+def compare_gradients(build, inputs: dict[str, Tensor], rng: RandomStream) -> float:
     """Max relative error between tape gradients and finite differences.
 
     `build` recomputes the scalar loss from the current input buffers.
@@ -64,10 +64,10 @@ def compare_gradients(build, inputs: dict[str, Tensor], rng: RandomStream,
     worst = 0.0
     for t in inputs.values():
         size = t.data.size
-        if size <= max_coords:
+        if size <= MAX_COORDS:
             coords = np.arange(size)
         else:
-            coords = np.unique(rng.integers(0, size, max_coords))
+            coords = np.unique(rng.integers(0, size, MAX_COORDS))
         fd = finite_difference(lambda: float(build().data), t.data, coords)
         ad = t.grad.reshape(-1)[coords] if t.grad is not None else np.zeros(len(coords))
         rel = np.abs(ad - fd) / np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-3)

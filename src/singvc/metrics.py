@@ -19,7 +19,6 @@ O(N·M). The backtrack breaks ties diagonal first, then up, then left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
@@ -31,34 +30,11 @@ MCD_COEFFS = 13
 _MCD_SCALE = 10.0 / math.log(10.0)
 
 
-@dataclass(frozen=True)
-class CepstrumSequence:
-    values: np.ndarray  # [frames, n_coeffs]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class AlignmentPath:
-    """Monotone (i, j) pairs from (0, 0) to (I-1, J-1), steps in
-    {(1,0), (0,1), (1,1)}."""
-
-    pairs: list[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def mel_to_cepstrum(log_mel: np.ndarray, n_coeffs: int = MCD_COEFFS) -> CepstrumSequence:
-    """Orthonormal DCT-II over the mel axis, first n_coeffs kept."""
+def mel_to_cepstrum(log_mel: np.ndarray, n_coeffs: int = MCD_COEFFS) -> np.ndarray:
+    """[frames, n_coeffs]: orthonormal DCT-II over the mel axis, first
+    n_coeffs kept."""
     coeffs = dct(np.asarray(log_mel, dtype=np.float64), type=2, norm="ortho", axis=1)
-    return CepstrumSequence(values=coeffs[:, :n_coeffs])
+    return coeffs[:, :n_coeffs]
 
 
 def _as_frames(x) -> np.ndarray:
@@ -87,8 +63,12 @@ def _local_costs(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.sqrt(block, out=block)
 
 
-def dtw(a: np.ndarray, b: np.ndarray) -> tuple[AlignmentPath, float]:
-    """Minimal-cost monotone alignment under Euclidean frame distance."""
+def dtw(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimal-cost monotone alignment under Euclidean frame distance.
+
+    Returns the path as an int64 [n, 2] array of (i, j) pairs from (0, 0)
+    to (N-1, M-1), steps in {(1,0), (0,1), (1,1)}, and its cost.
+    """
     a = _as_frames(a)
     b = _as_frames(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -127,20 +107,19 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[AlignmentPath, float]:
         _, i, j = min(choices, key=lambda c: c[0])
         pairs.append((i - 1, j - 1))
     pairs.reverse()
-    return AlignmentPath(pairs=pairs), float(acc[ni, nj])
+    return np.array(pairs, dtype=np.int64), float(acc[ni, nj])
 
 
-def mcd(ref: CepstrumSequence, hyp: CepstrumSequence) -> float:
-    """Mel-cepstrum distortion in dB: coefficients 1..12 aligned with DTW,
-    (10/ln 10) * sqrt(2 * sum of squared diffs), averaged over aligned pairs."""
-    if ref.n_coeffs != hyp.n_coeffs:
-        raise InputError(f"coefficient count mismatch: {ref.n_coeffs} vs {hyp.n_coeffs}")
-    r = ref.values[:, 1:]
-    h = hyp.values[:, 1:]
+def mcd(ref: np.ndarray, hyp: np.ndarray) -> float:
+    """Mel-cepstrum distortion in dB between two [frames, n_coeffs] cepstra:
+    coefficients 1..12 aligned with DTW, (10/ln 10) * sqrt(2 * sum of
+    squared diffs), averaged over aligned pairs."""
+    if ref.shape[1] != hyp.shape[1]:
+        raise InputError(f"coefficient count mismatch: {ref.shape[1]} vs {hyp.shape[1]}")
+    r = ref[:, 1:]
+    h = hyp[:, 1:]
     path, _ = dtw(r, h)
-    idx_r = np.fromiter((p[0] for p in path.pairs), dtype=np.int64)
-    idx_h = np.fromiter((p[1] for p in path.pairs), dtype=np.int64)
-    sq = ((r[idx_r] - h[idx_h]) ** 2).sum(axis=1)
+    sq = ((r[path[:, 0]] - h[path[:, 1]]) ** 2).sum(axis=1)
     return float(_MCD_SCALE * np.mean(np.sqrt(2.0 * sq)))
 
 

@@ -152,10 +152,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
     length = x.shape[1]
     pad = (k - 1) * dilation // 2
     xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
-    acc = np.zeros((c_out, length))
-    for tap in range(k):
+    acc = weight.data[0] @ xp[:, :length]
+    for tap in range(1, k):
         acc += weight.data[tap] @ xp[:, tap * dilation : tap * dilation + length]
-    out = Tensor(acc + bias.data[:, None])
+    acc += bias.data[:, None]
+    out = Tensor(acc)
 
     def grad_fn(g):
         if weight.requires_grad:

@@ -13,7 +13,13 @@ Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
 config block (key=value lines, run config plus training-state keys), the four
 schedule tables, then named tensor records {u16 name length, name UTF-8,
 u32 rank, u32 x rank dims, float64 LE data}.  Payloads are 64-bit so that a
-reloaded state continues training bit-exactly.  Saves are atomic: the file is
+reloaded state continues training bit-exactly.  Records are looked up by
+name; they are written in the model's parameter order (parameters, then
+``adam.m.*``, then ``adam.v.*``) and a loaded checkpoint keeps the order of
+its file, so the gradient-clip norm of a resumed run sums in the same order
+as the uninterrupted run and resume is bit-exact at any ``grad_clip``.
+Files written by earlier code, whose records are in name order, load in
+name order.  Saves are atomic: the file is
 written under a temporary name in the same directory and renamed over the
 target, so an interrupted save leaves the previous checkpoint intact.
 The reader streams: each record is read straight into its final array, its
@@ -155,18 +161,25 @@ def stratified_step(rng: RandomStream, index: int, count: int, steps: int) -> in
     return 1 + min(steps - 1, int((index + u) / count * steps))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected ADAM over a named parameter dict."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, Tensor], lr: float, grad_clip: float = 0.0) -> None:
+        """One update of every parameter from its ``.grad`` (None reads as
+        zero), which is then released.  Every gradient is checked first, so a
+        `DivergenceError` leaves parameters, moments and gradients untouched.
+        The clip norm is summed in ``params``' order, which a checkpoint keeps:
+        a resumed run clips by the same bits as an uninterrupted one."""
         grads = {}
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -179,22 +192,23 @@ class Adam:
                 factor = grad_clip / norm
                 grads = {n: g * factor for n, g in grads.items()}
         self.step_count += 1
-        c1 = 1.0 - self.beta1**self.step_count
-        c2 = 1.0 - self.beta2**self.step_count
+        c1 = 1.0 - ADAM_BETA1**self.step_count
+        c2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in params.items():
-            g = grads[name]
+            g = grads.pop(name)
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
             # in place: a checkpoint holding these arrays sees every step
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             m_hat = m / c1
             v_hat = v / c2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p.grad = None
 
 
 @dataclass
@@ -269,12 +283,12 @@ def _write_checkpoint(f, ckpt: Checkpoint) -> None:
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
-    for name in sorted(ckpt.params):
-        record(name, ckpt.params[name])
-    for name in sorted(ckpt.adam.m):
-        record(f"adam.m.{name}", ckpt.adam.m[name])
-    for name in sorted(ckpt.adam.v):
-        record(f"adam.v.{name}", ckpt.adam.v[name])
+    for name, arr in ckpt.params.items():
+        record(name, arr)
+    for name, arr in ckpt.adam.m.items():
+        record(f"adam.m.{name}", arr)
+    for name, arr in ckpt.adam.v.items():
+        record(f"adam.v.{name}", arr)
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
@@ -454,7 +468,6 @@ def train(
                     f"non-finite loss {loss} at iteration {it} "
                     f"(t={[m[0] for m in meta]}, segments={[m[1] for m in meta]})"
                 )
-            model.zero_grads()
             T.backward(total)
             state.adam.step(model.params, cfg.lr, cfg.grad_clip)
             state.iteration = it

@@ -156,7 +156,6 @@ class TestPredictEps:
             cond = model.build_conditioner(ppg, f0_bins, loud_bins)
             return diffusion_loss(sched, model, y0, cond, 7, eps)
 
-        model.zero_grads()
         backward(run())
         w = model.params["layer1.cond.w"]
         ad = w.grad[0, 2, 3]

@@ -108,6 +108,38 @@ class TestAdam:
         with pytest.raises(DivergenceError):
             Adam().step({"p": p}, lr=0.01)
 
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.1])
+    def test_step_releases_every_gradient(self, grad_clip):
+        params = {n: Tensor(np.ones(3), requires_grad=True) for n in "abc"}
+        params["a"].grad = np.full(3, 0.5)
+        params["b"].grad = np.full(3, -0.5)  # "c" has none: it reads as zero
+        Adam().step(params, lr=0.01, grad_clip=grad_clip)
+        assert [p.grad for p in params.values()] == [None, None, None]
+
+    def test_divergence_leaves_parameters_moments_and_gradients_untouched(self):
+        params = {n: Tensor(np.full(3, float(i)), requires_grad=True) for i, n in enumerate("abc")}
+        opt = Adam()
+        for p in params.values():
+            p.grad = np.full(3, 0.25)
+        opt.step(params, lr=0.01)
+
+        # "a" comes before the bad gradient: a partial update would move it
+        grads = {"a": np.full(3, 0.5), "b": np.array([0.5, np.inf, 0.5]), "c": np.full(3, 0.5)}
+        for n, p in params.items():
+            p.grad = grads[n]
+
+        def state():
+            return ([p.data.tobytes() for p in params.values()], [m.tobytes() for m in opt.m.values()],
+                    [v.tobytes() for v in opt.v.values()], opt.step_count)
+
+        before = state()
+        with pytest.raises(DivergenceError, match="'b'"):
+            opt.step(params, lr=0.01, grad_clip=0.1)
+        assert state() == before
+        for n, p in params.items():
+            assert p.grad is grads[n]
+        assert grads["a"].tobytes() == np.full(3, 0.5).tobytes()
+
     def test_max_norm_clipping(self):
         p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
         p.grad = np.array([3.0, 4.0])  # norm 5
@@ -268,15 +300,36 @@ class TestCheckpoint:
         for name in ("beta", "alpha", "alpha_bar", "sigma"):
             np.testing.assert_array_equal(getattr(loaded.schedule, name), getattr(ckpt.schedule, name))
 
-    def test_resume_reproduces_uninterrupted_losses(self, corpus, tmp_path):
-        full_cfg = RunConfig(**{**TOY_CFG.__dict__, "n_iter": 22})
-        _, full_losses = train(corpus, full_cfg)
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.01])
+    def test_resume_reproduces_uninterrupted_losses(self, corpus, tmp_path, monkeypatch, grad_clip):
+        norms = []
+        inner = Adam.__dict__["step"]
 
-        ckpt, head_losses = train(corpus, TOY_CFG)  # 12 iterations
+        def step(self, params, lr, clip=0.0):
+            grads = [p.grad for p in params.values() if p.grad is not None]
+            norms.append(math.sqrt(sum(float((g**2).sum()) for g in grads)))
+            inner(self, params, lr, clip)
+
+        monkeypatch.setattr(Adam, "step", step)
+        head_cfg = RunConfig(**{**TOY_CFG.__dict__, "grad_clip": grad_clip})  # 12 iterations
+        full_cfg = RunConfig(**{**head_cfg.__dict__, "n_iter": 22})
+        full, full_losses = train(corpus, full_cfg)
+        if grad_clip > 0.0:
+            assert min(norms) > grad_clip  # every step is clipped
+
+        ckpt, head_losses = train(corpus, head_cfg)
         path = tmp_path / "resume.ckpt"
         save_checkpoint(path, ckpt)
-        _, tail_losses = train(corpus, full_cfg, resume=load_checkpoint(path))
+        resumed, tail_losses = train(corpus, full_cfg, resume=load_checkpoint(path))
         assert head_losses + tail_losses == full_losses
+
+        def state_bytes(ck):
+            arrays = {n: a.tobytes() for n, a in ck.params.items()}
+            arrays.update({f"m.{n}": a.tobytes() for n, a in ck.adam.m.items()})
+            arrays.update({f"v.{n}": a.tobytes() for n, a in ck.adam.v.items()})
+            return arrays
+
+        assert state_bytes(resumed) == state_bytes(full)
 
     def test_mismatched_dims_rejected(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
@@ -291,8 +344,9 @@ class TestCheckpoint:
         path = tmp_path / "keep.ckpt"
         save_checkpoint(path, ckpt)
         before = path.read_bytes()
-        # parameters are written in name order and "zzz" cannot be converted
-        # to float64, so the write fails after the other parameters went out
+        # parameters are written in the dict's order, "zzz" is the last one
+        # and cannot be converted to float64, so the write fails after the
+        # other parameters went out
         broken = dataclasses.replace(ckpt, params={**ckpt.params, "zzz": np.array(["x"])})
         with pytest.raises(ValueError):
             save_checkpoint(path, broken)
