@@ -17,16 +17,7 @@ import numpy as np
 from . import featio, gradcheck, metrics
 from .config import load_config
 from .diffusion import sample
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DivergenceError,
-    FormatError,
-    InputError,
-    MetricUndefinedError,
-    ShapeError,
-)
+from .errors import DataError, FormatError, InputError, MetricUndefinedError, SingvcError
 from .features import (
     F0Contour,
     compute_log_mel,
@@ -47,17 +38,7 @@ from .training import (
     train,
 )
 
-_ERRORS = (
-    ConfigError,
-    ContractError,
-    DataError,
-    DivergenceError,
-    FormatError,
-    InputError,
-    MetricUndefinedError,
-    ShapeError,
-    OSError,
-)
+_ERRORS = (SingvcError, OSError)
 
 
 def _write_text(path, text: str) -> None:
@@ -146,7 +127,7 @@ def cmd_convert(args) -> int:
     f0_bins, loud_bins = conditioner_bins(ckpt.stats, F0Contour(hz=hz), loud_values, cfg.n_bins)
     cond = model.build_conditioner(ppg, f0_bins, loud_bins)
     rng = RandomStream(args.seed).split("sample")
-    mel = sample(ckpt.schedule, model, cond, len(ppg), cfg.n_mels, rng).data
+    mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng).data
 
     featio.write_feat(args.out, ckpt.stats.mel.denormalize(mel) if args.denorm else mel)
     if args.wav:

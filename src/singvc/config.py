@@ -11,6 +11,7 @@ from pathlib import Path
 from .denoiser import ModelConfig
 from .errors import ConfigError
 from .features import MelConfig
+from .schedule import NoiseSchedule, linear_schedule
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,10 @@ class RunConfig:
         )
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_mels=self.n_mels,
-            channels=self.channels,
-            layers=self.layers,
-            kernel_size=self.kernel_size,
-            dilation=self.dilation,
-            ppg_dim=self.ppg_dim,
-            cond_dim=self.cond_dim,
-            n_bins=self.n_bins,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
+
+    def schedule(self) -> NoiseSchedule:
+        return linear_schedule(self.diffusion_steps, self.beta_start, self.beta_end)
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

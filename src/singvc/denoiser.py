@@ -140,7 +140,7 @@ class Denoiser:
     def build_conditioner(self, ppg_values, f0_bins, loud_bins) -> Tensor:
         """[frames, cond_dim]: prenet(ppg) + f0_table[f0_bins] +
         loud_table[loud_bins], per frame."""
-        ppg = ppg_values if isinstance(ppg_values, Tensor) else Tensor(ppg_values)
+        ppg = Tensor(ppg_values)
         f0_bins = np.asarray(f0_bins)
         loud_bins = np.asarray(loud_bins)
         if not (ppg.shape[0] == len(f0_bins) == len(loud_bins)):

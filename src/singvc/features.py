@@ -34,6 +34,8 @@ from .rng import RandomStream
 LOG_MEL_FLOOR = 1e-5
 LOUDNESS_FLOOR = 1e-10
 YIN_THRESHOLD = 0.1
+YIN_FRAME = 2048  # samples per F0 analysis window
+GRIFFIN_LIM_ITERATIONS = 32
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,6 @@ def estimate_f0(
     hop: int,
     f_min: float,
     f_max: float,
-    frame_length: int = 2048,
 ) -> F0Contour:
     """Per-frame F0 by normalized autocorrelation (YIN-style).
 
@@ -211,12 +212,9 @@ def estimate_f0(
         raise ConfigError(f"need 0 < f_min < f_max < {sample_rate / 2}, got [{f_min}, {f_max}]")
     tau_min = max(2, int(math.ceil(sample_rate / f_max)))
     tau_max = int(math.floor(sample_rate / f_min))
-    if frame_length < tau_max:
-        raise ConfigError(
-            f"frame length {frame_length} shorter than one f_min period ({tau_max} samples)"
-        )
-
-    w = frame_length
+    w = YIN_FRAME
+    if w < tau_max:
+        raise ConfigError(f"frame length {w} shorter than one f_min period ({tau_max} samples)")
     segs = _frames(wav, w, hop, extra_right=tau_max + 1)
     count = segs.shape[0]
     n_lags = tau_max + 2  # need d at tau_max + 1 for interpolation
@@ -378,7 +376,7 @@ def _istft(spec: np.ndarray, n_fft: int, win: int, hop: int, num_samples: int) -
     return out
 
 
-def invert_log_mel(log_mel: np.ndarray, cfg: MelConfig, iterations: int = 32) -> np.ndarray:
+def invert_log_mel(log_mel: np.ndarray, cfg: MelConfig) -> np.ndarray:
     """Pseudo-inverse filterbank plus Griffin-Lim phase reconstruction.
 
     Zero-phase initialization keeps the output deterministic.  Output length
@@ -391,7 +389,7 @@ def invert_log_mel(log_mel: np.ndarray, cfg: MelConfig, iterations: int = 32) ->
     num_samples = log_mel.shape[0] * cfg.hop_size
     spec = mag.astype(np.complex128)
     wav = _istft(spec, cfg.n_fft, cfg.win_size, cfg.hop_size, num_samples)
-    for _ in range(iterations):
+    for _ in range(GRIFFIN_LIM_ITERATIONS):
         phase = np.angle(stft(wav, cfg.n_fft, cfg.win_size, cfg.hop_size))
         wav = _istft(mag * np.exp(1j * phase), cfg.n_fft, cfg.win_size, cfg.hop_size, num_samples)
     return wav

@@ -21,7 +21,7 @@ from .schedule import linear_schedule
 from .tensor import Tensor
 
 FD_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-4
+TOLERANCE = 1e-4
 MAX_COORDS = 48  # finite-difference coordinates checked per input
 
 
@@ -29,11 +29,10 @@ MAX_COORDS = 48  # finite-difference coordinates checked per input
 class CheckResult:
     name: str
     max_rel_err: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return self.max_rel_err < TOLERANCE
 
 
 def finite_difference(func, array: np.ndarray, coords) -> np.ndarray:
@@ -57,7 +56,7 @@ def compare_gradients(build, inputs: dict[str, Tensor], rng: RandomStream) -> fl
     `build` recomputes the scalar loss from the current input buffers.
     """
     for t in inputs.values():
-        t.zero_grad()
+        t.grad = None
     loss = build()
     T.backward(loss)
 
@@ -79,13 +78,13 @@ def _param(rng: RandomStream, shape) -> Tensor:
     return Tensor(rng.normal(shape), requires_grad=True)
 
 
-def run_checks(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:
+def run_checks(seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     def check(name: str, inputs: dict[str, Tensor], build) -> None:
         rng = RandomStream(seed).split(f"coords-{name}")
         err = compare_gradients(build, inputs, rng)
-        results.append(CheckResult(name=name, max_rel_err=err, tolerance=tolerance))
+        results.append(CheckResult(name=name, max_rel_err=err))
 
     rng = RandomStream(seed).split("gradcheck")
 
@@ -171,7 +170,7 @@ def run_checks(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE) -> list[Chec
 
 def report(results: list[CheckResult]) -> str:
     lines = [
-        f"{'PASS' if r.ok else 'FAIL'} {r.name}: max rel err {r.max_rel_err:.3e} (tol {r.tolerance:.0e})"
+        f"{'PASS' if r.ok else 'FAIL'} {r.name}: max rel err {r.max_rel_err:.3e} (tol {TOLERANCE:.0e})"
         for r in results
     ]
     failed = sum(not r.ok for r in results)

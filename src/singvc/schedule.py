@@ -26,12 +26,6 @@ class NoiseSchedule:
     def steps(self) -> int:
         return len(self.beta)
 
-    def __post_init__(self):
-        t = len(self.beta)
-        for name in ("alpha", "alpha_bar", "sigma"):
-            if len(getattr(self, name)) != t:
-                raise ConfigError(f"schedule table {name} has length {len(getattr(self, name))}, expected {t}")
-
 
 def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Endpoint-inclusive linear betas: beta_1 = start, beta_T = end."""

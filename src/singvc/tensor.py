@@ -53,9 +53,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """Attach the tape node if any input participates in gradients."""

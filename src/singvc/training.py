@@ -10,18 +10,19 @@ one.  All randomness flows from the run seed through named streams, so runs
 and checkpoint resumes are exactly reproducible.
 
 Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
-config block (key=value lines, run config plus training-state keys), the four
-schedule tables, then named tensor records {u16 name length, name UTF-8,
-u32 rank, u32 x rank dims, float64 LE data}.  Payloads are 64-bit so that a
-reloaded state continues training bit-exactly.  Records are looked up by
-name; they are written in the model's parameter order (parameters, then
-``adam.m.*``, then ``adam.v.*``) and a loaded checkpoint keeps the order of
-its file, so the gradient-clip norm of a resumed run sums in the same order
-as the uninterrupted run and resume is bit-exact at any ``grad_clip``.
-Files written by earlier code, whose records are in name order, load in
-name order.  Saves are atomic: the file is
-written under a temporary name in the same directory and renamed over the
-target, so an interrupted save leaves the previous checkpoint intact.
+config block (key=value lines, run config plus training-state keys), then
+named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
+float64 LE data}.  Nothing derivable is stored: the noise schedule follows
+from the config (`RunConfig.schedule`) and ADAM's step count equals the
+iteration, since every save follows a whole iteration.  Payloads are 64-bit
+so that a reloaded state continues training bit-exactly.  Records are looked
+up by name; they are written in the model's parameter order (parameters,
+then ``adam.m.*``, then ``adam.v.*``) and a loaded checkpoint keeps the order
+of its file, so the gradient-clip norm of a resumed run sums in the same
+order as the uninterrupted run and resume is bit-exact at any ``grad_clip``.
+Saves are atomic: the file is written under a temporary name in the same
+directory and renamed over the target, so an interrupted save leaves the
+previous checkpoint intact.
 The reader streams: each record is read straight into its final array, its
 size checked against the bytes left in the file first, and a read for
 inference (``optimizer=False``) seeks past the ADAM moment records, which
@@ -40,19 +41,18 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .config import RunConfig, parse_config_text, serialize_config
-from .denoiser import Denoiser
+from .denoiser import Denoiser, ModelConfig
 from .diffusion import diffusion_loss, gaussian
 from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from .features import F0Contour, MelStats, quantize
 from .rng import RandomStream
-from .schedule import NoiseSchedule, linear_schedule
 from .tensor import Tensor
 
 CKPT_MAGIC = b"DSVC"
@@ -60,11 +60,12 @@ CKPT_MAGIC = b"DSVC"
 # file holds fan-in-scaled ones and would silently shrink the step vectors.
 # 3: conv weights are stored tap-major, [K, C_out, C_in]; a version-2 file
 # holds them as [C_out, C_in, K]
-CKPT_VERSION = 3
+# 4: the schedule tables and ADAM's step count are derived from the config and
+# the iteration; a version-3 file stores both
+CKPT_VERSION = 4
 
 _STATE_KEYS = (
     "iteration",
-    "adam_step",
     "rng_seed",
     "rng_counter",
     "mel_lo",
@@ -85,10 +86,6 @@ class TrainingSample:
     f0: F0Contour
     loudness: np.ndarray
     log_mel: np.ndarray
-
-    @property
-    def frames(self) -> int:
-        return self.log_mel.shape[0]
 
     def validate(self) -> None:
         frames = {
@@ -216,7 +213,6 @@ class Checkpoint:
     """The training state: what a save writes and a resume continues from."""
 
     config: RunConfig
-    schedule: NoiseSchedule
     params: dict[str, np.ndarray]
     # None when loaded without optimizer state (load_checkpoint(optimizer=False))
     adam: Adam | None
@@ -255,7 +251,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def _write_checkpoint(f, ckpt: Checkpoint) -> None:
     extras = {
         "iteration": str(ckpt.iteration),
-        "adam_step": str(ckpt.adam.step_count),
         "rng_seed": str(ckpt.rng.state[0]),
         "rng_counter": str(ckpt.rng.state[1]),
         "mel_lo": repr(ckpt.stats.mel.lo),
@@ -266,14 +261,10 @@ def _write_checkpoint(f, ckpt: Checkpoint) -> None:
         "loud_hi": repr(ckpt.stats.loud_hi),
     }
     block = serialize_config(ckpt.config, extras).encode("utf-8")
-    s = ckpt.schedule
     f.write(CKPT_MAGIC)
     f.write(struct.pack("<B", CKPT_VERSION))
     f.write(struct.pack("<I", len(block)))
     f.write(block)
-    f.write(struct.pack("<I", s.steps))
-    for table in (s.beta, s.alpha, s.alpha_bar, s.sigma):
-        f.write(np.ascontiguousarray(table, dtype="<f8"))
 
     def record(name: str, arr: np.ndarray) -> None:
         encoded = name.encode("utf-8")
@@ -310,12 +301,6 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             check(n, what)
             return f.read(n)
 
-        def take_array(dims: tuple[int, ...], what: str) -> np.ndarray:
-            check(8 * math.prod(dims), what)
-            arr = np.empty(dims, dtype="<f8")
-            f.readinto(arr)
-            return arr
-
         if take(4, "magic") != CKPT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic at byte 0")
         version = take(1, "version")[0]
@@ -328,10 +313,6 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         if missing:
             raise FormatError(f"{path}: config block missing state keys {missing}")
 
-        (steps,) = struct.unpack("<I", take(4, "schedule length"))
-        tables = [take_array((steps,), "schedule table") for _ in range(4)]
-        schedule = NoiseSchedule(beta=tables[0], alpha=tables[1], alpha_bar=tables[2], sigma=tables[3])
-
         params: dict[str, np.ndarray] = {}
         adam = Adam() if optimizer else None
         while f.tell() < size:
@@ -339,13 +320,13 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             name = take(name_len, "record name").decode("utf-8")
             (rank,) = struct.unpack("<I", take(4, "record rank"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
-            what = f"record {name!r}"
+            nbytes = 8 * math.prod(dims)
+            check(nbytes, f"record {name!r}")
             if not optimizer and name.startswith(("adam.m.", "adam.v.")):
-                nbytes = 8 * math.prod(dims)
-                check(nbytes, what)
                 f.seek(nbytes, os.SEEK_CUR)
                 continue
-            arr = take_array(dims, what)
+            arr = np.empty(dims, dtype="<f8")
+            f.readinto(arr)
             if name.startswith("adam.m."):
                 adam.m[name[len("adam.m.") :]] = arr
             elif name.startswith("adam.v."):
@@ -353,11 +334,12 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             else:
                 params[name] = arr
 
+    iteration = int(extras["iteration"])
     if adam is not None:
-        adam.step_count = int(extras["adam_step"])
+        # `train` saves only between iterations, each one ADAM step
+        adam.step_count = iteration
     return Checkpoint(
         config=config,
-        schedule=schedule,
         params=params,
         adam=adam,
         stats=FeatureStats(
@@ -367,14 +349,14 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             loud_lo=float(extras["loud_lo"]),
             loud_hi=float(extras["loud_hi"]),
         ),
-        iteration=int(extras["iteration"]),
+        iteration=iteration,
         rng=RandomStream(int(extras["rng_seed"]), int(extras["rng_counter"])),
     )
 
 
 _DIM_FIELDS = (
-    "n_mels", "ppg_dim", "diffusion_steps", "beta_start", "beta_end",
-    "layers", "channels", "cond_dim", "n_bins", "kernel_size", "dilation",
+    *(f.name for f in fields(ModelConfig)),
+    "diffusion_steps", "beta_start", "beta_end",
 )
 
 
@@ -425,7 +407,6 @@ def train(
         init = Denoiser.init(cfg.model_config(), master.split("init")).params
         state = Checkpoint(
             config=cfg,
-            schedule=linear_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end),
             params={name: p.data for name, p in init.items()},
             adam=Adam(),
             stats=compute_feature_stats(data, cfg),
@@ -433,6 +414,7 @@ def train(
             rng=master.split("train"),
         )
     model = state.build_model(trainable=True)
+    schedule = cfg.schedule()
     rng = state.rng
 
     prepared = []
@@ -458,7 +440,7 @@ def train(
                 eps = gaussian((seg, cfg.n_mels), rng)
                 sl = slice(start, start + seg)
                 cond = model.build_conditioner(item.ppg[sl], item.f0_bins[sl], item.loud_bins[sl])
-                term = diffusion_loss(state.schedule, model, Tensor(item.mel[sl]), cond, t, eps)
+                term = diffusion_loss(schedule, model, Tensor(item.mel[sl]), cond, t, eps)
                 total = term if total is None else T.add(total, term)
                 meta.append((t, f"{item.name}[{start}:{start + seg}]"))
             total = T.scale(total, 1.0 / cfg.batch)

@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from singvc import featio
+from singvc import cli, errors, featio
 from singvc.cli import main
 
 
@@ -258,3 +260,22 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__]
+
+
+def test_every_error_class_derives_from_the_base():
+    assert errors.SingvcError in ERROR_CLASSES and len(ERROR_CLASSES) > 1
+    assert all(issubclass(cls, errors.SingvcError) for cls in ERROR_CLASSES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_1(cls, monkeypatch, capsys):
+    def raise_it(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_schedule", raise_it)
+    assert run("schedule") == 1
+    assert capsys.readouterr().err == "error: boom\n"
