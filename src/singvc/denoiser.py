@@ -21,6 +21,11 @@ Conv weights are stored tap-major, [K, C_out, C_in] (see ``tensor.conv1d``),
 and drawn at init in [C_out, C_in, K] order so seeded inits do not depend
 on the layout.  The final convolution is zero-initialized so an untrained
 model predicts exactly zero noise.
+
+A training batch is one forward: its segments go through the network as one
+[C, frames] slab (see ``predict_eps``), so each convolution, gate and
+residual and skip sum runs once per batch, and the tape holds one graph per
+iteration instead of one per segment.
 """
 
 from __future__ import annotations
@@ -124,8 +129,8 @@ class Denoiser:
         h = T.scale(T.matmul(x, w), 1.0 / math.sqrt(w.shape[0]))
         return T.add(h, self.params[f"{name}.b"])
 
-    def _conv(self, name: str, x: Tensor, dilation: int = 1) -> Tensor:
-        return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], dilation)
+    def _conv(self, name: str, x: Tensor, lengths, dilation: int = 1) -> Tensor:
+        return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], dilation, lengths)
 
     def encode_step(self, t: int) -> Tensor:
         """[1, 512]: the step's sinusoid through two FC+Swish layers."""
@@ -154,30 +159,44 @@ class Denoiser:
         e = T.add(e, T.embedding_lookup(self.params["f0_table"], f0_bins))
         return T.add(e, T.embedding_lookup(self.params["loud_table"], loud_bins))
 
-    def predict_eps(self, y_t: Tensor, t: int, cond: Tensor) -> Tensor:
+    def predict_eps(self, y_t: Tensor, t, cond) -> Tensor:
+        """The noise estimate for y_t [frames, n_mels] at step t under the
+        conditioner cond [frames, cond_dim].
+
+        A batch of segments is one call: y_t stacks them along frames, and t
+        and cond are lists with each segment's step and conditioner, whose
+        frame count is the segment's.  The step vectors and conditioners stay
+        per segment; everything after them runs once over the slab, and each
+        segment's output and gradients have the bits of a call on it alone
+        (see ``tensor``).
+        """
         cfg = self.cfg
+        steps, conds = (t, cond) if isinstance(cond, list) else ([t], [cond])
+        lengths = [c.shape[0] for c in conds]
         if y_t.data.ndim != 2 or y_t.shape[1] != cfg.n_mels:
             raise ShapeError(f"expected [frames, {cfg.n_mels}] input, got {y_t.shape}")
-        if cond.shape[0] != y_t.shape[0]:
-            raise ShapeError(f"conditioner frames {cond.shape[0]} != input frames {y_t.shape[0]}")
+        if sum(lengths) != y_t.shape[0]:
+            raise ShapeError(f"conditioner frames {sum(lengths)} != input frames {y_t.shape[0]}")
+        if len(steps) != len(conds):
+            raise ShapeError(f"{len(steps)} steps for {len(conds)} conditioners")
 
-        h = T.relu(self._conv("input_conv", T.transpose(y_t)))          # [C, L]
-        h = T.add(h, T.transpose(self.step_vector(t)))                  # broadcast over frames
-        ec = T.transpose(cond)                                          # [cond_dim, L]
+        h = T.relu(self._conv("input_conv", T.transpose(y_t), lengths))  # [C, L]
+        h = T.add_per_segment(h, [self.step_vector(s) for s in steps], lengths)
+        ec = T.transpose(T.concat_rows(conds))                             # [cond_dim, L]
 
         c = cfg.channels
         skip = None
         for i in range(cfg.layers):
             u = T.add(
-                self._conv(f"layer{i}.dilated", h, cfg.dilation),
-                self._conv(f"layer{i}.cond", ec),
+                self._conv(f"layer{i}.dilated", h, lengths, cfg.dilation),
+                self._conv(f"layer{i}.cond", ec, lengths),
             )
             gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
-            h = T.scale(T.add(h, self._conv(f"layer{i}.residual", gate)), T.SQRT_HALF)
-            s = self._conv(f"layer{i}.skip", gate)
+            h = T.scale(T.add(h, self._conv(f"layer{i}.residual", gate, lengths)), T.SQRT_HALF)
+            s = self._conv(f"layer{i}.skip", gate, lengths)
             skip = s if skip is None else T.add(skip, s)
 
-        out = T.relu(self._conv("out_conv1", T.scale(skip, 1.0 / math.sqrt(cfg.layers))))
-        return T.transpose(self._conv("out_conv2", out))
+        out = T.relu(self._conv("out_conv1", T.scale(skip, 1.0 / math.sqrt(cfg.layers)), lengths))
+        return T.transpose(self._conv("out_conv2", out, lengths))
 
     __call__ = predict_eps

@@ -2,7 +2,9 @@
 
 Generic over any epsilon predictor: a callable (y_t, t, cond) -> tensor of
 the same shape as y_t, where t is the 1-based step index and cond is passed
-through opaquely.
+through opaquely.  The sampler passes one step; the loss passes a batch as
+one call, its segments stacked along the frames of y_t and t and cond as
+lists with one entry per segment.
 """
 
 from __future__ import annotations
@@ -29,18 +31,25 @@ def forward_sample(s: NoiseSchedule, y0: Tensor, t: int, eps: Tensor) -> Tensor:
     return T.add(T.scale(y0, sqrt_ab), T.scale(eps, sqrt_1mab))
 
 
-def diffusion_loss(s: NoiseSchedule, model, y0: Tensor, cond, t: int, eps: Tensor) -> Tensor:
-    """Mean squared error between eps and the model's prediction at step t.
+def diffusion_loss(s: NoiseSchedule, model, y0: list, cond: list, t: list, eps: list) -> Tensor:
+    """Mean over a batch's segments of each one's mean squared error between
+    eps and the model's prediction at its step.
 
-    Mean reduction over elements (not the plain squared norm): it rescales
-    the gradient by a constant that folds into the learning rate and keeps
-    the loss scale independent of segment length and mel depth.
+    Segment i is y0[i] noised by eps[i] at step t[i] under cond[i]; the model
+    sees the whole batch in one call.  Mean reduction over elements (not the
+    plain squared norm): it rescales the gradient by a constant that folds
+    into the learning rate and keeps the loss scale independent of segment
+    length and mel depth.
     """
-    y_t = forward_sample(s, y0, t, eps)
-    pred = model(y_t, t, cond)
-    if pred.shape != eps.shape:
-        raise ShapeError(f"model output shape {pred.shape} != noise shape {eps.shape}")
-    return T.mse(eps, pred)
+    if not len(y0) == len(cond) == len(t) == len(eps):
+        raise ShapeError(f"batch lists differ in length: {len(y0)} y0, {len(cond)} cond, "
+                         f"{len(t)} t, {len(eps)} eps")
+    y_t = Tensor(np.concatenate([forward_sample(s, y, step, e).data for y, step, e in zip(y0, t, eps)]))
+    noise = Tensor(np.concatenate([e.data for e in eps]))
+    pred = model(y_t, list(t), list(cond))
+    if pred.shape != noise.shape:
+        raise ShapeError(f"model output shape {pred.shape} != noise shape {noise.shape}")
+    return T.segment_mse(noise, pred, [e.shape[0] for e in eps])
 
 
 def reverse_step(s: NoiseSchedule, model, y_t: Tensor, t: int, cond, z: Tensor) -> Tensor:

@@ -191,6 +191,19 @@ class MelStats:
 # F0
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT is fast at
+    (2649 = 3 * 883 is several times slower than 2700)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def estimate_f0(
     wav: np.ndarray,
     sample_rate: int,
@@ -219,8 +232,10 @@ def estimate_f0(
     count = segs.shape[0]
     n_lags = tau_max + 2  # need d at tau_max + 1 for interpolation
 
-    # d(tau) = E(0) + E(tau) - 2 * corr(tau), via one FFT per frame
-    fft_len = 1 << int(np.ceil(np.log2(segs.shape[1] + w)))
+    # d(tau) = E(0) + E(tau) - 2 * corr(tau), via one FFT per frame; a
+    # circular correlation at any length >= the segment has no wraparound at
+    # the lags kept
+    fft_len = _fft_size(segs.shape[1])
     spec_full = np.fft.rfft(segs, n=fft_len, axis=1)
     spec_head = np.fft.rfft(segs[:, :w], n=fft_len, axis=1)
     corr = np.fft.irfft(np.conj(spec_head) * spec_full, n=fft_len, axis=1)[:, :n_lags]

@@ -106,6 +106,10 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("conv1d_k1", {"x": x, "w": w1, "b": b1},
           lambda: T.tsum(T.conv1d(x, w1, b1)))
 
+    lengths = (3, 4)  # x as a slab of two segments
+    check("conv1d_k3_segments", {"x": x, "w": w, "b": bias},
+          lambda: T.tsum(T.mul(T.conv1d(x, w, bias, 1, lengths), T.conv1d(x, w, bias, 1, lengths))))
+
     p, q = _param(rng, (3, 5)), _param(rng, (3, 5))
     check("add", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.add(p, q), q)))
     check("sub", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.sub(p, q), p)))
@@ -115,6 +119,12 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("add_broadcast_col", {"p": p, "col": col}, lambda: T.tsum(T.mul(T.add(p, col), p)))
     row = _param(rng, (1, 5))
     check("add_broadcast_row", {"p": p, "row": row}, lambda: T.tsum(T.mul(T.add(p, row), p)))
+
+    rows = [_param(rng, (1, 3)), _param(rng, (1, 3))]
+    check("add_per_segment", {"p": p, "row0": rows[0], "row1": rows[1]},
+          lambda: T.tsum(T.mul(T.add_per_segment(p, rows, (2, 3)), p)))
+    pt, qt = _param(rng, (5, 3)), _param(rng, (5, 3))
+    check("segment_mse", {"p": pt, "q": qt}, lambda: T.segment_mse(pt, qt, (2, 3)))
 
     for name, op in (("relu", T.relu), ("tanh", T.tanh), ("sigmoid", T.sigmoid), ("swish", T.swish)):
         z = _param(rng, (4, 6))
@@ -129,6 +139,8 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("slice_rows", {"u": u},
           lambda: T.tsum(T.mul(T.slice_rows(u, 1, 4), T.slice_rows(u, 3, 6))))
     check("transpose", {"u": u}, lambda: T.tsum(T.mul(T.transpose(u), T.transpose(u))))
+    check("concat_rows", {"u": u, "p": pt},
+          lambda: T.tsum(T.mul(T.concat_rows([u, pt]), T.concat_rows([pt, u]))))
     check("scale", {"u": u}, lambda: T.tsum(T.scale(u, -2.5)))
     check("mean", {"u": u}, lambda: T.tmean(T.mul(u, u)))
 
@@ -144,13 +156,15 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     # zero-initialized output layer hides downstream gradients; nudge it
     model.params["out_conv2.w"].data[:] = rng.normal(model.params["out_conv2.w"].shape) * 0.3
     sched = linear_schedule(20, 1e-4, 0.06)
-    frames = 4
+    # a batch of two segments, 4 and 3 frames, at steps 7 and 15
+    steps = [7, 15]
     data_rng = RandomStream(seed).split("toy-data")
-    y0 = Tensor(data_rng.normal((frames, cfg.n_mels)))
-    eps = gaussian((frames, cfg.n_mels), data_rng)
-    ppg = data_rng.normal((frames, cfg.ppg_dim))
-    f0_bins = data_rng.integers(0, cfg.n_bins, frames)
-    loud_bins = data_rng.integers(0, cfg.n_bins, frames)
+    segs = [
+        (Tensor(data_rng.normal((frames, cfg.n_mels))), gaussian((frames, cfg.n_mels), data_rng),
+         data_rng.normal((frames, cfg.ppg_dim)), data_rng.integers(0, cfg.n_bins, frames),
+         data_rng.integers(0, cfg.n_bins, frames))
+        for frames in (4, 3)
+    ]
 
     def step_energy():
         # at init the step path's weight gradients are ~1e-5, under the 1e-3
@@ -161,8 +175,8 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("step_path", {n: p for n, p in model.params.items() if n.startswith("step_")}, step_energy)
 
     def composite():
-        cond = model.build_conditioner(ppg, f0_bins, loud_bins)
-        return diffusion_loss(sched, model, y0, cond, 7, eps)
+        conds = [model.build_conditioner(ppg, f0_bins, loud_bins) for _, _, ppg, f0_bins, loud_bins in segs]
+        return diffusion_loss(sched, model, [s[0] for s in segs], conds, steps, [s[1] for s in segs])
 
     check("predict_eps_loss", model.params, composite)
     return results

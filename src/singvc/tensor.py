@@ -2,11 +2,11 @@
 
 The op set is exactly what the denoiser and trainer need: matmul, same-length
 1-d convolution, a handful of pointwise nonlinearities, embedding lookup, row
-slicing, transpose and the two reductions.  Each differentiable op records
-(inputs, backward closure) on its output; ``backward`` replays the implicit
-tape in reverse topological order.  The tape is rebuilt on every forward pass
-and consumed by ``backward`` — calling backward twice on the same graph is a
-contract violation.  Backward frees each node as it walks the tape: once a
+slicing and concatenation, transpose and the reductions.  Each differentiable
+op records (inputs, backward closure) on its output; ``backward`` replays the
+implicit tape in reverse topological order.  The tape is rebuilt on every
+forward pass and consumed by ``backward`` — calling backward twice on the
+same graph is a contract violation.  Backward frees each node as it walks the tape: once a
 node's closure has run, its activation and gradient are released unless the
 caller still holds the tensor, which then keeps its ``.grad``.
 
@@ -14,11 +14,23 @@ Conventions deliberately pinned here because tests rely on them:
   * everything is float64;
   * the ReLU subgradient at exactly 0 is 0;
   * swish(x) = x * sigmoid(x).
+
+A batch of segments travels as one slab whose columns (rows, for
+``[frames, features]`` tensors) are the segments side by side, with their
+``lengths`` passed to the ops that must keep segments apart: ``conv1d``
+(padding and parameter gradients), ``add_per_segment`` and ``segment_mse``.
+Those ops reduce each segment on its own, add the per-segment results in
+segment order and give BLAS one call per segment, so every segment gets the
+bits that a graph built for it alone gives.  One product over the whole slab
+would not: BLAS may round a column differently depending on the width of the
+call (OpenBLAS 0.3.31 on an AVX-512 Xeon sends the last 1-4 columns of a
+width that is not a multiple of 8 to a remainder kernel).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -119,12 +131,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(g @ b.data.T)
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            # a one-row a makes this an outer product, whose every element
+            # is one product: the same bits as the K = 1 BLAS call, cheaper
+            b.accumulate(np.multiply(a.data.T, g) if a.shape[0] == 1 else a.data.T @ g)
 
     return _record(out, (a, b), grad_fn)
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
+def _spans(lengths, total: int) -> list[tuple[int, int]]:
+    """(start, stop) of each segment of a slab `total` wide."""
+    starts = list(accumulate(lengths, initial=0))
+    if starts[-1] != total or min(lengths) < 1:
+        raise ShapeError(f"segment lengths {list(lengths)} do not tile {total} frames")
+    return list(zip(starts, starts[1:]))
+
+
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, lengths=None) -> Tensor:
     """Same-length 1-d convolution of [C_in, L] with weight [K, C_out, C_in].
 
     The weight is stored tap-major so each tap ``weight[tap]`` is a contiguous
@@ -133,6 +155,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
     makes every tap a strided view.  Symmetric zero padding of
     (K-1)*dilation/2 per side keeps the output length equal to the input
     length (non-causal).  K must be odd; K=1 is a per-frame linear map.
+
+    With ``lengths``, x is a slab of segments side by side (see the module
+    docstring).  Each segment is padded on its own, in one buffer, so no
+    column sees a neighbouring segment, and each one's weight and bias
+    gradients are added to the parameter's in segment order.
     """
     if x.data.ndim != 2 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects [C_in,L] and [K,C_out,C_in], got {x.shape}, {weight.shape}")
@@ -146,28 +173,52 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({c_out},)")
 
-    length = x.shape[1]
+    width = x.shape[1]
     pad = (k - 1) * dilation // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
-    acc = weight.data[0] @ xp[:, :length]
-    for tap in range(1, k):
-        acc += weight.data[tap] @ xp[:, tap * dilation : tap * dilation + length]
+    # (start, stop, first column of the segment's padded block in xp)
+    segs = [(a, b, a + 2 * pad * i) for i, (a, b) in enumerate(_spans(lengths or (width,), width))]
+    if pad:
+        xp = np.zeros((c_in, width + 2 * pad * len(segs)))
+        for a, b, o in segs:
+            xp[:, o + pad : o + pad + b - a] = x.data[:, a:b]
+    else:
+        xp = x.data
+
+    def tap_input(a, b, o, tap):
+        return xp[:, o + tap * dilation : o + tap * dilation + b - a]
+
+    acc = np.empty((c_out, width))
+    scratch = np.empty(c_out * max(b - a for a, b, _ in segs)) if k > 1 else None
+    for a, b, o in segs:
+        np.matmul(weight.data[0], tap_input(a, b, o, 0), out=acc[:, a:b])
+        for tap in range(1, k):
+            part = scratch[: c_out * (b - a)].reshape(c_out, b - a)
+            acc[:, a:b] += np.matmul(weight.data[tap], tap_input(a, b, o, tap), out=part)
     acc += bias.data[:, None]
     out = Tensor(acc)
 
     def grad_fn(g):
         if weight.requires_grad:
             gw = np.empty_like(weight.data)
-            for tap in range(k):
-                np.matmul(g, xp[:, tap * dilation : tap * dilation + length].T, out=gw[tap])
-            weight.accumulate(gw)
+            for a, b, o in segs:
+                for tap in range(k):
+                    np.matmul(g[:, a:b], tap_input(a, b, o, tap).T, out=gw[tap])
+                weight.accumulate(gw)
         if bias.requires_grad:
-            bias.accumulate(g.sum(axis=1))
+            for a, b, _ in segs:
+                bias.accumulate(g[:, a:b].sum(axis=1))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for tap in range(k):
-                gxp[:, tap * dilation : tap * dilation + length] += weight.data[tap].T @ g
-            x.accumulate(gxp[:, pad : pad + length] if pad else gxp)
+            # tap t moves input column j to output column j + pad - t*dilation;
+            # the products that would land in the padding are dropped
+            gx = np.zeros((c_in, width))
+            for a, b, _ in segs:
+                n = b - a
+                for tap in range(k):
+                    shift = tap * dilation - pad
+                    lo, hi = max(shift, 0), n + min(shift, 0)
+                    if lo < hi:
+                        gx[:, a + lo : a + hi] += (weight.data[tap].T @ g[:, a:b])[:, lo - shift : hi - shift]
+            x.accumulate(gx)
 
     return _record(out, (x, weight, bias), grad_fn)
 
@@ -204,6 +255,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(_reduce_to(g, b.shape))
 
     return _record(out, (a, b), grad_fn)
+
+
+def add_per_segment(x: Tensor, rows, lengths) -> Tensor:
+    """Slab x [C, N] plus rows[i] [1, C], added as a column to every column
+    of segment i; each row's gradient is the sum over its own segment."""
+    segs = _spans(lengths, x.shape[1])
+    if len(rows) != len(segs) or any(r.shape != (1, x.shape[0]) for r in rows):
+        raise ShapeError(f"add_per_segment needs {len(segs)} rows of shape (1, {x.shape[0]}), "
+                         f"got {[r.shape for r in rows]}")
+    out = np.empty_like(x.data)
+    for r, (a, b) in zip(rows, segs):
+        np.add(x.data[:, a:b], r.data.T, out=out[:, a:b])
+
+    def grad_fn(g):
+        if x.requires_grad:
+            x.accumulate(g)
+        for r, (a, b) in zip(rows, segs):
+            if r.requires_grad:
+                r.accumulate(g[:, a:b].sum(axis=1, keepdims=True).T)
+
+    return _record(Tensor(out), (x, *rows), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -326,6 +398,24 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, (a,), grad_fn)
 
 
+def concat_rows(tensors) -> Tensor:
+    """The [n_i, D] tensors stacked along rows; one tensor is returned as is."""
+    if len(tensors) == 1:
+        return tensors[0]
+    if any(t.data.ndim != 2 for t in tensors) or len({t.shape[1] for t in tensors}) != 1:
+        raise ShapeError(f"concat_rows needs matrices of one width, got {[t.shape for t in tensors]}")
+    out = Tensor(np.concatenate([t.data for t in tensors]))
+
+    def grad_fn(g):
+        start = 0
+        for t in tensors:
+            if t.requires_grad:
+                t.accumulate(g[start : start + t.shape[0]])
+            start += t.shape[0]
+
+    return _record(out, tuple(tensors), grad_fn)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
@@ -360,6 +450,39 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean over elements of the squared difference."""
     d = sub(a, b)
     return tmean(mul(d, d))
+
+
+def segment_mse(a: Tensor, b: Tensor, lengths) -> Tensor:
+    """Mean over segments of each segment's `mse`, for [N, D] slabs whose
+    rows are the segments; the same bits as `mse` per segment, summed in
+    segment order and scaled by 1/segments."""
+    if a.shape != b.shape or a.data.ndim != 2:
+        raise ShapeError(f"segment_mse needs two matrices of one shape, got {a.shape} and {b.shape}")
+    segs = _spans(lengths, a.shape[0])
+    diffs = [a.data[s:e] - b.data[s:e] for s, e in segs]
+    total = None
+    for d in diffs:
+        m = (d * d).mean()
+        total = m if total is None else total + m
+    inv_count = 1.0 / len(segs)
+    out = Tensor(total * inv_count)
+
+    def grad_fn(g):
+        ga = np.empty_like(a.data) if a.requires_grad else None
+        gb = np.empty_like(b.data) if b.requires_grad else None
+        for (s, e), d in zip(segs, diffs):
+            x = (float(g * inv_count) * (1.0 / d.size)) * d
+            gd = x + x  # what mse's mul adds into d, once per factor
+            if ga is not None:
+                ga[s:e] = gd
+            if gb is not None:
+                gb[s:e] = -gd
+        if ga is not None:
+            a.accumulate(ga)
+        if gb is not None:
+            b.accumulate(gb)
+
+    return _record(out, (a, b), grad_fn)
 
 
 def identity(n: int) -> Tensor:

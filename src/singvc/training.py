@@ -2,12 +2,14 @@
 
 Each iteration samples `batch` utterance segments, one diffusion step t and
 one fresh noise draw per segment, averages the per-segment losses, and takes
-one ADAM step.  The batch's steps are stratified (see `stratified_step`):
-over the batch they are exactly uniform on 1..T, so the expected loss is the
-uniform-t one, but every batch spans the range of t instead of sometimes
-drawing no small t, whose loss is an order of magnitude above the large-t
-one.  All randomness flows from the run seed through named streams, so runs
-and checkpoint resumes are exactly reproducible.
+one ADAM step.  The segments go through the denoiser together, one forward
+and one backward per iteration (see `diffusion_loss`).  The batch's steps
+are stratified (see `stratified_step`): over the batch they are exactly
+uniform on 1..T, so the expected loss is the uniform-t one, but every batch
+spans the range of t instead of sometimes drawing no small t, whose loss is
+an order of magnitude above the large-t one.  All randomness flows from the
+run seed through named streams, so runs and checkpoint resumes are exactly
+reproducible.
 
 Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
 config block (key=value lines, run config plus training-state keys), then
@@ -170,41 +172,66 @@ class Adam:
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch = np.empty((2, 0))
 
     def step(self, params: dict[str, Tensor], lr: float, grad_clip: float = 0.0) -> None:
         """One update of every parameter from its ``.grad`` (None reads as
         zero), which is then released.  Every gradient is checked first, so a
         `DivergenceError` leaves parameters, moments and gradients untouched.
         The clip norm is summed in ``params``' order, which a checkpoint keeps:
-        a resumed run clips by the same bits as an uninterrupted one."""
-        grads = {}
+        a resumed run clips by the same bits as an uninterrupted one.
+
+        Each parameter is updated in place through two scratch buffers the
+        size of the largest one, reused across parameters and steps; a
+        clipped gradient is scaled in place.  The arithmetic is the
+        textbook expression's, operation for operation."""
         for name, p in params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
-            grads[name] = g
+        size = max((p.data.size for p in params.values()), default=0)
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((2, size))
+
+        def scratch(i: int, p: Tensor) -> np.ndarray:
+            return self._scratch[i, : p.data.size].reshape(p.shape)
+
+        factor = None
         if grad_clip > 0.0:
-            norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+            norm = 0.0
+            for p in params.values():
+                if p.grad is not None:
+                    sq = np.square(p.grad, out=scratch(0, p))
+                    norm += float(sq.sum())
+            norm = np.sqrt(norm)
             if norm > grad_clip:
                 factor = grad_clip / norm
-                grads = {n: g * factor for n, g in grads.items()}
         self.step_count += 1
         c1 = 1.0 - ADAM_BETA1**self.step_count
         c2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in params.items():
-            g = grads.pop(name)
+            g = p.grad if p.grad is not None else 0.0
+            if factor is not None and p.grad is not None:
+                g *= factor
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
             # in place: a checkpoint holding these arrays sees every step
             m, v = self.m[name], self.v[name]
+            s1, s2 = scratch(0, p), scratch(1, p)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += s1
+            np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+            s1 *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / c1
-            v_hat = v / c2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            v += s1
+            np.divide(v, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += ADAM_EPS  # sqrt(v_hat) + eps
+            np.divide(m, c1, out=s2)
+            s2 *= lr  # lr * m_hat
+            s2 /= s1
+            p.data -= s2
             p.grad = None
 
 
@@ -429,26 +456,24 @@ def train(
     try:
         for it in range(state.iteration + 1, cfg.n_iter + 1):
             tic = time.perf_counter()
-            total = None
-            meta = []
+            y0, conds, steps, noises, names = [], [], [], [], []
             for b in range(cfg.batch):
                 u = int(rng.integers(0, len(prepared), 1)[0])
                 item = prepared[u]
                 seg = min(cfg.segment_frames, item.mel.shape[0])
                 start = int(rng.integers(0, item.mel.shape[0] - seg + 1, 1)[0])
-                t = stratified_step(rng, b, cfg.batch, cfg.diffusion_steps)
-                eps = gaussian((seg, cfg.n_mels), rng)
+                steps.append(stratified_step(rng, b, cfg.batch, cfg.diffusion_steps))
+                noises.append(gaussian((seg, cfg.n_mels), rng))
                 sl = slice(start, start + seg)
-                cond = model.build_conditioner(item.ppg[sl], item.f0_bins[sl], item.loud_bins[sl])
-                term = diffusion_loss(schedule, model, Tensor(item.mel[sl]), cond, t, eps)
-                total = term if total is None else T.add(total, term)
-                meta.append((t, f"{item.name}[{start}:{start + seg}]"))
-            total = T.scale(total, 1.0 / cfg.batch)
+                y0.append(Tensor(item.mel[sl]))
+                conds.append(model.build_conditioner(item.ppg[sl], item.f0_bins[sl], item.loud_bins[sl]))
+                names.append(f"{item.name}[{start}:{start + seg}]")
+            total = diffusion_loss(schedule, model, y0, conds, steps, noises)
             loss = float(total.data)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss {loss} at iteration {it} "
-                    f"(t={[m[0] for m in meta]}, segments={[m[1] for m in meta]})"
+                    f"(t={steps}, segments={names})"
                 )
             T.backward(total)
             state.adam.step(model.params, cfg.lr, cfg.grad_clip)

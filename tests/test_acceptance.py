@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from singvc import featio, gradcheck
+from singvc import featio, features, gradcheck
 from singvc.cli import main as cli_main
 from singvc.config import RunConfig, serialize_config
 from singvc.denoiser import Denoiser
@@ -92,6 +92,19 @@ def _overfit_sample() -> TrainingSample:
         loudness=compute_loudness(wav, 24000),
         log_mel=compute_log_mel(wav, OVERFIT_CFG.mel_config()),
     )
+
+
+def test_f0_fft_length_keeps_the_overfit_conditioner(monkeypatch):
+    # estimate_f0 pads to a 5-smooth FFT length; at the power-of-two length
+    # it used before, the overfit sample quantizes to the same bins
+    data = _overfit_sample()
+    monkeypatch.setattr(features, "_fft_size", lambda n: 1 << int(math.ceil(math.log2(n + features.YIN_FRAME))))
+    ref = _overfit_sample()
+    np.testing.assert_array_equal(data.f0.voiced, ref.f0.voiced)
+    bins = [conditioner_bins(compute_feature_stats([s], OVERFIT_CFG), s.f0, s.loudness, OVERFIT_CFG.n_bins)
+            for s in (data, ref)]
+    for new, old in zip(*bins):
+        np.testing.assert_array_equal(new, old)
 
 
 @pytest.fixture(scope="module")

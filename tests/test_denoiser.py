@@ -154,7 +154,7 @@ class TestPredictEps:
 
         def run():
             cond = model.build_conditioner(ppg, f0_bins, loud_bins)
-            return diffusion_loss(sched, model, y0, cond, 7, eps)
+            return diffusion_loss(sched, model, [y0], [cond], [7], [eps])
 
         backward(run())
         w = model.params["layer1.cond.w"]
@@ -199,3 +199,50 @@ class TestPredictEps:
             cond = toy_model.build_conditioner(ppg, f0_bins, loud_bins)
             assert toy_model.predict_eps(y, 2, cond).shape == (frames, TOY.n_mels)
         assert set(toy_model.params) == names_before
+
+
+class TestBatchedForward:
+    LENGTHS = (7, 16, 5)
+    STEPS = [3, 9, 14]
+
+    def batch(self, model, seed=8):
+        rng = RandomStream(seed).split("batch")
+        y = rng.normal((sum(self.LENGTHS), TOY.n_mels))
+        conds = [model.build_conditioner(rng.normal((n, TOY.ppg_dim)), rng.integers(0, TOY.n_bins, n),
+                                         rng.integers(0, TOY.n_bins, n)) for n in self.LENGTHS]
+        return y, conds
+
+    @pytest.fixture()
+    def live_model(self):
+        model = Denoiser.init(TOY, RandomStream(9).split("live"))
+        model.params["out_conv2.w"].data[:] = RandomStream(10).normal((1, 8, 8)) * 0.3
+        return model
+
+    def rows(self, i):
+        start = sum(self.LENGTHS[:i])
+        return slice(start, start + self.LENGTHS[i])
+
+    def test_each_segment_gets_the_bits_of_a_call_on_it_alone(self, live_model):
+        y, conds = self.batch(live_model)
+        out = live_model.predict_eps(Tensor(y), self.STEPS, conds).data
+        for i, (t, cond) in enumerate(zip(self.STEPS, conds)):
+            alone = live_model.predict_eps(Tensor(y[self.rows(i)]), t, cond).data
+            assert np.ascontiguousarray(out[self.rows(i)]).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("perturbed", [0, 1, 2])
+    def test_perturbing_one_segment_leaves_the_others_unchanged(self, live_model, perturbed):
+        y, conds = self.batch(live_model)
+        base = live_model.predict_eps(Tensor(y), self.STEPS, conds).data
+        y2 = y.copy()
+        y2[self.rows(perturbed)] += 1.0
+        other = live_model.predict_eps(Tensor(y2), self.STEPS, conds).data
+        for i in range(len(self.LENGTHS)):
+            same = base[self.rows(i)].tobytes() == other[self.rows(i)].tobytes()
+            assert same == (i != perturbed), f"segment {i}"
+
+    def test_segment_count_must_match(self, live_model):
+        y, conds = self.batch(live_model)
+        with pytest.raises(ShapeError, match="steps"):
+            live_model.predict_eps(Tensor(y), self.STEPS[:2], conds)
+        with pytest.raises(ShapeError, match="frames"):
+            live_model.predict_eps(Tensor(y[:-1]), self.STEPS, conds)

@@ -74,7 +74,7 @@ class TestDiffusionLoss:
     def test_perfect_model_zero_loss(self):
         rng = RandomStream(1)
         eps_value = rng.normal((4, 5))
-        loss = diffusion_loss(S, OracleModel(eps_value), T.zeros((4, 5)), None, 10, Tensor(eps_value))
+        loss = diffusion_loss(S, OracleModel(eps_value), [T.zeros((4, 5))], [None], [10], [Tensor(eps_value)])
         assert float(loss.data) == 0.0
 
     def test_constant_offset_gives_c_squared(self):
@@ -82,7 +82,7 @@ class TestDiffusionLoss:
         eps_value = rng.normal((4, 5))
         c = 0.37
         model = OracleModel(eps_value + c)
-        loss = diffusion_loss(S, model, T.zeros((4, 5)), None, 10, Tensor(eps_value))
+        loss = diffusion_loss(S, model, [T.zeros((4, 5))], [None], [10], [Tensor(eps_value)])
         assert float(loss.data) == pytest.approx(c * c, rel=1e-12)
 
     def test_gradient_through_probe_parameter(self):
@@ -96,7 +96,7 @@ class TestDiffusionLoss:
             def __call__(self, y_t, t, cond):
                 return T.matmul(y_t, probe)
 
-        loss = diffusion_loss(S, ProbeModel(), y0, None, 25, Tensor(eps_value))
+        loss = diffusion_loss(S, ProbeModel(), [y0], [None], [25], [Tensor(eps_value)])
         backward(loss)
 
         sqrt_ab, sqrt_1mab, _ = step_stats(S, 25)

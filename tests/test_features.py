@@ -4,7 +4,7 @@ import wave
 import numpy as np
 import pytest
 
-from singvc import featio
+from singvc import featio, features
 from singvc.errors import ConfigError, FormatError, InputError
 from singvc.features import (
     F0Contour,
@@ -128,6 +128,31 @@ class TestF0:
     def test_log_f0_zero_for_unvoiced(self):
         contour = F0Contour(hz=np.array([0.0, 100.0, 0.0]))
         np.testing.assert_allclose(contour.log_f0, [0.0, math.log(100.0), 0.0])
+
+    def test_fft_length_is_the_next_5_smooth_one(self):
+        # 2649 = YIN_FRAME + tau_max + 1 at 40 Hz; 2650..2699 all have a factor over 5
+        assert features._fft_size(2649) == 2700
+        assert [features._fft_size(n) for n in (1, 7, 11, 2048, 4449)] == [1, 8, 12, 2048, 4500]
+
+    @pytest.mark.parametrize("name", ["sine", "vibrato", "voice_in_noise", "noise"])
+    def test_matches_the_estimator_at_a_power_of_two_fft_length(self, monkeypatch, name):
+        # the 8192-point estimator is the reference: the correlation lags it
+        # keeps are the same sums at any length, so only rounding may differ
+        rng = RandomStream(31).split(name)
+        t = np.arange(36000) / 24000
+        wav = {
+            "sine": sine(180.0, seconds=1.5),
+            "vibrato": 0.4 * np.sin(2 * np.pi * np.cumsum(300.0 * (1.0 + 0.02 * np.sin(2 * np.pi * 5.5 * t))) / 24000),
+            "voice_in_noise": sine(95.0, seconds=1.5, amp=0.3) + 0.05 * rng.normal(36000),
+            "noise": 0.2 * rng.normal(36000),
+        }[name]
+        new = estimate_f0(wav, 24000, 240, 40.0, 800.0).hz
+        monkeypatch.setattr(features, "_fft_size", lambda n: 1 << int(np.ceil(np.log2(n + features.YIN_FRAME))))
+        ref = estimate_f0(wav, 24000, 240, 40.0, 800.0).hz
+        np.testing.assert_array_equal(new > 0, ref > 0)
+        voiced = ref > 0
+        assert np.all(np.abs(new[voiced] - ref[voiced]) <= 1e-12 * ref[voiced])
+        assert new.astype(np.float32).tobytes() == ref.astype(np.float32).tobytes()
 
     def test_frame_count_matches_mel(self):
         for n in (24000, 12345, 999):

@@ -57,6 +57,15 @@ class TestMatmul:
         assert max_rel_err(a.grad, fd_grad(loss, a.data)) < 1e-6
         assert max_rel_err(b.grad, fd_grad(loss, b.data)) < 1e-6
 
+    @pytest.mark.parametrize("k, n", [(128, 512), (512, 512), (512, 32), (3, 1)])
+    def test_weight_gradient_matches_the_k1_gemm_byte_for_byte(self, k, n):
+        rng = np.random.default_rng(k * 1000 + n)
+        a = Tensor(rng.normal(size=(1, k)))
+        b = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+        probe = rng.normal(size=(1, n))
+        backward(T.tsum(T.mul(T.matmul(a, b), Tensor(probe))))
+        assert b.grad.tobytes() == (a.data.T @ probe).tobytes()
+
 
 def conv1d_reference(w, x, b, dilation, g):
     """The per-tap loop on a [C_out, C_in, K] weight: output and the x, w, b
@@ -133,6 +142,89 @@ class TestConv1d:
         np.testing.assert_array_equal(x.grad, gx_ref)
         np.testing.assert_array_equal(w.grad, gw_ref.transpose(2, 0, 1))
         np.testing.assert_array_equal(b.grad, gb_ref)
+
+
+class TestSegments:
+    """Slab ops against the same ops on each segment alone, byte for byte."""
+
+    LENGTHS = (9, 16, 1, 12)  # widths BLAS rounds differently when joined
+
+    def segments(self, a):
+        starts = np.cumsum((0,) + self.LENGTHS)
+        return [a[..., s:e] for s, e in zip(starts, starts[1:])]
+
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2)])
+    def test_conv1d_is_each_segment_alone(self, k, dilation):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(6, sum(self.LENGTHS))), requires_grad=True)
+        w = Tensor(rng.normal(size=(k, 5, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        probe = rng.normal(size=(5, sum(self.LENGTHS)))
+        out = T.conv1d(x, w, b, dilation, self.LENGTHS)
+        backward(T.tsum(T.mul(out, Tensor(probe))))
+
+        gw = gb = None
+        for xs, ps, os_, gxs in zip(self.segments(x.data), self.segments(probe), self.segments(out.data),
+                                    self.segments(x.grad)):
+            xi = Tensor(xs.copy(), requires_grad=True)
+            wi, bi = Tensor(w.data, requires_grad=True), Tensor(b.data, requires_grad=True)
+            oi = T.conv1d(xi, wi, bi, dilation)
+            backward(T.tsum(T.mul(oi, Tensor(ps.copy()))))
+            assert np.ascontiguousarray(os_).tobytes() == oi.data.tobytes()
+            assert np.ascontiguousarray(gxs).tobytes() == xi.grad.tobytes()
+            gw = wi.grad if gw is None else gw + wi.grad
+            gb = bi.grad if gb is None else gb + bi.grad
+        assert w.grad.tobytes() == gw.tobytes() and b.grad.tobytes() == gb.tobytes()
+
+    def test_add_per_segment_adds_each_row_to_its_columns(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(3, sum(self.LENGTHS))), requires_grad=True)
+        rows = [Tensor(rng.normal(size=(1, 3)), requires_grad=True) for _ in self.LENGTHS]
+        probe = rng.normal(size=x.shape)
+        out = T.add_per_segment(x, rows, self.LENGTHS)
+        backward(T.tsum(T.mul(out, Tensor(probe))))
+        for r, xs, os_, ps in zip(rows, self.segments(x.data), self.segments(out.data), self.segments(probe)):
+            np.testing.assert_array_equal(os_, xs + r.data.T)
+            assert r.grad.tobytes() == ps.sum(axis=1, keepdims=True).T.tobytes()
+        np.testing.assert_array_equal(x.grad, probe)
+
+    def test_segment_mse_is_the_mean_of_each_segments_mse(self):
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.normal(size=(sum(self.LENGTHS), 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, sum(self.LENGTHS))).T, requires_grad=True)  # a transposed slab
+        loss = T.segment_mse(a, b, self.LENGTHS)
+        backward(loss)
+        terms, refs = [], []
+        for s, e in zip(np.cumsum((0,) + self.LENGTHS), np.cumsum(self.LENGTHS)):
+            ai, bi = Tensor(a.data[s:e].copy(), requires_grad=True), Tensor(b.data[s:e].T.copy().T, requires_grad=True)
+            terms.append(T.mse(ai, bi))
+            refs.append((ai, bi, s, e))
+        total = terms[0]
+        for term in terms[1:]:
+            total = T.add(total, term)
+        total = T.scale(total, 1.0 / len(terms))
+        backward(total)
+        assert loss.data.tobytes() == total.data.tobytes()
+        for ai, bi, s, e in refs:
+            assert a.grad[s:e].tobytes() == ai.grad.tobytes()
+            assert np.ascontiguousarray(b.grad[s:e]).tobytes() == np.ascontiguousarray(bi.grad).tobytes()
+
+    def test_concat_rows_splits_the_gradient(self):
+        rng = np.random.default_rng(20)
+        parts = [Tensor(rng.normal(size=(n, 3)), requires_grad=True) for n in self.LENGTHS]
+        probe = rng.normal(size=(sum(self.LENGTHS), 3))
+        out = T.concat_rows(parts)
+        backward(T.tsum(T.mul(out, Tensor(probe))))
+        np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts]))
+        np.testing.assert_array_equal(np.concatenate([p.grad for p in parts]), probe)
+        assert T.concat_rows(parts[:1]) is parts[0]
+
+    def test_lengths_must_tile_the_slab(self):
+        x = Tensor(np.zeros((2, 5)))
+        with pytest.raises(ShapeError, match="do not tile"):
+            T.conv1d(x, Tensor(np.zeros((1, 2, 2))), T.zeros(2), 1, (2, 2))
+        with pytest.raises(ShapeError):
+            T.add_per_segment(x, [T.zeros((1, 2))], (2, 3))
 
 
 def sigmoid_reference(x):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from singvc import cli, featio
+from singvc import tensor as T
 from singvc.config import RunConfig
 from singvc.denoiser import Denoiser
-from singvc.diffusion import diffusion_loss, gaussian
+from singvc.diffusion import diffusion_loss, forward_sample, gaussian
 from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from singvc.features import F0Contour
 from singvc.rng import RandomStream
@@ -185,6 +186,124 @@ class TestAdam:
             assert opt.m[n] is moments[n][0] and opt.v[n] is moments[n][1]
 
 
+def reference_predict_eps(model, y_t, t, cond):
+    """The noise estimate of one segment, built as before the batch became
+    one graph: each batch element ran this on its own."""
+    p, cfg = model.params, model.cfg
+
+    def conv(name, x, dilation=1):
+        return T.conv1d(x, p[f"{name}.w"], p[f"{name}.b"], dilation)
+
+    h = T.relu(conv("input_conv", T.transpose(y_t)))
+    h = T.add(h, T.transpose(model.step_vector(t)))
+    ec = T.transpose(cond)
+    c, skip = cfg.channels, None
+    for i in range(cfg.layers):
+        u = T.add(conv(f"layer{i}.dilated", h, cfg.dilation), conv(f"layer{i}.cond", ec))
+        gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
+        h = T.scale(T.add(h, conv(f"layer{i}.residual", gate)), T.SQRT_HALF)
+        s = conv(f"layer{i}.skip", gate)
+        skip = s if skip is None else T.add(skip, s)
+    out = T.relu(conv("out_conv1", T.scale(skip, 1.0 / math.sqrt(cfg.layers))))
+    return T.transpose(conv("out_conv2", out))
+
+
+def reference_loss(schedule, model, y0, conds, steps, noises):
+    """The per-element loop: one graph per segment, the MSEs summed and
+    scaled by 1/batch."""
+    total = None
+    for y, cond, t, eps in zip(y0, conds, steps, noises):
+        pred = reference_predict_eps(model, forward_sample(schedule, y, t, eps), t, cond)
+        term = T.mse(eps, pred)
+        total = term if total is None else T.add(total, term)
+    return T.scale(total, 1.0 / len(steps))
+
+
+def reference_adam_step(params, m, v, count, lr, grad_clip):
+    """ADAM with a new array for every intermediate."""
+    grads = {n: p.grad if p.grad is not None else np.zeros_like(p.data) for n, p in params.items()}
+    if grad_clip > 0.0:
+        norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+        if norm > grad_clip:
+            grads = {n: g * (grad_clip / norm) for n, g in grads.items()}
+    c1, c2 = 1.0 - 0.9**count, 1.0 - 0.999**count
+    for n, p in params.items():
+        g = grads[n]
+        m[n] = 0.9 * m.get(n, np.zeros_like(g)) + (1.0 - 0.9) * g
+        v[n] = 0.999 * v.get(n, np.zeros_like(g)) + (1.0 - 0.999) * g * g
+        p.data = p.data - lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
+        p.grad = None
+
+
+def cond_inputs(sample, sl, cfg):
+    """PPG rows and some melody and loudness bins of one segment."""
+    frames = np.arange(sl.start, sl.stop)
+    return sample.ppg[sl], frames % cfg.n_bins, (7 * frames) % cfg.n_bins
+
+
+class TestBatchedIteration:
+    """One graph per iteration against the per-element loop, byte for byte."""
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.01])
+    @pytest.mark.parametrize("segments", [
+        [("utt1", 3)],
+        [("utt0", 5), ("short", 0), ("utt1", 20)],  # "short" has 11 frames, under segment_frames
+    ])
+    def test_loss_gradients_and_adam_match_the_per_element_loop(self, corpus, grad_clip, segments):
+        utts = {s.name: s for s in corpus + [make_sample("short", frames=11, seed=3)]}
+        cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": len(segments), "grad_clip": grad_clip})
+        schedule = cfg.schedule()
+        init = Denoiser.init(cfg.model_config(), RandomStream(4).split("init"))
+        # a non-zero output conv, so every parameter gets a gradient at once
+        init.params["out_conv2.w"].data[:] = RandomStream(6).normal(init.params["out_conv2.w"].shape) * 0.3
+        batched = Denoiser(init.cfg, {n: Tensor(p.data.copy(), requires_grad=True) for n, p in init.params.items()})
+        ref = Denoiser(init.cfg, {n: Tensor(p.data.copy(), requires_grad=True) for n, p in init.params.items()})
+        adam, ref_m, ref_v = Adam(), {}, {}
+        rng = RandomStream(7)
+        for count in (1, 2, 3):
+            y0, steps, noises, slices = [], [], [], []
+            for b, (name, start) in enumerate(segments):
+                sample = utts[name]
+                sl = slice(start, start + min(cfg.segment_frames, sample.log_mel.shape[0]))
+                slices.append((sample, sl))
+                y0.append(Tensor(sample.log_mel[sl]))
+                steps.append(stratified_step(rng, b, cfg.batch, cfg.diffusion_steps))
+                noises.append(gaussian((sl.stop - sl.start, cfg.n_mels), rng))
+
+            loss = diffusion_loss(schedule, batched, y0, [batched.build_conditioner(*cond_inputs(s, sl, cfg))
+                                                          for s, sl in slices], steps, noises)
+            expected = reference_loss(schedule, ref, y0, [ref.build_conditioner(*cond_inputs(s, sl, cfg))
+                                                          for s, sl in slices], steps, noises)
+            assert loss.data.tobytes() == expected.data.tobytes()
+            T.backward(loss)
+            T.backward(expected)
+            for name, p in batched.params.items():
+                q = ref.params[name]
+                assert (p.grad is None) == (q.grad is None), name
+                assert p.grad is None or p.grad.tobytes() == q.grad.tobytes(), name
+
+            adam.step(batched.params, cfg.lr, grad_clip)
+            reference_adam_step(ref.params, ref_m, ref_v, count, cfg.lr, grad_clip)
+            for name, p in batched.params.items():
+                assert p.data.tobytes() == ref.params[name].data.tobytes(), name
+                assert adam.m[name].tobytes() == ref_m[name].tobytes(), name
+                assert adam.v[name].tobytes() == ref_v[name].tobytes(), name
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_one_iteration_runs_each_convolution_once(self, corpus, monkeypatch, batch):
+        calls = []
+        conv1d = T.conv1d
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return conv1d(*args, **kwargs)
+
+        monkeypatch.setattr(T, "conv1d", counted)
+        cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": batch, "n_iter": 1})
+        train(corpus, cfg)
+        assert len(calls) == 4 * cfg.layers + 3
+
+
 class TestStratifiedStep:
     def test_batch_mixture_uniform(self):
         rng = RandomStream(9)
@@ -232,7 +351,7 @@ class TestInitialLoss:
                 rng.integers(0, cfg.n_bins, 16),
                 rng.integers(0, cfg.n_bins, 16),
             )
-            losses.append(float(diffusion_loss(sched, model, y0, cond, t, eps).data))
+            losses.append(float(diffusion_loss(sched, model, [y0], [cond], [t], [eps]).data))
         assert abs(np.mean(losses) - 1.0) < 0.1
 
 
