@@ -54,7 +54,7 @@ def cmd_extract(args) -> int:
     mel_cfg = cfg.mel_config()
     log_mel = compute_log_mel(wav, mel_cfg, sample_rate=sr)
     f0 = estimate_f0(wav, sr, cfg.hop_size, cfg.f0_min, cfg.f0_max)
-    loud = compute_loudness(wav, sr, cfg.loud_fft, cfg.loud_win, cfg.hop_size)
+    loud = compute_loudness(wav, sr, cfg.loud_fft, cfg.hop_size)
     frames = log_mel.shape[0]
 
     if args.ppg is not None:

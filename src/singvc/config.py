@@ -1,6 +1,7 @@
 """Flat key=value run configuration covering features, schedule, model and
 training.  Unknown keys are rejected; parse -> serialize -> parse is
-idempotent."""
+idempotent.  The defaults are the published setup, stated here only:
+`MelConfig` and `ModelConfig` are built from a `RunConfig`."""
 
 from __future__ import annotations
 
@@ -16,10 +17,9 @@ from .schedule import NoiseSchedule, linear_schedule
 
 @dataclass(frozen=True)
 class RunConfig:
-    # features
+    # features; each STFT's window is as long as its FFT
     sample_rate: int = 24000
     n_fft: int = 1024
-    win_size: int = 1024
     hop_size: int = 240
     n_mels: int = 80
     mel_fmin: float = 0.0
@@ -27,7 +27,6 @@ class RunConfig:
     f0_min: float = 40.0
     f0_max: float = 800.0
     loud_fft: int = 2048
-    loud_win: int = 2048
     ppg_dim: int = 218
     # noise schedule
     diffusion_steps: int = 100
@@ -38,8 +37,6 @@ class RunConfig:
     channels: int = 256
     cond_dim: int = 256
     n_bins: int = 256
-    kernel_size: int = 3
-    dilation: int = 1
     # training
     n_iter: int = 10000
     lr: float = 2e-4
@@ -54,7 +51,6 @@ class RunConfig:
         return MelConfig(
             sample_rate=self.sample_rate,
             n_fft=self.n_fft,
-            win_size=self.win_size,
             hop_size=self.hop_size,
             n_mels=self.n_mels,
             fmin=self.mel_fmin,

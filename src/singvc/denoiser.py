@@ -3,8 +3,10 @@
 Pipeline: sinusoidal step encoding -> two FC+Swish layers -> shared
 projection added to every frame; PPG prenet plus melody/loudness embedding
 tables fused into a per-frame conditioner; a stack of gated residual
-convolution blocks (kernel 3, dilation 1, non-causal) whose summed skip
-connections map back to mel depth through Conv1x1 -> ReLU -> Conv1x1.
+convolution blocks whose summed skip connections map back to mel depth
+through Conv1x1 -> ReLU -> Conv1x1.  Each block's first conv has 3 taps,
+dilation 1 and no causal shift; its parameters keep DiffWave's name
+``layer{i}.dilated``, though here nothing dilates it.
 
 The three step-path FC layers use an equalized-learning-rate
 parametrization (Karras et al. 2018, arXiv 1710.10196): weights are stored
@@ -42,18 +44,19 @@ from .tensor import Tensor
 
 STEP_SIN_DIM = 128
 STEP_HIDDEN = 512
+RESIDUAL_TAPS = 3  # width of each layer's `dilated` conv
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n_mels: int = 80
-    channels: int = 256
-    layers: int = 20
-    kernel_size: int = 3
-    dilation: int = 1
-    ppg_dim: int = 218
-    cond_dim: int = 256
-    n_bins: int = 256
+    """The network's shape; `RunConfig.model_config` holds the published one."""
+
+    n_mels: int
+    channels: int
+    layers: int
+    ppg_dim: int
+    cond_dim: int
+    n_bins: int
 
 
 def sinusoidal_step_vector(t: int) -> np.ndarray:
@@ -85,7 +88,7 @@ class Denoiser:
         convolution.  The insertion order of ``params`` is the training
         state's parameter order: ADAM sums its clip norm in it and a
         checkpoint writes its records in it."""
-        c, e, k = cfg.channels, cfg.cond_dim, cfg.kernel_size
+        c, e = cfg.channels, cfg.cond_dim
         p: dict[str, Tensor] = {}
 
         def fc(name, d_in, d_out):
@@ -112,7 +115,7 @@ class Denoiser:
         step_fc("step_proj", STEP_HIDDEN, c)
         conv("input_conv", c, cfg.n_mels, 1)
         for i in range(cfg.layers):
-            conv(f"layer{i}.dilated", 2 * c, c, k)
+            conv(f"layer{i}.dilated", 2 * c, c, RESIDUAL_TAPS)
             conv(f"layer{i}.cond", 2 * c, e, 1)
             conv(f"layer{i}.residual", c, c, 1)
             conv(f"layer{i}.skip", c, c, 1)
@@ -129,8 +132,8 @@ class Denoiser:
         h = T.scale(T.matmul(x, w), 1.0 / math.sqrt(w.shape[0]))
         return T.add(h, self.params[f"{name}.b"])
 
-    def _conv(self, name: str, x: Tensor, lengths, dilation: int = 1) -> Tensor:
-        return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], dilation, lengths)
+    def _conv(self, name: str, x: Tensor, lengths) -> Tensor:
+        return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], lengths)
 
     def encode_step(self, t: int) -> Tensor:
         """[1, 512]: the step's sinusoid through two FC+Swish layers."""
@@ -188,7 +191,7 @@ class Denoiser:
         skip = None
         for i in range(cfg.layers):
             u = T.add(
-                self._conv(f"layer{i}.dilated", h, lengths, cfg.dilation),
+                self._conv(f"layer{i}.dilated", h, lengths),
                 self._conv(f"layer{i}.cond", ec, lengths),
             )
             gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))

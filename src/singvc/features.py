@@ -8,9 +8,9 @@ iff hz > 0.
 
 Fixed conventions (tests depend on these):
   * frames = ceil(num_samples / hop); frame t is centered at sample t*hop via
-    reflect padding of win//2 per side (zero-padded when the signal is too
+    reflect padding of n_fft//2 per side (zero-padded when the signal is too
     short to reflect);
-  * periodic Hann window;
+  * periodic Hann window as long as the FFT;
   * triangular mel filterbank on the Slaney mel scale with Slaney area
     normalization, f_min = 0, f_max = sample_rate / 2 by default;
   * log compression is ln(mel_power + 1e-5); the floor keeps silence finite;
@@ -40,13 +40,14 @@ GRIFFIN_LIM_ITERATIONS = 32
 
 @dataclass(frozen=True)
 class MelConfig:
-    sample_rate: int = 24000
-    n_fft: int = 1024
-    win_size: int = 1024
-    hop_size: int = 240
-    n_mels: int = 80
-    fmin: float = 0.0
-    fmax: float = 12000.0
+    """Mel analysis settings; `RunConfig.mel_config` holds the published ones."""
+
+    sample_rate: int
+    n_fft: int
+    hop_size: int
+    n_mels: int
+    fmin: float
+    fmax: float
 
 
 @dataclass(frozen=True)
@@ -103,16 +104,11 @@ def hann_window(win: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(win) / win))
 
 
-def stft(wav: np.ndarray, n_fft: int, win: int, hop: int) -> np.ndarray:
-    """Complex spectrogram [frames, n_fft//2 + 1]."""
+def stft(wav: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Complex spectrogram [frames, n_fft//2 + 1]; the window is n_fft long."""
     if len(wav) == 0:
         raise InputError("empty audio")
-    if win > n_fft:
-        raise ConfigError(f"window size {win} exceeds FFT size {n_fft}")
-    frames = _frames(wav, win, hop) * hann_window(win)
-    if win < n_fft:
-        left = (n_fft - win) // 2
-        frames = np.pad(frames, ((0, 0), (left, n_fft - win - left)))
+    frames = _frames(wav, n_fft, hop) * hann_window(n_fft)
     return np.fft.rfft(frames, n=n_fft, axis=1)
 
 
@@ -158,7 +154,7 @@ def compute_log_mel(wav: np.ndarray, cfg: MelConfig, sample_rate: int | None = N
     """Unnormalized log-mel, [frames, n_mels]: ln(filterbank @ |STFT|^2 + floor)."""
     if sample_rate is not None and sample_rate != cfg.sample_rate:
         raise InputError(f"audio sample rate {sample_rate} != configured {cfg.sample_rate}")
-    power = np.abs(stft(wav, cfg.n_fft, cfg.win_size, cfg.hop_size)) ** 2
+    power = np.abs(stft(wav, cfg.n_fft, cfg.hop_size)) ** 2
     mel_power = power @ mel_filterbank(cfg).T
     return np.log(mel_power + LOG_MEL_FLOOR)
 
@@ -311,11 +307,10 @@ def compute_loudness(
     wav: np.ndarray,
     sample_rate: int,
     n_fft: int = 2048,
-    win: int = 2048,
     hop: int = 240,
 ) -> np.ndarray:
     """Per-frame natural log of the A-weighted power-spectrum sum, [frames]."""
-    power = np.abs(stft(wav, n_fft, win, hop)) ** 2
+    power = np.abs(stft(wav, n_fft, hop)) ** 2
     freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     weights = 10.0 ** (a_weighting_db(freqs) / 10.0)
     weights[freqs <= 0] = 0.0
@@ -370,20 +365,17 @@ def load_ppg(path) -> np.ndarray:
 # mel inversion (best effort; for audible sanity output only)
 
 
-def _istft(spec: np.ndarray, n_fft: int, win: int, hop: int, num_samples: int) -> np.ndarray:
-    window = hann_window(win)
+def _istft(spec: np.ndarray, n_fft: int, hop: int, num_samples: int) -> np.ndarray:
+    window = hann_window(n_fft)
     frames = np.fft.irfft(spec, n=n_fft, axis=1)
-    if win < n_fft:
-        left = (n_fft - win) // 2
-        frames = frames[:, left : left + win]
     count = spec.shape[0]
-    pad = win // 2
-    total = (count - 1) * hop + win
+    pad = n_fft // 2
+    total = (count - 1) * hop + n_fft
     out = np.zeros(total)
     norm = np.zeros(total)
     for t in range(count):
-        out[t * hop : t * hop + win] += frames[t] * window
-        norm[t * hop : t * hop + win] += window**2
+        out[t * hop : t * hop + n_fft] += frames[t] * window
+        norm[t * hop : t * hop + n_fft] += window**2
     out = np.divide(out, norm, out=np.zeros_like(out), where=norm > 1e-10)
     out = out[pad : pad + num_samples]
     if len(out) < num_samples:
@@ -403,10 +395,10 @@ def invert_log_mel(log_mel: np.ndarray, cfg: MelConfig) -> np.ndarray:
     mag = np.sqrt(spec_power)
     num_samples = log_mel.shape[0] * cfg.hop_size
     spec = mag.astype(np.complex128)
-    wav = _istft(spec, cfg.n_fft, cfg.win_size, cfg.hop_size, num_samples)
+    wav = _istft(spec, cfg.n_fft, cfg.hop_size, num_samples)
     for _ in range(GRIFFIN_LIM_ITERATIONS):
-        phase = np.angle(stft(wav, cfg.n_fft, cfg.win_size, cfg.hop_size))
-        wav = _istft(mag * np.exp(1j * phase), cfg.n_fft, cfg.win_size, cfg.hop_size, num_samples)
+        phase = np.angle(stft(wav, cfg.n_fft, cfg.hop_size))
+        wav = _istft(mag * np.exp(1j * phase), cfg.n_fft, cfg.hop_size, num_samples)
     return wav
 
 

@@ -95,11 +95,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     w = _param(rng, (3, 3, 2))
     bias = _param(rng, (3,))
     check("conv1d_k3", {"x": x, "w": w, "b": bias},
-          lambda: T.tsum(T.conv1d(x, w, bias, dilation=1)))
-
-    w2 = _param(rng, (3, 3, 2))
-    check("conv1d_k3_d2", {"x": x, "w": w2, "b": bias},
-          lambda: T.tsum(T.conv1d(x, w2, bias, dilation=2)))
+          lambda: T.tsum(T.conv1d(x, w, bias)))
 
     w1 = _param(rng, (1, 4, 2))
     b1 = _param(rng, (4,))
@@ -108,7 +104,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
 
     lengths = (3, 4)  # x as a slab of two segments
     check("conv1d_k3_segments", {"x": x, "w": w, "b": bias},
-          lambda: T.tsum(T.mul(T.conv1d(x, w, bias, 1, lengths), T.conv1d(x, w, bias, 1, lengths))))
+          lambda: T.tsum(T.mul(T.conv1d(x, w, bias, lengths), T.conv1d(x, w, bias, lengths))))
 
     p, q = _param(rng, (3, 5)), _param(rng, (3, 5))
     check("add", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.add(p, q), q)))

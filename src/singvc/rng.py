@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -97,6 +99,6 @@ class RandomStream:
     def integers(self, low: int, high: int, n: int = 1) -> np.ndarray:
         """n ints uniform on [low, high); scaled 53-bit uniforms."""
         if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
+            raise ContractError(f"empty integer range [{low}, {high})")
         u = self.uniform(n)
         return low + np.floor(u * (high - low)).astype(np.int64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSche
 def step_stats(s: NoiseSchedule, t: int) -> tuple[float, float, float]:
     """(sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t), sigma_t) for 1 <= t <= T."""
     if not 1 <= t <= s.steps:
-        raise IndexError(f"step {t} outside [1, {s.steps}]")
+        raise ContractError(f"step {t} outside [1, {s.steps}]")
     ab = s.alpha_bar[t - 1]
     return float(np.sqrt(ab)), float(np.sqrt(1.0 - ab)), float(s.sigma[t - 1])
 

@@ -146,15 +146,16 @@ def _spans(lengths, total: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, lengths=None) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """Same-length 1-d convolution of [C_in, L] with weight [K, C_out, C_in].
 
     The weight is stored tap-major so each tap ``weight[tap]`` is a contiguous
     [C_out, C_in] matrix that goes straight to BLAS in the forward
     (``W[tap] @ x``) and both backward products; a [C_out, C_in, K] layout
-    makes every tap a strided view.  Symmetric zero padding of
-    (K-1)*dilation/2 per side keeps the output length equal to the input
-    length (non-causal).  K must be odd; K=1 is a per-frame linear map.
+    makes every tap a strided view.  Taps are adjacent (no dilation), and
+    symmetric zero padding of (K-1)/2 per side keeps the output length equal
+    to the input length (non-causal).  K must be odd; K=1 is a per-frame
+    linear map.
 
     With ``lengths``, x is a slab of segments side by side (see the module
     docstring).  Each segment is padded on its own, in one buffer, so no
@@ -166,15 +167,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, lengths=N
     k, c_out, c_in = weight.shape
     if k % 2 == 0:
         raise ConfigError(f"conv1d kernel size must be odd, got {k}")
-    if dilation < 1:
-        raise ConfigError(f"conv1d dilation must be >= 1, got {dilation}")
     if x.shape[0] != c_in:
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs weight {weight.shape}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({c_out},)")
 
     width = x.shape[1]
-    pad = (k - 1) * dilation // 2
+    pad = (k - 1) // 2
     # (start, stop, first column of the segment's padded block in xp)
     segs = [(a, b, a + 2 * pad * i) for i, (a, b) in enumerate(_spans(lengths or (width,), width))]
     if pad:
@@ -185,7 +184,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, lengths=N
         xp = x.data
 
     def tap_input(a, b, o, tap):
-        return xp[:, o + tap * dilation : o + tap * dilation + b - a]
+        return xp[:, o + tap : o + tap + b - a]
 
     acc = np.empty((c_out, width))
     scratch = np.empty(c_out * max(b - a for a, b, _ in segs)) if k > 1 else None
@@ -208,13 +207,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, lengths=N
             for a, b, _ in segs:
                 bias.accumulate(g[:, a:b].sum(axis=1))
         if x.requires_grad:
-            # tap t moves input column j to output column j + pad - t*dilation;
+            # tap t moves input column j to output column j + pad - t;
             # the products that would land in the padding are dropped
             gx = np.zeros((c_in, width))
             for a, b, _ in segs:
                 n = b - a
                 for tap in range(k):
-                    shift = tap * dilation - pad
+                    shift = tap - pad
                     lo, hi = max(shift, 0), n + min(shift, 0)
                     if lo < hi:
                         gx[:, a + lo : a + hi] += (weight.data[tap].T @ g[:, a:b])[:, lo - shift : hi - shift]
@@ -373,7 +372,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     bad = np.nonzero((idx < 0) | (idx >= v))[0]
     if bad.size:
         pos = int(bad[0])
-        raise IndexError(f"embedding index {int(idx[pos])} out of range [0, {v}) at position {pos}")
+        raise ShapeError(f"embedding index {int(idx[pos])} out of range [0, {v}) at position {pos}")
     out = Tensor(table.data[idx])
 
     def grad_fn(g):

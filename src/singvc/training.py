@@ -64,7 +64,10 @@ CKPT_MAGIC = b"DSVC"
 # holds them as [C_out, C_in, K]
 # 4: the schedule tables and ADAM's step count are derived from the config and
 # the iteration; a version-3 file stores both
-CKPT_VERSION = 4
+# 5: the STFT windows are the FFT lengths and the residual conv is 3 taps,
+# undilated; a version-4 config block also sets both window lengths and the
+# conv's width and dilation, which are no longer keys
+CKPT_VERSION = 5
 
 _STATE_KEYS = (
     "iteration",

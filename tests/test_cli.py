@@ -211,6 +211,22 @@ class TestConvert:
         assert "ppg dim" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    def test_short_embedding_table_is_error(self, extracted, trained, tmp_path, capsys):
+        from singvc.training import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(trained)
+        ckpt.params["f0_table"] = ckpt.params["f0_table"][:3]  # 3 of n_bins 16 rows
+        short = tmp_path / "short_table.ckpt"
+        save_checkpoint(short, ckpt)
+        out = tmp_path / "x.feat"
+        # utt1 is the higher note: its F0 bins reach the top of the table
+        assert run("convert", "--ckpt", short, "--ppg", extracted / "utt1.ppg.feat",
+                   "--f0", extracted / "utt1.f0.feat", "--loud", extracted / "utt1.loud.feat",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding index ") and "out of range [0, 3)" in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_self_eval_is_perfect(self, extracted, tmp_path, capsys):

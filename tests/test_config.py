@@ -9,14 +9,14 @@ from singvc.errors import ConfigError
 def test_defaults_match_published_setup():
     cfg = RunConfig()
     assert cfg.sample_rate == 24000
-    assert (cfg.n_fft, cfg.win_size, cfg.hop_size) == (1024, 1024, 240)
+    assert (cfg.n_fft, cfg.hop_size) == (1024, 240)
     assert cfg.n_mels == 80
     assert cfg.ppg_dim == 218
     assert cfg.diffusion_steps == 100
     assert (cfg.beta_start, cfg.beta_end) == (1e-4, 0.06)
     assert (cfg.layers, cfg.channels, cfg.cond_dim, cfg.n_bins) == (20, 256, 256, 256)
     assert cfg.lr == 2e-4
-    assert (cfg.loud_fft, cfg.loud_win) == (2048, 2048)
+    assert cfg.loud_fft == 2048
 
 
 def test_parse_serialize_idempotent():
@@ -33,8 +33,10 @@ def test_comments_and_blank_lines():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("bogus = 1\n")
+    # the last four were settings up to checkpoint version 4
+    for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key} = 1\n")
 
 
 def test_duplicate_key_rejected():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from singvc import tensor as T
-from singvc.denoiser import Denoiser, ModelConfig, sinusoidal_step_vector
+from singvc.config import RunConfig
+from singvc.denoiser import RESIDUAL_TAPS, Denoiser, ModelConfig, sinusoidal_step_vector
 from singvc.diffusion import diffusion_loss
 from singvc.errors import InputError, ShapeError
 from singvc.rng import RandomStream
@@ -22,7 +23,7 @@ def toy_model():
 
 @pytest.fixture(scope="module")
 def default_model():
-    return Denoiser.init(ModelConfig(), RandomStream(0).split("default"))
+    return Denoiser.init(RunConfig().model_config(), RandomStream(0).split("default"))
 
 
 def toy_inputs(frames, seed=0):
@@ -186,7 +187,7 @@ class TestPredictEps:
         cond_b = model.build_conditioner(shifted(ppg, shift), shifted(f0_bins, shift), shifted(loud_bins, shift))
         out_b = model.predict_eps(Tensor(shifted(y.data, shift)), 9, cond_b).data
 
-        margin = TOY.layers * (TOY.kernel_size - 1) * TOY.dilation // 2
+        margin = TOY.layers * (RESIDUAL_TAPS - 1) // 2
         interior = slice(margin + shift, frames - margin)
         np.testing.assert_allclose(
             out_b[interior], out_a[margin : frames - margin - shift], rtol=0, atol=1e-12

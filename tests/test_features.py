@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from singvc import featio, features
+from singvc.config import RunConfig
 from singvc.errors import ConfigError, FormatError, InputError
 from singvc.features import (
     F0Contour,
     LOG_MEL_FLOOR,
     LOUDNESS_FLOOR,
-    MelConfig,
     MelStats,
     a_weighting_db,
     compute_log_mel,
@@ -27,7 +27,7 @@ from singvc.features import (
 )
 from singvc.rng import RandomStream
 
-CFG = MelConfig()
+CFG = RunConfig().mel_config()
 
 
 def sine(freq, seconds=1.0, sr=24000, amp=0.5):

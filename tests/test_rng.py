@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from singvc.errors import ContractError
 from singvc.rng import RandomStream
 
 
@@ -41,6 +43,12 @@ def test_integers_cover_range_uniformly():
     assert vals.min() == 1 and vals.max() == 100
     counts = np.bincount(vals)[1:]
     assert counts.min() > 350  # expected 500 per bin
+
+
+def test_integers_reject_an_empty_range():
+    with pytest.raises(ContractError, match=r"empty integer range \[4, 4\)"):
+        RandomStream(3).integers(4, 4)
+
 
 def test_uniform_in_unit_interval():
     u = RandomStream(11).uniform(100_000)

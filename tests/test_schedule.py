@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singvc.errors import ConfigError
+from singvc.errors import ConfigError, ContractError
 from singvc.schedule import linear_schedule, schedule_csv, step_stats
 
 
@@ -62,9 +62,9 @@ def test_step_stats_values():
 
 def test_step_stats_range_checked():
     s = linear_schedule(10, 1e-4, 0.06)
-    with pytest.raises(IndexError):
+    with pytest.raises(ContractError):
         step_stats(s, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ContractError):
         step_stats(s, 11)
 
 

@@ -69,7 +69,7 @@ class TestMatmul:
 
 def conv1d_reference(w, x, b, dilation, g):
     """The per-tap loop on a [C_out, C_in, K] weight: output and the x, w, b
-    gradients for upstream gradient g."""
+    gradients for upstream gradient g.  ``conv1d`` is its dilation-1 case."""
     c_out, _, k = w.shape
     length = x.shape[1]
     pad = (k - 1) * dilation // 2
@@ -103,7 +103,7 @@ class TestConv1d:
         with pytest.raises(ConfigError):
             T.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((2, 1, 1))), T.zeros(1))
 
-    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("dilation", [1])  # of the reference loss; conv1d's only one
     def test_gradients_match_finite_differences(self, dilation):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
@@ -119,13 +119,13 @@ class TestConv1d:
                 acc += w.data[k] @ xp[:, k * dilation : k * dilation + 5]
             return float(((acc + b.data[:, None]) * probe).sum())
 
-        out = T.tsum(T.mul(T.conv1d(x, w, b, dilation), Tensor(probe)))
+        out = T.tsum(T.mul(T.conv1d(x, w, b), Tensor(probe)))
         backward(out)
         for t in (x, w, b):
             assert max_rel_err(t.grad, fd_grad(loss, t.data)) < 1e-6
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("dilation", [1])  # of the reference; conv1d's only one
     @pytest.mark.parametrize("c_out, c_in, length", [(3, 2, 7), (48, 40, 37)])
     def test_tap_major_matches_reference_bit_for_bit(self, k, dilation, c_out, c_in, length):
         rng = np.random.default_rng(13)
@@ -136,7 +136,7 @@ class TestConv1d:
         probe = rng.normal(size=(c_out, length))
         out_ref, gx_ref, gw_ref, gb_ref = conv1d_reference(w_ref, x.data, b.data, dilation, probe)
 
-        out = T.conv1d(x, w, b, dilation)
+        out = T.conv1d(x, w, b)
         backward(T.tsum(T.mul(out, Tensor(probe))))
         np.testing.assert_array_equal(out.data, out_ref)
         np.testing.assert_array_equal(x.grad, gx_ref)
@@ -153,14 +153,14 @@ class TestSegments:
         starts = np.cumsum((0,) + self.LENGTHS)
         return [a[..., s:e] for s, e in zip(starts, starts[1:])]
 
-    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2)])
-    def test_conv1d_is_each_segment_alone(self, k, dilation):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv1d_is_each_segment_alone(self, k):
         rng = np.random.default_rng(17)
         x = Tensor(rng.normal(size=(6, sum(self.LENGTHS))), requires_grad=True)
         w = Tensor(rng.normal(size=(k, 5, 6)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
         probe = rng.normal(size=(5, sum(self.LENGTHS)))
-        out = T.conv1d(x, w, b, dilation, self.LENGTHS)
+        out = T.conv1d(x, w, b, self.LENGTHS)
         backward(T.tsum(T.mul(out, Tensor(probe))))
 
         gw = gb = None
@@ -168,7 +168,7 @@ class TestSegments:
                                     self.segments(x.grad)):
             xi = Tensor(xs.copy(), requires_grad=True)
             wi, bi = Tensor(w.data, requires_grad=True), Tensor(b.data, requires_grad=True)
-            oi = T.conv1d(xi, wi, bi, dilation)
+            oi = T.conv1d(xi, wi, bi)
             backward(T.tsum(T.mul(oi, Tensor(ps.copy()))))
             assert np.ascontiguousarray(os_).tobytes() == oi.data.tobytes()
             assert np.ascontiguousarray(gxs).tobytes() == xi.grad.tobytes()
@@ -222,7 +222,7 @@ class TestSegments:
     def test_lengths_must_tile_the_slab(self):
         x = Tensor(np.zeros((2, 5)))
         with pytest.raises(ShapeError, match="do not tile"):
-            T.conv1d(x, Tensor(np.zeros((1, 2, 2))), T.zeros(2), 1, (2, 2))
+            T.conv1d(x, Tensor(np.zeros((1, 2, 2))), T.zeros(2), (2, 2))
         with pytest.raises(ShapeError):
             T.add_per_segment(x, [T.zeros((1, 2))], (2, 3))
 
@@ -292,7 +292,7 @@ class TestEmbedding:
 
     def test_out_of_range_names_position(self):
         table = Tensor(np.zeros((4, 2)))
-        with pytest.raises(IndexError, match="position 2"):
+        with pytest.raises(ShapeError, match="position 2"):
             T.embedding_lookup(table, [0, 1, 7])
 
 

@@ -191,15 +191,15 @@ def reference_predict_eps(model, y_t, t, cond):
     one graph: each batch element ran this on its own."""
     p, cfg = model.params, model.cfg
 
-    def conv(name, x, dilation=1):
-        return T.conv1d(x, p[f"{name}.w"], p[f"{name}.b"], dilation)
+    def conv(name, x):
+        return T.conv1d(x, p[f"{name}.w"], p[f"{name}.b"])
 
     h = T.relu(conv("input_conv", T.transpose(y_t)))
     h = T.add(h, T.transpose(model.step_vector(t)))
     ec = T.transpose(cond)
     c, skip = cfg.channels, None
     for i in range(cfg.layers):
-        u = T.add(conv(f"layer{i}.dilated", h, cfg.dilation), conv(f"layer{i}.cond", ec))
+        u = T.add(conv(f"layer{i}.dilated", h), conv(f"layer{i}.cond", ec))
         gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
         h = T.scale(T.add(h, conv(f"layer{i}.residual", gate)), T.SQRT_HALF)
         s = conv(f"layer{i}.skip", gate)
@@ -485,8 +485,9 @@ class TestCheckpoint:
     def test_old_version_rejected(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
         # 1: fan-in-scaled step weights; 2: conv weights [C_out, C_in, K];
-        # 3: stored schedule tables and ADAM step count
-        for version in (1, 2, 3):
+        # 3: stored schedule tables and ADAM step count; 4: STFT window and
+        # residual conv settings in the config block
+        for version in (1, 2, 3, 4):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
