@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import featio, gradcheck, metrics
-from .config import load_config
+from .config import RunConfig, load_config
 from .diffusion import sample
 from .errors import DataError, FormatError, InputError, MetricUndefinedError, SingvcError
 from .features import (
@@ -51,10 +51,11 @@ def _write_text(path, text: str) -> None:
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     wav, sr = read_wav(args.wav)
-    mel_cfg = cfg.mel_config()
-    log_mel = compute_log_mel(wav, mel_cfg, sample_rate=sr)
-    f0 = estimate_f0(wav, sr, cfg.hop_size, cfg.f0_min, cfg.f0_max)
-    loud = compute_loudness(wav, sr, cfg.loud_fft, cfg.hop_size)
+    if sr != cfg.sample_rate:
+        raise InputError(f"audio sample rate {sr} != configured {cfg.sample_rate}")
+    log_mel = compute_log_mel(wav, cfg)
+    f0 = estimate_f0(wav, cfg)
+    loud = compute_loudness(wav, cfg)
     frames = log_mel.shape[0]
 
     if args.ppg is not None:
@@ -131,7 +132,7 @@ def cmd_convert(args) -> int:
 
     featio.write_feat(args.out, ckpt.stats.mel.denormalize(mel) if args.denorm else mel)
     if args.wav:
-        audio = invert_log_mel(ckpt.stats.mel.denormalize(mel), cfg.mel_config())
+        audio = invert_log_mel(ckpt.stats.mel.denormalize(mel), cfg)
         write_wav(args.wav, audio, cfg.sample_rate)
     return 0
 
@@ -230,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("schedule", help="dump the noise schedule tables as CSV")
-    p.add_argument("--T", dest="steps", type=int, default=100)
-    p.add_argument("--beta-start", type=float, default=1e-4)
-    p.add_argument("--beta-end", type=float, default=0.06)
+    p.add_argument("--T", dest="steps", type=int, default=RunConfig.diffusion_steps)
+    p.add_argument("--beta-start", type=float, default=RunConfig.beta_start)
+    p.add_argument("--beta-end", type=float, default=RunConfig.beta_end)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_schedule)
 

@@ -1,7 +1,8 @@
 """Flat key=value run configuration covering features, schedule, model and
 training.  Unknown keys are rejected; parse -> serialize -> parse is
-idempotent.  The defaults are the published setup, stated here only:
-`MelConfig` and `ModelConfig` are built from a `RunConfig`."""
+idempotent.  The defaults are the published setup, stated here only: the
+feature functions read a `RunConfig` itself, and `ModelConfig` is built from
+one."""
 
 from __future__ import annotations
 
@@ -11,19 +12,17 @@ from pathlib import Path
 
 from .denoiser import ModelConfig
 from .errors import ConfigError
-from .features import MelConfig
 from .schedule import NoiseSchedule, linear_schedule
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    # features; each STFT's window is as long as its FFT
+    # features; each STFT's window is as long as its FFT, and the mel band
+    # spans 0 Hz to sample_rate / 2
     sample_rate: int = 24000
     n_fft: int = 1024
     hop_size: int = 240
     n_mels: int = 80
-    mel_fmin: float = 0.0
-    mel_fmax: float = 12000.0
     f0_min: float = 40.0
     f0_max: float = 800.0
     loud_fft: int = 2048
@@ -46,16 +45,6 @@ class RunConfig:
     log_every: int = 50
     ckpt_every: int = 0
     grad_clip: float = 0.0
-
-    def mel_config(self) -> MelConfig:
-        return MelConfig(
-            sample_rate=self.sample_rate,
-            n_fft=self.n_fft,
-            hop_size=self.hop_size,
-            n_mels=self.n_mels,
-            fmin=self.mel_fmin,
-            fmax=self.mel_fmax,
-        )
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})

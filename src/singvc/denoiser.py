@@ -68,10 +68,47 @@ def sinusoidal_step_vector(t: int) -> np.ndarray:
     return np.concatenate([np.sin(freqs * t), np.cos(freqs * t)])
 
 
-def _fan_in_uniform(rng: RandomStream, shape, fan_in: int) -> Tensor:
+def _fan_in_uniform(rng: RandomStream, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     u = rng.uniform(int(np.prod(shape))).reshape(shape)
-    return Tensor((u * 2.0 - 1.0) * bound, requires_grad=True)
+    return (u * 2.0 - 1.0) * bound
+
+
+def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Each parameter's name, stored shape and initializer, in the training
+    state's parameter order: ADAM sums its clip norm in it and a checkpoint
+    writes its records in it.  `Denoiser.init` draws from this list and
+    `training.load_checkpoint` checks a file's records against it.
+
+    Initializers: "fan_in" U(-1, 1)/sqrt(fan_in); "unit" U(-1, 1), the
+    step-path FC weights, whose fan-in constant `_step_fc` applies; "table"
+    N(0, 0.01^2); "zero"."""
+    c, e = cfg.channels, cfg.cond_dim
+    layout = []
+
+    def fc(name, d_in, d_out, init="fan_in"):
+        layout.append((f"{name}.w", (d_in, d_out), init))
+        layout.append((f"{name}.b", (1, d_out), "zero"))
+
+    def conv(name, c_out, c_in, width=1, init="fan_in"):
+        layout.append((f"{name}.w", (width, c_out, c_in), init))  # tap-major
+        layout.append((f"{name}.b", (c_out,), "zero"))
+
+    fc("ppg_prenet", cfg.ppg_dim, e)
+    layout.append(("f0_table", (cfg.n_bins, e), "table"))
+    layout.append(("loud_table", (cfg.n_bins, e), "table"))
+    fc("step_fc1", STEP_SIN_DIM, STEP_HIDDEN, "unit")
+    fc("step_fc2", STEP_HIDDEN, STEP_HIDDEN, "unit")
+    fc("step_proj", STEP_HIDDEN, c, "unit")
+    conv("input_conv", c, cfg.n_mels)
+    for i in range(cfg.layers):
+        conv(f"layer{i}.dilated", 2 * c, c, RESIDUAL_TAPS)
+        conv(f"layer{i}.cond", 2 * c, e)
+        conv(f"layer{i}.residual", c, c)
+        conv(f"layer{i}.skip", c, c)
+    conv("out_conv1", c, c)
+    conv("out_conv2", cfg.n_mels, c, init="zero")
+    return layout
 
 
 class Denoiser:
@@ -83,45 +120,23 @@ class Denoiser:
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: RandomStream) -> "Denoiser":
-        """Fan-in uniform weights (unit-scale U(-1, 1) on the step path),
-        zero biases, N(0, 0.01^2) embedding tables, zero-initialized final
-        convolution.  The insertion order of ``params`` is the training
-        state's parameter order: ADAM sums its clip norm in it and a
-        checkpoint writes its records in it."""
-        c, e = cfg.channels, cfg.cond_dim
+        """Parameters drawn in `parameter_layout`'s order, which is also the
+        insertion order of ``params``."""
         p: dict[str, Tensor] = {}
-
-        def fc(name, d_in, d_out):
-            p[f"{name}.w"] = _fan_in_uniform(rng, (d_in, d_out), d_in)
-            p[f"{name}.b"] = T.zeros((1, d_out), requires_grad=True)
-
-        def conv(name, c_out, c_in, width):
-            # drawn [C_out, C_in, K], stored tap-major [K, C_out, C_in]
-            w = _fan_in_uniform(rng, (c_out, c_in, width), c_in * width).data
-            p[f"{name}.w"] = Tensor(np.ascontiguousarray(w.transpose(2, 0, 1)), requires_grad=True)
-            p[f"{name}.b"] = T.zeros((c_out,), requires_grad=True)
-
-        fc("ppg_prenet", cfg.ppg_dim, e)
-        p["f0_table"] = Tensor(rng.normal((cfg.n_bins, e)) * 0.01, requires_grad=True)
-        p["loud_table"] = Tensor(rng.normal((cfg.n_bins, e)) * 0.01, requires_grad=True)
-
-        def step_fc(name, d_in, d_out):
-            # stored at unit scale; _step_fc applies the fan-in constant
-            p[f"{name}.w"] = _fan_in_uniform(rng, (d_in, d_out), 1)
-            p[f"{name}.b"] = T.zeros((1, d_out), requires_grad=True)
-
-        step_fc("step_fc1", STEP_SIN_DIM, STEP_HIDDEN)
-        step_fc("step_fc2", STEP_HIDDEN, STEP_HIDDEN)
-        step_fc("step_proj", STEP_HIDDEN, c)
-        conv("input_conv", c, cfg.n_mels, 1)
-        for i in range(cfg.layers):
-            conv(f"layer{i}.dilated", 2 * c, c, RESIDUAL_TAPS)
-            conv(f"layer{i}.cond", 2 * c, e, 1)
-            conv(f"layer{i}.residual", c, c, 1)
-            conv(f"layer{i}.skip", c, c, 1)
-        conv("out_conv1", c, c, 1)
-        p["out_conv2.w"] = T.zeros((1, cfg.n_mels, c), requires_grad=True)
-        p["out_conv2.b"] = T.zeros((cfg.n_mels,), requires_grad=True)
+        for name, shape, init in parameter_layout(cfg):
+            if init == "zero":
+                p[name] = T.zeros(shape, requires_grad=True)
+                continue
+            if init == "table":
+                data = rng.normal(shape) * 0.01
+            elif len(shape) == 3:
+                # a conv: drawn [C_out, C_in, K], stored tap-major [K, C_out, C_in]
+                k, c_out, c_in = shape
+                w = _fan_in_uniform(rng, (c_out, c_in, k), c_in * k)
+                data = np.ascontiguousarray(w.transpose(2, 0, 1))
+            else:
+                data = _fan_in_uniform(rng, shape, shape[0] if init == "fan_in" else 1)
+            p[name] = Tensor(data, requires_grad=True)
         return cls(cfg, p)
 
     def _fc(self, name: str, x: Tensor) -> Tensor:

@@ -1,6 +1,10 @@
 """Audio feature extraction: mel spectrograms, F0, loudness, quantization,
 PPG handling, and best-effort mel inversion.
 
+The analysis functions take the `RunConfig` itself and read the published
+values from it (sample rate, FFT lengths, hop, mel bins, F0 range), so each
+is stated once, in `config`.
+
 Features are plain float64 arrays with frames on axis 0 (log-mel and PPGs
 [frames, dim], loudness [frames]); quantized contours are int64 bins.  Only
 F0 has a type, `F0Contour`, which carries the rule that a frame is voiced
@@ -12,7 +16,7 @@ Fixed conventions (tests depend on these):
     short to reflect);
   * periodic Hann window as long as the FFT;
   * triangular mel filterbank on the Slaney mel scale with Slaney area
-    normalization, f_min = 0, f_max = sample_rate / 2 by default;
+    normalization, spanning 0 Hz to sample_rate / 2;
   * log compression is ln(mel_power + 1e-5); the floor keeps silence finite;
   * min-max normalization maps corpus min/max to exactly [-1, +1]; values
     outside the stored range clamp.
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, FormatError, InputError
 from .featio import read_feat
 from .rng import RandomStream
@@ -36,18 +41,6 @@ LOUDNESS_FLOOR = 1e-10
 YIN_THRESHOLD = 0.1
 YIN_FRAME = 2048  # samples per F0 analysis window
 GRIFFIN_LIM_ITERATIONS = 32
-
-
-@dataclass(frozen=True)
-class MelConfig:
-    """Mel analysis settings; `RunConfig.mel_config` holds the published ones."""
-
-    sample_rate: int
-    n_fft: int
-    hop_size: int
-    n_mels: int
-    fmin: float
-    fmax: float
 
 
 @dataclass(frozen=True)
@@ -135,11 +128,12 @@ def _mel_to_hz(mel):
     return hz
 
 
-def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """[n_mels, n_fft//2 + 1] triangular filters, Slaney area normalization."""
+def mel_filterbank(cfg: RunConfig) -> np.ndarray:
+    """[n_mels, n_fft//2 + 1] triangular filters from 0 Hz to Nyquist, Slaney
+    area normalization."""
     n_bins = cfg.n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
-    mel_pts = np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(cfg.sample_rate / 2), cfg.n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
     fb = np.zeros((cfg.n_mels, n_bins))
     for m in range(cfg.n_mels):
@@ -150,10 +144,8 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return fb
 
 
-def compute_log_mel(wav: np.ndarray, cfg: MelConfig, sample_rate: int | None = None) -> np.ndarray:
+def compute_log_mel(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Unnormalized log-mel, [frames, n_mels]: ln(filterbank @ |STFT|^2 + floor)."""
-    if sample_rate is not None and sample_rate != cfg.sample_rate:
-        raise InputError(f"audio sample rate {sample_rate} != configured {cfg.sample_rate}")
     power = np.abs(stft(wav, cfg.n_fft, cfg.hop_size)) ** 2
     mel_power = power @ mel_filterbank(cfg).T
     return np.log(mel_power + LOG_MEL_FLOOR)
@@ -200,14 +192,9 @@ def _fft_size(n: int) -> int:
         n += 1
 
 
-def estimate_f0(
-    wav: np.ndarray,
-    sample_rate: int,
-    hop: int,
-    f_min: float,
-    f_max: float,
-) -> F0Contour:
-    """Per-frame F0 by normalized autocorrelation (YIN-style).
+def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
+    """Per-frame F0 in [cfg.f0_min, cfg.f0_max] by normalized autocorrelation
+    (YIN-style).
 
     The squared-difference function over candidate lags is normalized by its
     cumulative mean, the first dip under `YIN_THRESHOLD` is picked (walked to
@@ -217,6 +204,7 @@ def estimate_f0(
     """
     if len(wav) == 0:
         raise InputError("empty audio")
+    sample_rate, f_min, f_max = cfg.sample_rate, cfg.f0_min, cfg.f0_max
     if not (0.0 < f_min < f_max < sample_rate / 2.0):
         raise ConfigError(f"need 0 < f_min < f_max < {sample_rate / 2}, got [{f_min}, {f_max}]")
     tau_min = max(2, int(math.ceil(sample_rate / f_max)))
@@ -224,7 +212,7 @@ def estimate_f0(
     w = YIN_FRAME
     if w < tau_max:
         raise ConfigError(f"frame length {w} shorter than one f_min period ({tau_max} samples)")
-    segs = _frames(wav, w, hop, extra_right=tau_max + 1)
+    segs = _frames(wav, w, cfg.hop_size, extra_right=tau_max + 1)
     count = segs.shape[0]
     n_lags = tau_max + 2  # need d at tau_max + 1 for interpolation
 
@@ -303,15 +291,12 @@ def a_weighting_db(freqs) -> np.ndarray:
     return raw(freqs) - raw(1000.0)
 
 
-def compute_loudness(
-    wav: np.ndarray,
-    sample_rate: int,
-    n_fft: int = 2048,
-    hop: int = 240,
-) -> np.ndarray:
-    """Per-frame natural log of the A-weighted power-spectrum sum, [frames]."""
-    power = np.abs(stft(wav, n_fft, hop)) ** 2
-    freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+def compute_loudness(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """Per-frame natural log of the A-weighted power-spectrum sum, [frames],
+    from a `loud_fft`-point STFT."""
+    n_fft = cfg.loud_fft
+    power = np.abs(stft(wav, n_fft, cfg.hop_size)) ** 2
+    freqs = np.arange(n_fft // 2 + 1) * cfg.sample_rate / n_fft
     weights = 10.0 ** (a_weighting_db(freqs) / 10.0)
     weights[freqs <= 0] = 0.0
     return np.log(power @ weights + LOUDNESS_FLOOR)
@@ -321,7 +306,7 @@ def compute_loudness(
 # quantization
 
 
-def quantize(values: np.ndarray, lo: float, hi: float, n_bins: int = 256) -> np.ndarray:
+def quantize(values: np.ndarray, lo: float, hi: float, n_bins: int) -> np.ndarray:
     """int64 bin = clamp(floor((v - lo) / (hi - lo) * n_bins), 0, n_bins - 1)."""
     if not lo < hi:
         raise ConfigError(f"quantization range invalid: lo {lo} >= hi {hi}")
@@ -333,7 +318,7 @@ def quantize(values: np.ndarray, lo: float, hi: float, n_bins: int = 256) -> np.
 # PPG
 
 
-def synth_ppg(frames: int, dim: int = 218, seed: int = 0) -> np.ndarray:
+def synth_ppg(frames: int, dim: int, seed: int = 0) -> np.ndarray:
     """Synthetic stand-in for ASR posteriors, [frames, dim]: temporally
     smoothed noise, softmax-normalized per frame."""
     if frames <= 0 or dim <= 0:
@@ -383,7 +368,7 @@ def _istft(spec: np.ndarray, n_fft: int, hop: int, num_samples: int) -> np.ndarr
     return out
 
 
-def invert_log_mel(log_mel: np.ndarray, cfg: MelConfig) -> np.ndarray:
+def invert_log_mel(log_mel: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Pseudo-inverse filterbank plus Griffin-Lim phase reconstruction.
 
     Zero-phase initialization keeps the output deterministic.  Output length

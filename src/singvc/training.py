@@ -28,7 +28,9 @@ previous checkpoint intact.
 The reader streams: each record is read straight into its final array, its
 size checked against the bytes left in the file first, and a read for
 inference (``optimizer=False``) seeks past the ADAM moment records, which
-are twice the size of the parameters.
+are twice the size of the parameters.  The records read are then checked
+against the config's parameter layout (``denoiser.parameter_layout``), so a
+missing, extra or misshapen record fails the load with a `FormatError`.
 
 A `Checkpoint` is the training state itself: `train` builds one, advances
 its parameter arrays, ADAM moments, stream and iteration in place, and saves
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig, parse_config_text, serialize_config
-from .denoiser import Denoiser, ModelConfig
+from .denoiser import Denoiser, ModelConfig, parameter_layout
 from .diffusion import diffusion_loss, gaussian
 from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from .features import F0Contour, MelStats, quantize
@@ -67,7 +69,9 @@ CKPT_MAGIC = b"DSVC"
 # 5: the STFT windows are the FFT lengths and the residual conv is 3 taps,
 # undilated; a version-4 config block also sets both window lengths and the
 # conv's width and dilation, which are no longer keys
-CKPT_VERSION = 5
+# 6: the mel band spans 0 Hz to sample_rate / 2; a version-5 config block also
+# sets the band's two edges, which are no longer keys
+CKPT_VERSION = 6
 
 _STATE_KEYS = (
     "iteration",
@@ -364,6 +368,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             else:
                 params[name] = arr
 
+    _check_records(path, config, params, adam)
     iteration = int(extras["iteration"])
     if adam is not None:
         # `train` saves only between iterations, each one ADAM step
@@ -382,6 +387,26 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         iteration=iteration,
         rng=RandomStream(int(extras["rng_seed"]), int(extras["rng_counter"])),
     )
+
+
+def _check_records(path, config: RunConfig, params: dict[str, np.ndarray], adam: Adam | None) -> None:
+    """The records hold every parameter of the config's layout at its shape
+    and nothing else; each ADAM moment set covers them too, or is empty (a
+    save before the first step)."""
+    shapes = {name: shape for name, shape, _ in parameter_layout(config.model_config())}
+    groups = [("", params)] + ([] if adam is None else [("adam.m.", adam.m), ("adam.v.", adam.v)])
+    for prefix, arrays in groups:
+        if prefix and not arrays:
+            continue
+        missing = [prefix + name for name in shapes if name not in arrays]
+        if missing:
+            raise FormatError(f"{path}: missing records {missing}")
+        for name, arr in arrays.items():
+            if name not in shapes:
+                raise FormatError(f"{path}: unexpected record {prefix + name!r}")
+            if arr.shape != shapes[name]:
+                raise FormatError(f"{path}: record {prefix + name!r} has shape {arr.shape}, "
+                                  f"expected {shapes[name]}")
 
 
 _DIM_FIELDS = (
@@ -456,6 +481,7 @@ def train(
     if log_file:
         log_file.write("iteration,loss,wall_ms\n")
     losses: list[float] = []
+    saved = None  # the iteration of this call's last save
     try:
         for it in range(state.iteration + 1, cfg.n_iter + 1):
             tic = time.perf_counter()
@@ -487,10 +513,11 @@ def train(
                 log_file.write(f"{it},{loss!r},{wall_ms:.3f}\n")
             if ckpt_path and cfg.ckpt_every > 0 and it % cfg.ckpt_every == 0:
                 save_checkpoint(ckpt_path, state)
+                saved = it
     finally:
         if log_file:
             log_file.close()
 
-    if ckpt_path:
+    if ckpt_path and saved != state.iteration:
         save_checkpoint(ckpt_path, state)
     return state, losses

@@ -88,9 +88,9 @@ def _overfit_sample() -> TrainingSample:
     return TrainingSample(
         name="one",
         ppg=synth_ppg(64, OVERFIT_CFG.ppg_dim, 0),
-        f0=estimate_f0(wav, 24000, 240, 40.0, 800.0),
-        loudness=compute_loudness(wav, 24000),
-        log_mel=compute_log_mel(wav, OVERFIT_CFG.mel_config()),
+        f0=estimate_f0(wav, OVERFIT_CFG),
+        loudness=compute_loudness(wav, OVERFIT_CFG),
+        log_mel=compute_log_mel(wav, OVERFIT_CFG),
     )
 
 
@@ -273,7 +273,7 @@ def test_criterion_7_f0_ensemble():
     for freq in (110.0, 220.0, 440.0):
         t = np.arange(24000) / 24000
         tone = 0.4 * np.sin(2 * np.pi * freq * t)
-        contour = estimate_f0(tone, 24000, 240, 40.0, 800.0)
+        contour = estimate_f0(tone, RunConfig())
         voiced = contour.hz[contour.voiced]
         max_dev = max(max_dev, abs(float(np.median(voiced)) - freq))
 

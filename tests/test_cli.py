@@ -5,6 +5,10 @@ import pytest
 
 from singvc import cli, errors, featio
 from singvc.cli import main
+from singvc.features import write_wav
+from singvc.training import load_checkpoint, save_checkpoint
+
+from conftest import synth_voice
 
 
 def run(*argv):
@@ -58,6 +62,15 @@ class TestExtract:
             run("extract", "--wav", cli_workspace["wavs"][0], "--out",
                 cli_workspace["root"] / "x", "--config", cli_workspace["cfg"])
         assert exc.value.code == 2
+
+    def test_sample_rate_mismatch_is_error(self, cli_workspace, tmp_path, capsys):
+        wav = tmp_path / "low.wav"
+        write_wav(wav, synth_voice(220.0, sr=16000), 16000)
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", wav, "--out", out, "--config", cli_workspace["cfg"],
+                   "--synth-ppg", 0) == 1
+        assert capsys.readouterr().err == "error: audio sample rate 16000 != configured 24000\n"
+        assert not out.exists()
 
     def test_missing_wav_is_runtime_error(self, cli_workspace, capsys):
         code = run("extract", "--wav", cli_workspace["root"] / "nope.wav", "--out",
@@ -211,20 +224,34 @@ class TestConvert:
         assert "ppg dim" in capsys.readouterr().err.lower()
         assert not out.exists()
 
-    def test_short_embedding_table_is_error(self, extracted, trained, tmp_path, capsys):
-        from singvc.training import load_checkpoint, save_checkpoint
-
+    @staticmethod
+    def convert_damaged(trained, extracted, tmp_path, damage):
+        """`convert` on a copy of the trained checkpoint whose parameters
+        `damage` altered; returns the exit code, the copy and the output."""
         ckpt = load_checkpoint(trained)
-        ckpt.params["f0_table"] = ckpt.params["f0_table"][:3]  # 3 of n_bins 16 rows
-        short = tmp_path / "short_table.ckpt"
-        save_checkpoint(short, ckpt)
-        out = tmp_path / "x.feat"
-        # utt1 is the higher note: its F0 bins reach the top of the table
-        assert run("convert", "--ckpt", short, "--ppg", extracted / "utt1.ppg.feat",
+        damage(ckpt.params)
+        damaged, out = tmp_path / "damaged.ckpt", tmp_path / "x.feat"
+        save_checkpoint(damaged, ckpt)
+        code = run("convert", "--ckpt", damaged, "--ppg", extracted / "utt1.ppg.feat",
                    "--f0", extracted / "utt1.f0.feat", "--loud", extracted / "utt1.loud.feat",
-                   "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: embedding index ") and "out of range [0, 3)" in err
+                   "--out", out)
+        return code, damaged, out
+
+    def test_short_embedding_table_is_error(self, extracted, trained, tmp_path, capsys):
+        def cut(params):
+            params["f0_table"] = params["f0_table"][:3]  # 3 of n_bins 16 rows
+
+        code, damaged, out = self.convert_damaged(trained, extracted, tmp_path, cut)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {damaged}: record 'f0_table' has shape (3, 16), expected (16, 16)\n")
+        assert not out.exists()
+
+    def test_missing_record_is_error(self, extracted, trained, tmp_path, capsys):
+        code, damaged, out = self.convert_damaged(trained, extracted, tmp_path,
+                                                  lambda params: params.pop("layer1.skip.w"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {damaged}: missing records ['layer1.skip.w']\n"
         assert not out.exists()
 
 

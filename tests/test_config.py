@@ -33,8 +33,8 @@ def test_comments_and_blank_lines():
 
 
 def test_unknown_key_rejected():
-    # the last four were settings up to checkpoint version 4
-    for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation"):
+    # settings up to checkpoint version 4 (the next four) and 5 (the last two)
+    for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation", "mel_fmin", "mel_fmax"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config_text(f"{key} = 1\n")
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from singvc import cli, featio
+from singvc import cli, featio, training
 from singvc import tensor as T
 from singvc.config import RunConfig
 from singvc.denoiser import Denoiser
@@ -361,6 +361,21 @@ class TestTrainLoop:
         _, losses_b = train(corpus, TOY_CFG)
         assert losses_a == losses_b
 
+    @pytest.mark.parametrize("ckpt_every, saved", [(2, [2, 4]), (3, [3, 4]), (0, [4])],
+                             ids=["every2", "every3", "off"])
+    def test_each_iteration_saves_at_most_once(self, corpus, tmp_path, monkeypatch, ckpt_every, saved):
+        iterations = []
+        inner = training.save_checkpoint
+
+        def save(path, ckpt):
+            iterations.append(ckpt.iteration)
+            inner(path, ckpt)
+
+        monkeypatch.setattr(training, "save_checkpoint", save)
+        cfg = dataclasses.replace(TOY_CFG, n_iter=4, ckpt_every=ckpt_every)
+        train(corpus, cfg, ckpt_path=tmp_path / "model.ckpt")
+        assert iterations == saved
+
     def test_loss_is_logged(self, corpus, tmp_path):
         log = tmp_path / "loss.csv"
         train(corpus, TOY_CFG, log_path=log)
@@ -486,8 +501,9 @@ class TestCheckpoint:
         ckpt, _ = train(corpus, TOY_CFG)
         # 1: fan-in-scaled step weights; 2: conv weights [C_out, C_in, K];
         # 3: stored schedule tables and ADAM step count; 4: STFT window and
-        # residual conv settings in the config block
-        for version in (1, 2, 3, 4):
+        # residual conv settings in the config block; 5: the mel band's edges
+        # in the config block
+        for version in (1, 2, 3, 4, 5):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
@@ -495,6 +511,29 @@ class TestCheckpoint:
             path.write_bytes(bytes(data))
             with pytest.raises(FormatError, match=f"version {version}"):
                 load_checkpoint(path)
+
+    DAMAGE = {
+        "missing": (lambda ck: ck.params.pop("layer1.skip.w"), r"missing records \['layer1.skip.w'\]"),
+        "short_table": (lambda ck: ck.params.update(f0_table=ck.params["f0_table"][:3]),
+                        r"record 'f0_table' has shape \(3, 16\), expected \(16, 16\)"),
+        "unexpected": (lambda ck: ck.params.update(extra=np.zeros(2)), r"unexpected record 'extra'"),
+        "missing_moment": (lambda ck: ck.adam.v.pop("out_conv2.b"), r"missing records \['adam.v.out_conv2.b'\]"),
+        "moment_shape": (lambda ck: ck.adam.m.update({"step_fc1.b": np.zeros((1, 3))}),
+                         r"record 'adam.m.step_fc1.b' has shape \(1, 3\), expected \(1, 512\)"),
+    }
+
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_damaged_records_rejected_at_load(self, corpus, tmp_path, kind):
+        damage, message = self.DAMAGE[kind]
+        ckpt, _ = train(corpus, TOY_CFG)
+        damage(ckpt)
+        path = tmp_path / "damaged.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+        if "moment" not in kind:  # an inference load skips the moments
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(path, optimizer=False)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
