@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.  All randomness flows
 from explicit --seed flags.
+
+`convert` projects the conditioner into the residual layers once
+(`Denoiser.prepare`) and runs every sampling step on that projection.
 """
 
 from __future__ import annotations
@@ -112,6 +115,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _shift_f0(hz: np.ndarray, shift: float) -> np.ndarray:
+    """Voiced frames (hz > 0) times exp(shift), unvoiced frames left at 0.
+
+    A shift that is not finite, or that moves a voiced frame's F0 to
+    infinity or to zero, would silently make frames unvoiced or pin them to
+    the top melody bin, so it is an `InputError`."""
+    if not math.isfinite(shift):
+        raise InputError(f"--logf0-shift must be finite, got {shift}")
+    try:
+        # math.exp, not np.exp: numpy's can differ in the last bit (at -3.3,
+        # for one), which would move the shifted F0 of every voiced frame
+        factor = math.exp(shift)
+    except OverflowError:
+        raise InputError(f"--logf0-shift {shift} overflows: exp({shift}) is not finite") from None
+    voiced = hz > 0
+    with np.errstate(over="ignore"):
+        shifted = np.where(voiced, hz * factor, 0.0)
+    bad = voiced & ~(np.isfinite(shifted) & (shifted > 0))
+    if bad.any():
+        frame = int(bad.argmax())
+        raise InputError(f"--logf0-shift {shift} takes frame {frame}'s F0 of {hz[frame]} Hz "
+                         f"to {shifted[frame]} Hz")
+    return shifted
+
+
 def cmd_convert(args) -> int:
     ckpt = load_checkpoint(args.ckpt, optimizer=False)
     cfg = ckpt.config
@@ -124,9 +152,9 @@ def cmd_convert(args) -> int:
         raise FormatError("f0 and loudness features must be rank 1")
 
     if args.logf0_shift:
-        hz = np.where(hz > 0, hz * math.exp(args.logf0_shift), 0.0)
+        hz = _shift_f0(hz, args.logf0_shift)
     f0_bins, loud_bins = conditioner_bins(ckpt.stats, F0Contour(hz=hz), loud_values, cfg.n_bins)
-    cond = model.build_conditioner(ppg, f0_bins, loud_bins)
+    cond = model.prepare(model.build_conditioner(ppg, f0_bins, loud_bins))
     rng = RandomStream(args.seed).split("sample")
     mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng).data
 

@@ -28,6 +28,16 @@ A training batch is one forward: its segments go through the network as one
 [C, frames] slab (see ``predict_eps``), so each convolution, gate and
 residual and skip sum runs once per batch, and the tape holds one graph per
 iteration instead of one per segment.
+
+Each layer's conditioner conv (``layer{i}.cond``) does not depend on the
+diffusion step.  ``prepare`` runs them (20 at the published size) once and
+returns a ``Conditioning`` that ``predict_eps`` takes in place of the
+conditioner, so a T-step sampling chain projects the conditioner once
+instead of T times.  It holds 2 * channels doubles per layer per frame:
+80 KiB per frame at the published size.  Training passes the plain
+conditioner, and the projections then run inside the forward, in the graph.
+Either way each projection is the same BLAS call on the same operands, so
+the outputs have the same bits.
 """
 
 from __future__ import annotations
@@ -111,6 +121,20 @@ def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]
     return layout
 
 
+@dataclass(frozen=True)
+class Conditioning:
+    """A conditioner projected into every residual layer: ``layers[i]`` is
+    ``layer{i}.cond`` applied to it, [2 * channels, frames], for segments of
+    ``lengths`` frames.  Built by `Denoiser.prepare`."""
+
+    lengths: list[int]
+    layers: list[Tensor]
+
+
+def _segments(cond) -> list:
+    return cond if isinstance(cond, list) else [cond]
+
+
 class Denoiser:
     """Gated residual convolutional noise predictor with fused conditioning."""
 
@@ -177,9 +201,25 @@ class Denoiser:
         e = T.add(e, T.embedding_lookup(self.params["f0_table"], f0_bins))
         return T.add(e, T.embedding_lookup(self.params["loud_table"], loud_bins))
 
+    def _projections(self, cond, lengths):
+        """An iterator over the residual layers' conditioner projections, in
+        layer order: a `Conditioning`'s, or, for a plain conditioner, each
+        layer's cond conv run when the layer draws it."""
+        if isinstance(cond, Conditioning):
+            return iter(cond.layers)
+        ec = T.transpose(T.concat_rows(_segments(cond)))  # [cond_dim, L]
+        return (self._conv(f"layer{i}.cond", ec, lengths) for i in range(self.cfg.layers))
+
+    def prepare(self, cond) -> Conditioning:
+        """The step-invariant part of `predict_eps` for the conditioner cond
+        (one [frames, cond_dim] tensor or a batch's list of them), computed
+        once so that every step of a sampling chain can reuse it."""
+        lengths = [c.shape[0] for c in _segments(cond)]
+        return Conditioning(lengths, list(self._projections(cond, lengths)))
+
     def predict_eps(self, y_t: Tensor, t, cond) -> Tensor:
         """The noise estimate for y_t [frames, n_mels] at step t under the
-        conditioner cond [frames, cond_dim].
+        conditioner cond [frames, cond_dim], or its `prepare`d form.
 
         A batch of segments is one call: y_t stacks them along frames, and t
         and cond are lists with each segment's step and conditioner, whose
@@ -189,26 +229,23 @@ class Denoiser:
         (see ``tensor``).
         """
         cfg = self.cfg
-        steps, conds = (t, cond) if isinstance(cond, list) else ([t], [cond])
-        lengths = [c.shape[0] for c in conds]
+        steps = _segments(t)
+        lengths = cond.lengths if isinstance(cond, Conditioning) else [c.shape[0] for c in _segments(cond)]
         if y_t.data.ndim != 2 or y_t.shape[1] != cfg.n_mels:
             raise ShapeError(f"expected [frames, {cfg.n_mels}] input, got {y_t.shape}")
         if sum(lengths) != y_t.shape[0]:
             raise ShapeError(f"conditioner frames {sum(lengths)} != input frames {y_t.shape[0]}")
-        if len(steps) != len(conds):
-            raise ShapeError(f"{len(steps)} steps for {len(conds)} conditioners")
+        if len(steps) != len(lengths):
+            raise ShapeError(f"{len(steps)} steps for {len(lengths)} conditioners")
 
         h = T.relu(self._conv("input_conv", T.transpose(y_t), lengths))  # [C, L]
         h = T.add_per_segment(h, [self.step_vector(s) for s in steps], lengths)
-        ec = T.transpose(T.concat_rows(conds))                             # [cond_dim, L]
+        projections = self._projections(cond, lengths)
 
         c = cfg.channels
         skip = None
         for i in range(cfg.layers):
-            u = T.add(
-                self._conv(f"layer{i}.dilated", h, lengths),
-                self._conv(f"layer{i}.cond", ec, lengths),
-            )
+            u = T.add(self._conv(f"layer{i}.dilated", h, lengths), next(projections))
             gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
             h = T.scale(T.add(h, self._conv(f"layer{i}.residual", gate, lengths)), T.SQRT_HALF)
             s = self._conv(f"layer{i}.skip", gate, lengths)

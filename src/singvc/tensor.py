@@ -335,9 +335,14 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below;
+    # three buffers: e, the sign mask and the result
+    e = np.abs(x, out=np.empty(x.shape))  # an array even when x is 0-d
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    np.add(1.0, e, out=e)
+    return np.divide(out, e, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:

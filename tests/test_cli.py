@@ -224,6 +224,26 @@ class TestConvert:
         assert "ppg dim" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    def test_logf0_shift_moves_the_output(self, extracted, trained, tmp_path):
+        outs = [tmp_path / "plain.feat", tmp_path / "shifted.feat"]
+        for out, shift in zip(outs, ("0", "0.5")):
+            assert run("convert", "--ckpt", trained, "--ppg", extracted / "utt0.ppg.feat",
+                       "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                       "--out", out, "--logf0-shift", shift) == 0
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+
+    # nan would leave every frame unvoiced, inf put every voiced frame in the
+    # top bin, exp(800) overflows, 705 takes F0 to inf and -800 to 0
+    @pytest.mark.parametrize("shift", ["nan", "inf", "800", "705", "-800"])
+    def test_bad_logf0_shift_is_error(self, extracted, trained, tmp_path, capsys, shift):
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out, "--logf0-shift", shift) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --logf0-shift ") and err.count("\n") == 1
+        assert not out.exists()
+
     @staticmethod
     def convert_damaged(trained, extracted, tmp_path, damage):
         """`convert` on a copy of the trained checkpoint whose parameters

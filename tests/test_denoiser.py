@@ -6,7 +6,7 @@ import pytest
 from singvc import tensor as T
 from singvc.config import RunConfig
 from singvc.denoiser import RESIDUAL_TAPS, Denoiser, ModelConfig, sinusoidal_step_vector
-from singvc.diffusion import diffusion_loss
+from singvc.diffusion import diffusion_loss, sample
 from singvc.errors import InputError, ShapeError
 from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule
@@ -24,6 +24,14 @@ def toy_model():
 @pytest.fixture(scope="module")
 def default_model():
     return Denoiser.init(RunConfig().model_config(), RandomStream(0).split("default"))
+
+
+@pytest.fixture()
+def live_model():
+    """A toy model whose final conv is not zero, so its outputs are."""
+    model = Denoiser.init(TOY, RandomStream(9).split("live"))
+    model.params["out_conv2.w"].data[:] = RandomStream(10).normal((1, 8, 8)) * 0.3
+    return model
 
 
 def toy_inputs(frames, seed=0):
@@ -213,12 +221,6 @@ class TestBatchedForward:
                                          rng.integers(0, TOY.n_bins, n)) for n in self.LENGTHS]
         return y, conds
 
-    @pytest.fixture()
-    def live_model(self):
-        model = Denoiser.init(TOY, RandomStream(9).split("live"))
-        model.params["out_conv2.w"].data[:] = RandomStream(10).normal((1, 8, 8)) * 0.3
-        return model
-
     def rows(self, i):
         start = sum(self.LENGTHS[:i])
         return slice(start, start + self.LENGTHS[i])
@@ -241,9 +243,43 @@ class TestBatchedForward:
             same = base[self.rows(i)].tobytes() == other[self.rows(i)].tobytes()
             assert same == (i != perturbed), f"segment {i}"
 
+    def test_prepared_batch_gives_the_bits_of_plain(self, live_model):
+        y, conds = self.batch(live_model)
+        plain = live_model.predict_eps(Tensor(y), self.STEPS, conds).data
+        prepared = live_model.predict_eps(Tensor(y), self.STEPS, live_model.prepare(conds)).data
+        assert prepared.tobytes() == plain.tobytes()
+
     def test_segment_count_must_match(self, live_model):
         y, conds = self.batch(live_model)
         with pytest.raises(ShapeError, match="steps"):
             live_model.predict_eps(Tensor(y), self.STEPS[:2], conds)
         with pytest.raises(ShapeError, match="frames"):
             live_model.predict_eps(Tensor(y[:-1]), self.STEPS, conds)
+
+
+class TestPreparedConditioning:
+    def conditioner(self, model, frames=12):
+        y, ppg, f0_bins, loud_bins = toy_inputs(frames, seed=3)
+        return y, model.build_conditioner(ppg, f0_bins, loud_bins)
+
+    @pytest.mark.parametrize("t", [1, 7, 33, 50])
+    def test_prepared_gives_the_bits_of_plain(self, live_model, t):
+        y, cond = self.conditioner(live_model)
+        plain = live_model.predict_eps(y, t, cond).data
+        prepared = live_model.predict_eps(y, t, live_model.prepare(cond)).data
+        assert np.any(plain != 0.0)
+        assert prepared.tobytes() == plain.tobytes()
+
+    def test_sample_chain_is_byte_identical(self, live_model):
+        _, cond = self.conditioner(live_model)
+        schedule = linear_schedule(20, 1e-4, 0.05)
+        chains = [sample(schedule, live_model, c, 12, TOY.n_mels, RandomStream(4).split("sample")).data
+                  for c in (cond, live_model.prepare(cond))]
+        assert chains[0].tobytes() == chains[1].tobytes()
+
+    def test_frame_mismatch_rejected(self, live_model):
+        _, cond = self.conditioner(live_model)
+        prepared = live_model.prepare(cond)
+        assert [p.shape for p in prepared.layers] == [(2 * TOY.channels, 12)] * TOY.layers
+        with pytest.raises(ShapeError, match="conditioner frames 12 != input frames 11"):
+            live_model.predict_eps(Tensor(np.zeros((11, TOY.n_mels))), 3, prepared)

@@ -192,6 +192,16 @@ class TestMelToCepstrum:
     def test_default_coefficient_count(self):
         assert mel_to_cepstrum(np.zeros((4, 80))).shape[1] == 13
 
+    def test_matches_explicit_cosine_sum_at_80_bins(self):
+        n = 80
+        frames = RandomStream(7).normal((3, n)) * 4.0 - 6.0
+        cep = mel_to_cepstrum(frames)
+        for f, frame in enumerate(frames):
+            for k in range(13):
+                total = sum(frame[i] * math.cos(math.pi * k * (2 * i + 1) / (2 * n)) for i in range(n))
+                expected = math.sqrt((1.0 if k == 0 else 2.0) / n) * total
+                assert abs(cep[f, k] - expected) <= 1e-12, (f, k)
+
 
 class TestMcd:
     def test_identical_is_zero(self):
