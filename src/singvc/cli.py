@@ -146,6 +146,8 @@ def cmd_convert(args) -> int:
     model = ckpt.build_model()
 
     ppg = load_ppg(args.ppg)
+    if len(ppg) == 0:
+        raise InputError(f"{args.ppg}: zero frames, nothing to convert")
     hz = featio.read_feat(args.f0)
     loud_values = featio.read_feat(args.loud)
     if hz.ndim != 1 or loud_values.ndim != 1:
@@ -158,10 +160,10 @@ def cmd_convert(args) -> int:
     rng = RandomStream(args.seed).split("sample")
     mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng).data
 
-    featio.write_feat(args.out, ckpt.stats.mel.denormalize(mel) if args.denorm else mel)
+    log_mel = ckpt.stats.denormalize_mel(mel)
+    featio.write_feat(args.out, log_mel if args.denorm else mel)
     if args.wav:
-        audio = invert_log_mel(ckpt.stats.mel.denormalize(mel), cfg)
-        write_wav(args.wav, audio, cfg.sample_rate)
+        write_wav(args.wav, invert_log_mel(log_mel, cfg), cfg.sample_rate)
     return 0
 
 

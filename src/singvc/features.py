@@ -17,9 +17,10 @@ Fixed conventions (tests depend on these):
   * periodic Hann window as long as the FFT;
   * triangular mel filterbank on the Slaney mel scale with Slaney area
     normalization, spanning 0 Hz to sample_rate / 2;
-  * log compression is ln(mel_power + 1e-5); the floor keeps silence finite;
-  * min-max normalization maps corpus min/max to exactly [-1, +1]; values
-    outside the stored range clamp.
+  * log compression is ln(mel_power + 1e-5); the floor keeps silence finite.
+
+The corpus ranges that normalize the mel and quantize F0 and loudness are
+training state: `training.FeatureStats`.
 """
 
 from __future__ import annotations
@@ -149,30 +150,6 @@ def compute_log_mel(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
     power = np.abs(stft(wav, cfg.n_fft, cfg.hop_size)) ** 2
     mel_power = power @ mel_filterbank(cfg).T
     return np.log(mel_power + LOG_MEL_FLOOR)
-
-
-@dataclass(frozen=True)
-class MelStats:
-    """Corpus min/max of raw log-mel; fixed at training time, stored in the
-    checkpoint, reused at conversion."""
-
-    lo: float
-    hi: float
-
-    @classmethod
-    def from_corpus(cls, log_mels) -> "MelStats":
-        lo = min(float(m.min()) for m in log_mels)
-        hi = max(float(m.max()) for m in log_mels)
-        if not lo < hi:
-            raise ConfigError(f"degenerate mel statistics: min {lo} >= max {hi}")
-        return cls(lo=lo, hi=hi)
-
-    def normalize(self, log_mel: np.ndarray) -> np.ndarray:
-        scaled = 2.0 * ((log_mel - self.lo) / (self.hi - self.lo)) - 1.0
-        return np.clip(scaled, -1.0, 1.0)
-
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        return (normalized + 1.0) / 2.0 * (self.hi - self.lo) + self.lo
 
 
 # ---------------------------------------------------------------------------

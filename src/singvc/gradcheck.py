@@ -111,8 +111,6 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("sub", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.sub(p, q), p)))
     check("mul", {"p": p, "q": q}, lambda: T.tsum(T.mul(p, q)))
 
-    col = _param(rng, (3, 1))
-    check("add_broadcast_col", {"p": p, "col": col}, lambda: T.tsum(T.mul(T.add(p, col), p)))
     row = _param(rng, (1, 5))
     check("add_broadcast_row", {"p": p, "row": row}, lambda: T.tsum(T.mul(T.add(p, row), p)))
 

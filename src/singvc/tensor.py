@@ -225,33 +225,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise
 
-def _broadcast_ok(a_shape, b_shape) -> bool:
-    # equal shapes, or a 2-d column/row vector stretched over the other axis
-    if a_shape == b_shape:
-        return True
-    if len(a_shape) == 2 and len(b_shape) == 2:
-        return all(bs in (1, as_) for as_, bs in zip(a_shape, b_shape))
-    return False
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum the broadcast axes of g back down to shape."""
-    if g.shape == tuple(shape):
-        return g
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    return g.sum(axis=axes, keepdims=True)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"add shapes not broadcastable: {a.shape} + {b.shape}")
+    """a + b of one shape, or a [N, D] matrix plus a [1, D] row added to
+    every row (a bias), whose gradient is the column sum."""
+    row = a.data.ndim == 2 and b.shape == (1, a.shape[1])
+    if a.shape != b.shape and not row:
+        raise ShapeError(f"add needs equal shapes or a [1, D] row as b: {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data)
 
     def grad_fn(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(g, a.shape))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(_reduce_to(g, b.shape))
+            b.accumulate(g if b.shape == a.shape else g.sum(axis=0, keepdims=True))
 
     return _record(out, (a, b), grad_fn)
 
@@ -277,30 +263,33 @@ def add_per_segment(x: Tensor, rows, lengths) -> Tensor:
     return _record(Tensor(out), (x, *rows), grad_fn)
 
 
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs equal shapes: {a.shape} and {b.shape}")
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"sub shapes not broadcastable: {a.shape} - {b.shape}")
+    _same_shape("sub", a, b)
     out = Tensor(a.data - b.data)
 
     def grad_fn(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(g, a.shape))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(-_reduce_to(g, b.shape))
+            b.accumulate(-g)
 
     return _record(out, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"mul shapes not broadcastable: {a.shape} * {b.shape}")
+    _same_shape("mul", a, b)
     out = Tensor(a.data * b.data)
 
     def grad_fn(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(g * b.data, a.shape))
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            b.accumulate(_reduce_to(g * a.data, b.shape))
+            b.accumulate(g * a.data)
 
     return _record(out, (a, b), grad_fn)
 

@@ -1,4 +1,4 @@
-"""Training loop, ADAM optimizer, corpus statistics and checkpointing.
+"""Training loop, ADAM optimizer, corpus ranges and checkpointing.
 
 Each iteration samples `batch` utterance segments, one diffusion step t and
 one fresh noise draw per segment, averages the per-segment losses, and takes
@@ -11,9 +11,18 @@ an order of magnitude above the large-t one.  All randomness flows from the
 run seed through named streams, so runs and checkpoint resumes are exactly
 reproducible.
 
+The corpus ranges (`FeatureStats`: the mel min/max that normalize the mel
+target, the log-F0 and loudness ranges that quantize the conditioner) are
+fixed by the first run and carried by its checkpoints.  `train` first checks
+every utterance: feature ranks, one shared frame count of at least one,
+finite values, and the configured PPG and mel widths.
+
 Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
-config block (key=value lines, run config plus training-state keys), then
-named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
+config block (key=value lines: the run config, then the training state in
+`_STATE_KEYS` order, the iteration, the stream's seed and counter and the
+`FeatureStats` fields, each written and read through its one type; a value
+that does not parse, a negative count or a range that is not finite is a
+`FormatError` naming the key), then named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
 float64 LE data}.  Nothing derivable is stored: the noise schedule follows
 from the config (`RunConfig.schedule`) and ADAM's step count equals the
 iteration, since every save follows a whole iteration.  Payloads are 64-bit
@@ -45,7 +54,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +64,7 @@ from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser, ModelConfig, parameter_layout
 from .diffusion import diffusion_loss, gaussian
 from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
-from .features import F0Contour, MelStats, quantize
+from .features import F0Contour, quantize
 from .rng import RandomStream
 from .tensor import Tensor
 
@@ -73,19 +82,6 @@ CKPT_MAGIC = b"DSVC"
 # sets the band's two edges, which are no longer keys
 CKPT_VERSION = 6
 
-_STATE_KEYS = (
-    "iteration",
-    "rng_seed",
-    "rng_counter",
-    "mel_lo",
-    "mel_hi",
-    "f0_lo",
-    "f0_hi",
-    "loud_lo",
-    "loud_hi",
-)
-
-
 @dataclass(frozen=True)
 class TrainingSample:
     """One frame-aligned utterance: PPG, F0, loudness, raw log-mel."""
@@ -97,16 +93,20 @@ class TrainingSample:
     log_mel: np.ndarray
 
     def validate(self) -> None:
-        frames = {
-            "ppg": self.ppg.shape[0],
-            "f0": len(self.f0),
-            "loudness": len(self.loudness),
-            "mel": self.log_mel.shape[0],
-        }
+        """Ranks (ppg and mel 2, F0 and loudness 1), one shared frame count of
+        at least one, and finite values; else a `DataError` naming the
+        utterance."""
+        arrays = {"ppg": self.ppg, "f0": self.f0.hz, "loudness": self.loudness, "mel": self.log_mel}
+        for kind, values in arrays.items():
+            rank = 2 if kind in ("ppg", "mel") else 1
+            if values.ndim != rank:
+                raise DataError(f"utterance {self.name!r}: {kind} has rank {values.ndim}, expected {rank}")
+        frames = {kind: len(values) for kind, values in arrays.items()}
         if len(set(frames.values())) != 1:
             raise DataError(f"utterance {self.name!r}: frame counts differ: {frames}")
-        for kind, values in (("ppg", self.ppg), ("f0", self.f0.hz),
-                             ("loudness", self.loudness), ("mel", self.log_mel)):
+        if not frames["mel"]:
+            raise DataError(f"utterance {self.name!r}: no frames")
+        for kind, values in arrays.items():
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
                 raise DataError(f"utterance {self.name!r}: non-finite {kind} value at frame {int(bad[0][0])}")
@@ -114,23 +114,48 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Normalization/quantization ranges fixed over the training corpus."""
+    """Ranges fixed over the training corpus, stored in the checkpoint and
+    reused at conversion: the raw log-mel min/max, which normalization maps
+    to exactly [-1, +1] (values outside clamp), and the log-F0 and loudness
+    quantization ranges."""
 
-    mel: MelStats
+    mel_lo: float
+    mel_hi: float
     f0_lo: float
     f0_hi: float
     loud_lo: float
     loud_hi: float
+
+    def normalize_mel(self, log_mel: np.ndarray) -> np.ndarray:
+        scaled = 2.0 * ((log_mel - self.mel_lo) / (self.mel_hi - self.mel_lo)) - 1.0
+        return np.clip(scaled, -1.0, 1.0)
+
+    def denormalize_mel(self, normalized: np.ndarray) -> np.ndarray:
+        return (normalized + 1.0) / 2.0 * (self.mel_hi - self.mel_lo) + self.mel_lo
+
+
+# the training state in the config block, in file order, with each value's
+# type: the iteration and the stream's (seed, counter), then the ranges
+_STATE_KEYS = {
+    "iteration": int,
+    "rng_seed": int,
+    "rng_counter": int,
+    **{f.name: float for f in fields(FeatureStats)},
+}
 
 
 def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> FeatureStats:
     """Mel min/max plus 0.1/99.9 percentile quantization ranges.
 
     Falls back to the configured F0 search range if the corpus has no voiced
-    frames; degenerate ranges are widened so quantization stays defined.
+    frames; degenerate quantization ranges are widened so quantization stays
+    defined, and a degenerate mel range is a `ConfigError`.
     """
-    mel = MelStats.from_corpus([s.log_mel for s in data])
-    voiced = np.concatenate([s.f0.log_f0[s.f0.voiced] for s in data]) if data else np.array([])
+    mel_lo = min(float(s.log_mel.min()) for s in data)
+    mel_hi = max(float(s.log_mel.max()) for s in data)
+    if not mel_lo < mel_hi:
+        raise ConfigError(f"degenerate mel statistics: min {mel_lo} >= max {mel_hi}")
+    voiced = np.concatenate([s.f0.log_f0[s.f0.voiced] for s in data])
     if voiced.size:
         f0_lo, f0_hi = np.percentile(voiced, [0.1, 99.9])
     else:
@@ -141,7 +166,7 @@ def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> Feature
         f0_hi = f0_lo + 1e-6
     if loud_hi - loud_lo < 1e-6:
         loud_hi = loud_lo + 1e-6
-    return FeatureStats(mel=mel, f0_lo=float(f0_lo), f0_hi=float(f0_hi),
+    return FeatureStats(mel_lo=mel_lo, mel_hi=mel_hi, f0_lo=float(f0_lo), f0_hi=float(f0_hi),
                         loud_lo=float(loud_lo), loud_hi=float(loud_hi))
 
 
@@ -283,17 +308,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def _write_checkpoint(f, ckpt: Checkpoint) -> None:
-    extras = {
-        "iteration": str(ckpt.iteration),
-        "rng_seed": str(ckpt.rng.state[0]),
-        "rng_counter": str(ckpt.rng.state[1]),
-        "mel_lo": repr(ckpt.stats.mel.lo),
-        "mel_hi": repr(ckpt.stats.mel.hi),
-        "f0_lo": repr(ckpt.stats.f0_lo),
-        "f0_hi": repr(ckpt.stats.f0_hi),
-        "loud_lo": repr(ckpt.stats.loud_lo),
-        "loud_hi": repr(ckpt.stats.loud_hi),
-    }
+    state = dict(zip(_STATE_KEYS, (ckpt.iteration, *ckpt.rng.state)), **asdict(ckpt.stats))
+    extras = {key: repr(cast(state[key])) for key, cast in _STATE_KEYS.items()}
     block = serialize_config(ckpt.config, extras).encode("utf-8")
     f.write(CKPT_MAGIC)
     f.write(struct.pack("<B", CKPT_VERSION))
@@ -342,10 +358,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (block_len,) = struct.unpack("<I", take(4, "config length"))
         block = take(block_len, "config block").decode("utf-8")
-        config, extras = parse_config_text(block, extra_keys=_STATE_KEYS)
-        missing = [k for k in _STATE_KEYS if k not in extras]
-        if missing:
-            raise FormatError(f"{path}: config block missing state keys {missing}")
+        config, extras = parse_config_text(block, extra_keys=tuple(_STATE_KEYS))
+        state = _parse_state(path, extras)
 
         params: dict[str, np.ndarray] = {}
         adam = Adam() if optimizer else None
@@ -369,24 +383,32 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                 params[name] = arr
 
     _check_records(path, config, params, adam)
-    iteration = int(extras["iteration"])
+    iteration = state.pop("iteration")
+    rng = RandomStream(state.pop("rng_seed"), state.pop("rng_counter"))
     if adam is not None:
         # `train` saves only between iterations, each one ADAM step
         adam.step_count = iteration
-    return Checkpoint(
-        config=config,
-        params=params,
-        adam=adam,
-        stats=FeatureStats(
-            mel=MelStats(lo=float(extras["mel_lo"]), hi=float(extras["mel_hi"])),
-            f0_lo=float(extras["f0_lo"]),
-            f0_hi=float(extras["f0_hi"]),
-            loud_lo=float(extras["loud_lo"]),
-            loud_hi=float(extras["loud_hi"]),
-        ),
-        iteration=iteration,
-        rng=RandomStream(int(extras["rng_seed"]), int(extras["rng_counter"])),
-    )
+    return Checkpoint(config=config, params=params, adam=adam, stats=FeatureStats(**state),
+                      iteration=iteration, rng=rng)
+
+
+def _parse_state(path, extras: dict[str, str]) -> dict:
+    """The state keys' values, each cast to its type; a missing key, a value
+    that does not parse, a negative count or a range that is not finite is a
+    `FormatError`."""
+    missing = [key for key in _STATE_KEYS if key not in extras]
+    if missing:
+        raise FormatError(f"{path}: config block missing state keys {missing}")
+    state = {}
+    for key, cast in _STATE_KEYS.items():
+        try:
+            state[key] = cast(extras[key])
+            valid = math.isfinite(state[key]) if cast is float else state[key] >= 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise FormatError(f"{path}: state key {key}: bad value {extras[key]!r}")
+    return state
 
 
 def _check_records(path, config: RunConfig, params: dict[str, np.ndarray], adam: Adam | None) -> None:
@@ -451,6 +473,10 @@ def train(
             raise DataError(
                 f"utterance {sample.name!r}: ppg dim {sample.ppg.shape[1]} != configured {cfg.ppg_dim}"
             )
+        if sample.log_mel.shape[1] != cfg.n_mels:
+            raise DataError(
+                f"utterance {sample.name!r}: mel depth {sample.log_mel.shape[1]} != configured n_mels {cfg.n_mels}"
+            )
 
     if resume is not None:
         _check_resume_config(cfg, resume)
@@ -475,7 +501,7 @@ def train(
     prepared = []
     for s in data:
         f0_bins, loud_bins = conditioner_bins(state.stats, s.f0, s.loudness, cfg.n_bins)
-        prepared.append(_Prepared(s.name, state.stats.mel.normalize(s.log_mel), s.ppg, f0_bins, loud_bins))
+        prepared.append(_Prepared(s.name, state.stats.normalize_mel(s.log_mel), s.ppg, f0_bins, loud_bins))
 
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     if log_file:

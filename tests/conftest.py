@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,23 @@ def synth_voice(freq, seconds=1.0, sr=24000, vibrato_hz=5.0, vibrato_cents=30.0,
     phase = 2 * np.pi * np.cumsum(inst_freq) / sr
     envelope = 0.3 + 0.2 * np.sin(2 * np.pi * 1.3 * t + seed)
     return (envelope * np.sin(phase)).astype(np.float64)
+
+
+def config_block_lines(path) -> list[str]:
+    """The lines of a checkpoint's config block."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 5)  # after the magic and the u8 version
+    return data[9 : 9 + length].decode("utf-8").splitlines()
+
+
+def set_config_value(path, key, value) -> None:
+    """Rewrite one key's value in a checkpoint's config block."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 5)
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in config_block_lines(path)]
+    block = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<I", len(block)) + block + data[9 + length :])
 
 
 TEST_CFG = RunConfig(

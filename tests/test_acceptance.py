@@ -206,7 +206,7 @@ def test_criterion_5_overfit_reconstruction(overfit_run):
     cond = model.build_conditioner(data.ppg, f0_bins, loud_bins)
     out = sample(ckpt.config.schedule(), model, cond, 64, OVERFIT_CFG.n_mels,
                  RandomStream(7).split("sample")).data
-    target = ckpt.stats.mel.normalize(data.log_mel)
+    target = ckpt.stats.normalize_mel(data.log_mel)
     pearson = np.array(
         [np.corrcoef(out[:, b], target[:, b])[0, 1] for b in range(OVERFIT_CFG.n_mels)]
     )

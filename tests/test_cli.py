@@ -8,7 +8,7 @@ from singvc.cli import main
 from singvc.features import write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
-from conftest import synth_voice
+from conftest import set_config_value, synth_voice
 
 
 def run(*argv):
@@ -222,6 +222,28 @@ class TestConvert:
         assert run("convert", "--ckpt", trained, "--ppg", wide, "--f0", extracted / "utt0.f0.feat",
                    "--loud", extracted / "utt0.loud.feat", "--out", out) == 1
         assert "ppg dim" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
+    def test_zero_frames_is_error(self, trained, tmp_path, capsys):
+        paths = {kind: tmp_path / f"empty.{kind}.feat" for kind in ("ppg", "f0", "loud")}
+        featio.write_feat(paths["ppg"], np.zeros((0, 16)))
+        featio.write_feat(paths["f0"], np.zeros(0))
+        featio.write_feat(paths["loud"], np.zeros(0))
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", paths["ppg"], "--f0", paths["f0"],
+                   "--loud", paths["loud"], "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {paths['ppg']}: zero frames, nothing to convert\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("rng_seed", "z"), ("mel_lo", "q.0003")])
+    def test_bad_state_value_is_error(self, extracted, trained, tmp_path, capsys, key, value):
+        bad, out = tmp_path / "bad.ckpt", tmp_path / "x.feat"
+        bad.write_bytes(trained.read_bytes())
+        set_config_value(bad, key, value)
+        assert run("convert", "--ckpt", bad, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: state key {key}: bad value {value!r}\n"
         assert not out.exists()
 
     def test_logf0_shift_moves_the_output(self, extracted, trained, tmp_path):

@@ -12,7 +12,6 @@ from singvc.features import (
     F0Contour,
     LOG_MEL_FLOOR,
     LOUDNESS_FLOOR,
-    MelStats,
     a_weighting_db,
     compute_log_mel,
     compute_loudness,
@@ -27,8 +26,20 @@ from singvc.features import (
     write_wav,
 )
 from singvc.rng import RandomStream
+from singvc.training import FeatureStats, TrainingSample, compute_feature_stats
 
 CFG = RunConfig()
+
+
+def mel_stats(log_mels) -> FeatureStats:
+    """`compute_feature_stats` over utterances that differ only in their mels."""
+    samples = [TrainingSample(f"u{i}", np.zeros((len(m), 1)), F0Contour(hz=np.zeros(len(m))),
+                              np.zeros(len(m)), m) for i, m in enumerate(log_mels)]
+    return compute_feature_stats(samples, CFG)
+
+
+def mel_range(lo, hi) -> FeatureStats:
+    return FeatureStats(mel_lo=lo, mel_hi=hi, f0_lo=0.0, f0_hi=1.0, loud_lo=0.0, loud_hi=1.0)
 
 
 def sine(freq, seconds=1.0, sr=24000, amp=0.5):
@@ -73,8 +84,8 @@ class TestMel:
     def test_silence_floors_and_normalizes_to_minus_one(self):
         silent = compute_log_mel(np.zeros(24000), CFG)
         np.testing.assert_array_equal(silent, np.full((100, 80), math.log(LOG_MEL_FLOOR)))
-        stats = MelStats.from_corpus([silent, compute_log_mel(sine(440.0), CFG)])
-        np.testing.assert_array_equal(stats.normalize(silent), np.full((100, 80), -1.0))
+        stats = mel_stats([silent, compute_log_mel(sine(440.0), CFG)])
+        np.testing.assert_array_equal(stats.normalize_mel(silent), np.full((100, 80), -1.0))
 
     def test_empty_audio_rejected(self):
         with pytest.raises(InputError):
@@ -82,19 +93,19 @@ class TestMel:
 
     def test_normalization_exact_at_corpus_extremes(self):
         mels = [compute_log_mel(sine(f), CFG) for f in (220.0, 660.0)]
-        stats = MelStats.from_corpus(mels)
-        normalized = [stats.normalize(m) for m in mels]
+        stats = mel_stats(mels)
+        normalized = [stats.normalize_mel(m) for m in mels]
         assert min(n.min() for n in normalized) == -1.0
         assert max(n.max() for n in normalized) == 1.0
 
     def test_normalization_clamps_outside_range(self):
-        stats = MelStats(lo=0.0, hi=1.0)
-        np.testing.assert_array_equal(stats.normalize(np.array([-5.0, 0.5, 7.0])), [-1.0, 0.0, 1.0])
+        stats = mel_range(0.0, 1.0)
+        np.testing.assert_array_equal(stats.normalize_mel(np.array([-5.0, 0.5, 7.0])), [-1.0, 0.0, 1.0])
 
     def test_denormalize_inverts(self):
-        stats = MelStats(lo=-11.0, hi=2.5)
+        stats = mel_range(-11.0, 2.5)
         x = np.linspace(-11.0, 2.5, 13)
-        np.testing.assert_allclose(stats.denormalize(stats.normalize(x)), x, atol=1e-12)
+        np.testing.assert_allclose(stats.denormalize_mel(stats.normalize_mel(x)), x, atol=1e-12)
 
 
 class TestF0:

@@ -273,6 +273,8 @@ class TestElementwise:
             T.add(Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
             T.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):  # only a [1, D] row is added to every row
+            T.add(Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 1))))
 
 
 class TestEmbedding:

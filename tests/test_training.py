@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 from singvc import cli, featio, training
 from singvc import tensor as T
-from singvc.config import RunConfig
+from singvc.config import RunConfig, serialize_config
 from singvc.denoiser import Denoiser
 from singvc.diffusion import diffusion_loss, forward_sample, gaussian
 from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
@@ -25,6 +26,8 @@ from singvc.training import (
     stratified_step,
     train,
 )
+
+from conftest import config_block_lines, set_config_value
 
 TOY_CFG = RunConfig(
     n_mels=8,
@@ -195,7 +198,7 @@ def reference_predict_eps(model, y_t, t, cond):
         return T.conv1d(x, p[f"{name}.w"], p[f"{name}.b"])
 
     h = T.relu(conv("input_conv", T.transpose(y_t)))
-    h = T.add(h, T.transpose(model.step_vector(t)))
+    h = T.add_per_segment(h, [model.step_vector(t)], (h.shape[1],))  # one segment: a column add
     ec = T.transpose(cond)
     c, skip = cfg.channels, None
     for i in range(cfg.layers):
@@ -408,6 +411,22 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="ppg dim"):
             train([sample], TOY_CFG)
 
+    MALFORMED = {
+        "rank_1_ppg": (lambda s: dataclasses.replace(s, ppg=s.ppg[:, 0]), "ppg has rank 1, expected 2"),
+        "zero_frames": (lambda s: TrainingSample(s.name, s.ppg[:0], F0Contour(hz=s.f0.hz[:0]),
+                                                 s.loudness[:0], s.log_mel[:0]), "no frames"),
+        "mel_depth": (lambda s: dataclasses.replace(s, log_mel=s.log_mel[:, :6]),
+                      "mel depth 6 != configured n_mels 8"),
+        "rank_2_f0": (lambda s: dataclasses.replace(s, f0=F0Contour(hz=np.stack([s.f0.hz, s.f0.hz], axis=1))),
+                      "f0 has rank 2, expected 1"),
+    }
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_features_rejected_before_training(self, corpus, kind):
+        malform, message = self.MALFORMED[kind]
+        with pytest.raises(DataError, match=re.escape(f"utterance 'bad': {message}")):
+            train([corpus[0], malform(make_sample("bad"))], TOY_CFG)
+
     def test_nan_loss_aborts_with_diagnostic(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
         ckpt.params["out_conv2.b"][:] = np.nan
@@ -465,6 +484,36 @@ class TestCheckpoint:
             return arrays
 
         assert state_bytes(resumed) == state_bytes(full)
+
+    def test_config_block_ends_with_the_training_state(self, corpus, tmp_path):
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, ckpt)
+        lines = config_block_lines(path)
+        stats = ckpt.stats
+        assert lines[:-9] == serialize_config(TOY_CFG).splitlines()
+        assert lines[-9:] == [
+            f"iteration = {TOY_CFG.n_iter}",
+            f"rng_seed = {ckpt.rng.state[0]}",
+            f"rng_counter = {ckpt.rng.state[1]}",
+            f"mel_lo = {stats.mel_lo!r}",
+            f"mel_hi = {stats.mel_hi!r}",
+            f"f0_lo = {stats.f0_lo!r}",
+            f"f0_hi = {stats.f0_hi!r}",
+            f"loud_lo = {stats.loud_lo!r}",
+            f"loud_hi = {stats.loud_hi!r}",
+        ]
+
+    @pytest.mark.parametrize("key, value", [("iteration", "z"), ("rng_counter", "7.5"), ("rng_counter", "-3"),
+                                            ("mel_lo", "q.0003"), ("f0_hi", "nan")])
+    def test_bad_state_value_rejected(self, corpus, tmp_path, key, value):
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, ckpt)
+        set_config_value(path, key, value)
+        for optimizer in (True, False):
+            with pytest.raises(FormatError, match=re.escape(f"{path}: state key {key}: bad value {value!r}")):
+                load_checkpoint(path, optimizer=optimizer)
 
     def test_mismatched_dims_rejected(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
@@ -715,7 +764,13 @@ class TestFeatureStats:
         lo, hi = np.percentile(voiced, [0.1, 99.9])
         assert stats.f0_lo == pytest.approx(lo)
         assert stats.f0_hi == pytest.approx(hi)
-        assert stats.mel.lo == min(s.log_mel.min() for s in corpus)
+        assert stats.mel_lo == min(s.log_mel.min() for s in corpus)
+        assert stats.mel_hi == max(s.log_mel.max() for s in corpus)
+
+    def test_constant_mel_corpus_rejected(self):
+        flat = dataclasses.replace(make_sample(), log_mel=np.full((32, 8), -3.0))
+        with pytest.raises(ConfigError, match=r"degenerate mel statistics: min -3.0 >= max -3.0"):
+            compute_feature_stats([flat], TOY_CFG)
 
     def test_unvoiced_corpus_falls_back_to_config_range(self):
         sample = make_sample()
