@@ -38,6 +38,18 @@ instead of T times.  It holds 2 * channels doubles per layer per frame:
 conditioner, and the projections then run inside the forward, in the graph.
 Either way each projection is the same BLAS call on the same operands, so
 the outputs have the same bits.
+
+Each of a layer's three sums (the conditioner projection into the
+pre-activation, the residual into h, the skip into the running skip sum) is
+a conv's ``addend`` (see ``tensor.conv1d``), so the tape holds no conv
+output that only a sum reads.  A training forward leaves ten [channels,
+frames] buffers per residual layer on the tape: the dilated conv's output
+(two, the cond conv's addend), the pre-activation (two), its tanh and
+sigmoid halves, the gate, the residual sum and its scaled copy, and the skip
+sum.  Each layer's cond conv reads its own transpose of the conditioner:
+backward then adds the layers' conditioner gradients in layer order, the
+order of a graph with separate sums; through one shared transpose it would
+add them from the last layer down, which rounds differently.
 """
 
 from __future__ import annotations
@@ -171,8 +183,8 @@ class Denoiser:
         h = T.scale(T.matmul(x, w), 1.0 / math.sqrt(w.shape[0]))
         return T.add(h, self.params[f"{name}.b"])
 
-    def _conv(self, name: str, x: Tensor, lengths) -> Tensor:
-        return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], lengths)
+    def _conv(self, name: str, x: Tensor, lengths, addend: Tensor | None = None) -> Tensor:
+        return T.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], lengths, addend)
 
     def encode_step(self, t: int) -> Tensor:
         """[1, 512]: the step's sinusoid through two FC+Swish layers."""
@@ -201,21 +213,13 @@ class Denoiser:
         e = T.add(e, T.embedding_lookup(self.params["f0_table"], f0_bins))
         return T.add(e, T.embedding_lookup(self.params["loud_table"], loud_bins))
 
-    def _projections(self, cond, lengths):
-        """An iterator over the residual layers' conditioner projections, in
-        layer order: a `Conditioning`'s, or, for a plain conditioner, each
-        layer's cond conv run when the layer draws it."""
-        if isinstance(cond, Conditioning):
-            return iter(cond.layers)
-        ec = T.transpose(T.concat_rows(_segments(cond)))  # [cond_dim, L]
-        return (self._conv(f"layer{i}.cond", ec, lengths) for i in range(self.cfg.layers))
-
     def prepare(self, cond) -> Conditioning:
         """The step-invariant part of `predict_eps` for the conditioner cond
         (one [frames, cond_dim] tensor or a batch's list of them), computed
         once so that every step of a sampling chain can reuse it."""
         lengths = [c.shape[0] for c in _segments(cond)]
-        return Conditioning(lengths, list(self._projections(cond, lengths)))
+        ec = T.transpose(T.concat_rows(_segments(cond)))  # [cond_dim, L]
+        return Conditioning(lengths, [self._conv(f"layer{i}.cond", ec, lengths) for i in range(self.cfg.layers)])
 
     def predict_eps(self, y_t: Tensor, t, cond) -> Tensor:
         """The noise estimate for y_t [frames, n_mels] at step t under the
@@ -240,16 +244,23 @@ class Denoiser:
 
         h = T.relu(self._conv("input_conv", T.transpose(y_t), lengths))  # [C, L]
         h = T.add_per_segment(h, [self.step_vector(s) for s in steps], lengths)
-        projections = self._projections(cond, lengths)
+        prepared = cond.layers if isinstance(cond, Conditioning) else None
+        if prepared is None:
+            ec = T.concat_rows(_segments(cond))  # [L, cond_dim]
 
         c = cfg.channels
         skip = None
         for i in range(cfg.layers):
-            u = T.add(self._conv(f"layer{i}.dilated", h, lengths), next(projections))
+            if prepared is None:
+                u = self._conv(f"layer{i}.dilated", h, lengths)
+                # a transpose per layer: the conditioner's gradient then sums
+                # the layers' contributions in layer order
+                u = self._conv(f"layer{i}.cond", T.transpose(ec), lengths, u)
+            else:
+                u = self._conv(f"layer{i}.dilated", h, lengths, prepared[i])
             gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
-            h = T.scale(T.add(h, self._conv(f"layer{i}.residual", gate, lengths)), T.SQRT_HALF)
-            s = self._conv(f"layer{i}.skip", gate, lengths)
-            skip = s if skip is None else T.add(skip, s)
+            h = T.scale(self._conv(f"layer{i}.residual", gate, lengths, h), T.SQRT_HALF)
+            skip = self._conv(f"layer{i}.skip", gate, lengths, skip)
 
         out = T.relu(self._conv("out_conv1", T.scale(skip, 1.0 / math.sqrt(cfg.layers)), lengths))
         return T.transpose(self._conv("out_conv2", out, lengths))

@@ -106,6 +106,11 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("conv1d_k3_segments", {"x": x, "w": w, "b": bias},
           lambda: T.tsum(T.mul(T.conv1d(x, w, bias, lengths), T.conv1d(x, w, bias, lengths))))
 
+    # its own stream, so the draws of the checks after it do not move
+    addend = _param(RandomStream(seed).split("gradcheck-addend"), (3, 7))
+    check("conv1d_k3_addend", {"x": x, "w": w, "b": bias, "addend": addend},
+          lambda: T.tsum(T.mul(T.conv1d(x, w, bias, lengths, addend), addend)))
+
     p, q = _param(rng, (3, 5)), _param(rng, (3, 5))
     check("add", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.add(p, q), q)))
     check("sub", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.sub(p, q), p)))

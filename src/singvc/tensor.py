@@ -8,7 +8,11 @@ implicit tape in reverse topological order.  The tape is rebuilt on every
 forward pass and consumed by ``backward`` — calling backward twice on the
 same graph is a contract violation.  Backward frees each node as it walks the tape: once a
 node's closure has run, its activation and gradient are released unless the
-caller still holds the tensor, which then keeps its ``.grad``.
+caller still holds the tensor, which then keeps its ``.grad``.  ``conv1d``
+takes the tensor its output is summed into as an ``addend``, so a conv
+output that only a sum reads is not held on the tape as a node of its own,
+and it pads its input again in backward instead of holding the padded copy
+from the forward.
 
 Conventions deliberately pinned here because tests rely on them:
   * everything is float64;
@@ -146,7 +150,18 @@ def _spans(lengths, total: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
+def _padded(x: np.ndarray, segs, pad: int) -> np.ndarray:
+    """x with each segment's block zero-padded by `pad` columns per side, for
+    the segments (start, stop, first padded column) of `conv1d`."""
+    if not pad:
+        return x
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad * len(segs)))
+    for a, b, o in segs:
+        xp[:, o + pad : o + pad + b - a] = x[:, a:b]
+    return xp
+
+
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor | None = None) -> Tensor:
     """Same-length 1-d convolution of [C_in, L] with weight [K, C_out, C_in].
 
     The weight is stored tap-major so each tap ``weight[tap]`` is a contiguous
@@ -161,6 +176,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     docstring).  Each segment is padded on its own, in one buffer, so no
     column sees a neighbouring segment, and each one's weight and bias
     gradients are added to the parameter's in segment order.
+
+    With ``addend`` ([C_out, L]), the output is (conv + bias) + addend, summed
+    in the conv's own accumulator: the bits of ``add(conv1d(...), addend)``,
+    as IEEE addition commutes, but one tape node, so the tape does not hold
+    a conv output that only the sum reads.  The addend's gradient is the
+    output's.  The padded copy of x is not kept either: the weight gradient
+    pads x again when it runs.
     """
     if x.data.ndim != 2 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects [C_in,L] and [K,C_out,C_in], got {x.shape}, {weight.shape}")
@@ -171,37 +193,34 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs weight {weight.shape}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({c_out},)")
-
     width = x.shape[1]
+    if addend is not None and addend.shape != (c_out, width):
+        raise ShapeError(f"conv1d addend shape {addend.shape} != ({c_out}, {width})")
+
     pad = (k - 1) // 2
     # (start, stop, first column of the segment's padded block in xp)
     segs = [(a, b, a + 2 * pad * i) for i, (a, b) in enumerate(_spans(lengths or (width,), width))]
-    if pad:
-        xp = np.zeros((c_in, width + 2 * pad * len(segs)))
-        for a, b, o in segs:
-            xp[:, o + pad : o + pad + b - a] = x.data[:, a:b]
-    else:
-        xp = x.data
-
-    def tap_input(a, b, o, tap):
-        return xp[:, o + tap : o + tap + b - a]
+    xp = _padded(x.data, segs, pad)
 
     acc = np.empty((c_out, width))
     scratch = np.empty(c_out * max(b - a for a, b, _ in segs)) if k > 1 else None
     for a, b, o in segs:
-        np.matmul(weight.data[0], tap_input(a, b, o, 0), out=acc[:, a:b])
+        np.matmul(weight.data[0], xp[:, o : o + b - a], out=acc[:, a:b])
         for tap in range(1, k):
             part = scratch[: c_out * (b - a)].reshape(c_out, b - a)
-            acc[:, a:b] += np.matmul(weight.data[tap], tap_input(a, b, o, tap), out=part)
+            acc[:, a:b] += np.matmul(weight.data[tap], xp[:, o + tap : o + tap + b - a], out=part)
     acc += bias.data[:, None]
+    if addend is not None:
+        acc += addend.data
     out = Tensor(acc)
 
     def grad_fn(g):
         if weight.requires_grad:
+            xp = _padded(x.data, segs, pad)
             gw = np.empty_like(weight.data)
             for a, b, o in segs:
                 for tap in range(k):
-                    np.matmul(g[:, a:b], tap_input(a, b, o, tap).T, out=gw[tap])
+                    np.matmul(g[:, a:b], xp[:, o + tap : o + tap + b - a].T, out=gw[tap])
                 weight.accumulate(gw)
         if bias.requires_grad:
             for a, b, _ in segs:
@@ -218,8 +237,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
                     if lo < hi:
                         gx[:, a + lo : a + hi] += (weight.data[tap].T @ g[:, a:b])[:, lo - shift : hi - shift]
             x.accumulate(gx)
+        if addend is not None and addend.requires_grad:
+            addend.accumulate(g)
 
-    return _record(out, (x, weight, bias), grad_fn)
+    # the addend first: `backward` walks the graph as it walks
+    # add(addend, conv), the conv's inputs before the addend's, so gradients
+    # that several nodes add into one tensor keep their order and their bits
+    inputs = (x, weight, bias) if addend is None else (addend, x, weight, bias)
+    return _record(out, inputs, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -283,3 +283,52 @@ class TestPreparedConditioning:
         assert [p.shape for p in prepared.layers] == [(2 * TOY.channels, 12)] * TOY.layers
         with pytest.raises(ShapeError, match="conditioner frames 12 != input frames 11"):
             live_model.predict_eps(Tensor(np.zeros((11, TOY.n_mels))), 3, prepared)
+
+
+class TestTapeMemory:
+    """What a training forward leaves on the tape for backward."""
+
+    CHANNELS = 8
+    LENGTHS = (45, 35)  # 80 frames: [C, frames] is larger than the 512-wide step MLP rows
+
+    @staticmethod
+    def arrays_of(fn):
+        """The arrays a closure holds, through the functions it holds."""
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                yield value
+            elif callable(value) and getattr(value, "__closure__", None):
+                yield from TestTapeMemory.arrays_of(value)
+
+    def held_units(self, layers):
+        """The buffers reachable from a training-path `predict_eps` output,
+        each counted once (views by their base) and in units of one
+        [channels, frames] float64 buffer, parameters left out."""
+        cfg = ModelConfig(n_mels=3, channels=self.CHANNELS, layers=layers, ppg_dim=5, cond_dim=6, n_bins=4)
+        model = Denoiser.init(cfg, RandomStream(1).split("tape"))
+        rng = RandomStream(2).split("tape-inputs")
+        conds = [model.build_conditioner(rng.normal((n, 5)), rng.integers(0, 4, n), rng.integers(0, 4, n))
+                 for n in self.LENGTHS]
+        out = model.predict_eps(Tensor(rng.normal((sum(self.LENGTHS), 3))), [3, 7], conds)
+        params = {id(p) for p in model.params.values()}
+        buffers, seen, stack = {}, set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or id(node) in params:
+                continue
+            seen.add(id(node))
+            arrays = [node.data] + (list(self.arrays_of(node._backward)) if node._backward else [])
+            for a in arrays:
+                base = a if a.base is None else a.base
+                buffers[id(base)] = base
+            stack.extend(node._inputs)
+        unit = self.CHANNELS * sum(self.LENGTHS) * 8
+        return sum(b.nbytes // unit for b in buffers.values())
+
+    def test_each_residual_layer_holds_ten_channel_buffers(self):
+        # per layer: the dilated conv's [2C, L] output (the cond conv's
+        # addend), the pre-activation [2C, L], the tanh and sigmoid halves,
+        # the gate, the residual sum and its scaled copy, the skip sum; the
+        # sums' conv outputs and the padded conv input are not held
+        assert self.held_units(3) - self.held_units(2) == 10

@@ -176,6 +176,28 @@ class TestSegments:
             gb = bi.grad if gb is None else gb + bi.grad
         assert w.grad.tobytes() == gw.tobytes() and b.grad.tobytes() == gb.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("lengths", [None, LENGTHS])
+    def test_conv1d_addend_gives_the_bits_of_add(self, k, lengths):
+        rng = np.random.default_rng(21)
+        width = sum(self.LENGTHS)
+        arrays = [rng.normal(size=(6, width)), rng.normal(size=(k, 5, 6)), rng.normal(size=5),
+                  rng.normal(size=(5, width))]  # x, weight, bias, addend
+        probe = Tensor(rng.normal(size=(5, width)))
+        runs = []
+        for fused in (True, False):
+            x, w, b, addend = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            if fused:
+                out = T.conv1d(x, w, b, lengths, addend)
+            else:
+                out = T.add(T.conv1d(x, w, b, lengths), addend)
+            backward(T.tsum(T.mul(out, probe)))
+            runs.append([out.data, x.grad, w.grad, b.grad, addend.grad])
+        for fused, plain in zip(*runs):
+            assert fused.tobytes() == plain.tobytes()
+        with pytest.raises(ShapeError, match="addend"):
+            T.conv1d(x, w, b, lengths, Tensor(np.zeros((5, width - 1))))
+
     def test_add_per_segment_adds_each_row_to_its_columns(self):
         rng = np.random.default_rng(18)
         x = Tensor(rng.normal(size=(3, sum(self.LENGTHS))), requires_grad=True)

@@ -253,8 +253,18 @@ class TestBatchedIteration:
         [("utt0", 5), ("short", 0), ("utt1", 20)],  # "short" has 11 frames, under segment_frames
     ])
     def test_loss_gradients_and_adam_match_the_per_element_loop(self, corpus, grad_clip, segments):
+        self.match_per_element_loop(corpus, grad_clip, segments, TOY_CFG.layers)
+
+    def test_conditioner_gradient_sums_three_layers_in_order(self, corpus):
+        # two layers' contributions add the same bits in either order; three
+        # do not, so this pins the order in which the layers' cond convs add
+        # into the conditioner's gradient
+        self.match_per_element_loop(corpus, 0.0, [("utt0", 5), ("utt1", 20)], 3)
+
+    @staticmethod
+    def match_per_element_loop(corpus, grad_clip, segments, layers):
         utts = {s.name: s for s in corpus + [make_sample("short", frames=11, seed=3)]}
-        cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": len(segments), "grad_clip": grad_clip})
+        cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": len(segments), "grad_clip": grad_clip, "layers": layers})
         schedule = cfg.schedule()
         init = Denoiser.init(cfg.model_config(), RandomStream(4).split("init"))
         # a non-zero output conv, so every parameter gets a gradient at once
