@@ -1,7 +1,9 @@
 """Command-line pipeline: extract | train | convert | eval | schedule | gradcheck.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.  All randomness flows
-from explicit --seed flags.
+from explicit --seed flags.  Every run setting comes from a `--config` file
+or a checkpoint's config block, and is checked as it is read, so a bad one
+exits 1 before any work.
 
 `convert` projects the conditioner into the residual layers once
 (`Denoiser.prepare`) and runs every sampling step on that projection.
@@ -33,7 +35,7 @@ from .features import (
     write_wav,
 )
 from .rng import RandomStream
-from .schedule import linear_schedule, schedule_csv
+from .schedule import schedule_csv
 from .training import (
     TrainingSample,
     conditioner_bins,
@@ -207,7 +209,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    _write_text(args.out, schedule_csv(linear_schedule(args.steps, args.beta_start, args.beta_end)))
+    cfg = load_config(args.config) if args.config else RunConfig()
+    _write_text(args.out, schedule_csv(cfg.schedule()))
     return 0
 
 
@@ -261,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("schedule", help="dump the noise schedule tables as CSV")
-    p.add_argument("--T", dest="steps", type=int, default=RunConfig.diffusion_steps)
-    p.add_argument("--beta-start", type=float, default=RunConfig.beta_start)
-    p.add_argument("--beta-end", type=float, default=RunConfig.beta_end)
+    p.add_argument("--config", default=None, help="run config (default: the published setup)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_schedule)
 

@@ -2,11 +2,18 @@
 training.  Unknown keys are rejected; parse -> serialize -> parse is
 idempotent.  The defaults are the published setup, stated here only: the
 feature functions read a `RunConfig` itself, and `ModelConfig` is built from
-one."""
+one.
+
+`RunConfig` is also the one place that decides which values are valid.  Every
+way to build one (the constructor, `parse_config_text`, `dataclasses.replace`,
+the checkpoint reader) checks every setting, so a bad value is a
+`ConfigError` naming its key before any command does work.  The noise
+schedule's rule is `linear_schedule`'s, which the check calls."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,15 +24,14 @@ from .schedule import NoiseSchedule, linear_schedule
 
 @dataclass(frozen=True)
 class RunConfig:
-    # features; each STFT's window is as long as its FFT, and the mel band
-    # spans 0 Hz to sample_rate / 2
+    # features; each STFT's window is as long as its FFT, the mel band spans
+    # 0 Hz to sample_rate / 2, and the loudness FFT is `features.LOUDNESS_FFT`
     sample_rate: int = 24000
     n_fft: int = 1024
     hop_size: int = 240
     n_mels: int = 80
     f0_min: float = 40.0
     f0_max: float = 800.0
-    loud_fft: int = 2048
     ppg_dim: int = 218
     # noise schedule
     diffusion_steps: int = 100
@@ -46,12 +52,33 @@ class RunConfig:
     ckpt_every: int = 0
     grad_clip: float = 0.0
 
+    def __post_init__(self):
+        for key, least in _LEAST.items():
+            if not getattr(self, key) >= least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
+        if not 0.0 < self.f0_min < self.f0_max < self.sample_rate / 2:
+            raise ConfigError(f"need 0 < f0_min < f0_max < sample_rate / 2 = {self.sample_rate / 2}, "
+                              f"got f0_min {self.f0_min!r}, f0_max {self.f0_max!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be finite and above 0, got {self.lr!r}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0.0):
+            raise ConfigError(f"grad_clip must be finite and at least 0, got {self.grad_clip!r}")
+        self.schedule()  # raises on diffusion_steps, beta_start or beta_end
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
 
     def schedule(self) -> NoiseSchedule:
         return linear_schedule(self.diffusion_steps, self.beta_start, self.beta_end)
 
+
+# the least value of each count; `seed` may be any integer
+_LEAST = {
+    **dict.fromkeys(("sample_rate", "n_fft", "hop_size", "n_mels", "ppg_dim", "layers", "channels",
+                     "cond_dim", "n_bins", "batch", "segment_frames", "log_every"), 1),
+    "n_iter": 0,
+    "ckpt_every": 0,
+}
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 

@@ -2,8 +2,10 @@
 PPG handling, and best-effort mel inversion.
 
 The analysis functions take the `RunConfig` itself and read the published
-values from it (sample rate, FFT lengths, hop, mel bins, F0 range), so each
-is stated once, in `config`.
+values from it (sample rate, mel FFT length, hop, mel bins, F0 range), so
+each is stated once, in `config`, and has been checked when the config was
+built.  The F0 frame (`YIN_FRAME`) and the loudness FFT (`LOUDNESS_FFT`) are
+constants of this module, not settings.
 
 Features are plain float64 arrays with frames on axis 0 (log-mel and PPGs
 [frames, dim], loudness [frames]); quantized contours are int64 bins.  Only
@@ -41,6 +43,7 @@ LOG_MEL_FLOOR = 1e-5
 LOUDNESS_FLOOR = 1e-10
 YIN_THRESHOLD = 0.1
 YIN_FRAME = 2048  # samples per F0 analysis window
+LOUDNESS_FFT = 2048  # points of the loudness STFT
 GRIFFIN_LIM_ITERATIONS = 32
 
 
@@ -182,13 +185,12 @@ def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
     if len(wav) == 0:
         raise InputError("empty audio")
     sample_rate, f_min, f_max = cfg.sample_rate, cfg.f0_min, cfg.f0_max
-    if not (0.0 < f_min < f_max < sample_rate / 2.0):
-        raise ConfigError(f"need 0 < f_min < f_max < {sample_rate / 2}, got [{f_min}, {f_max}]")
     tau_min = max(2, int(math.ceil(sample_rate / f_max)))
     tau_max = int(math.floor(sample_rate / f_min))
     w = YIN_FRAME
     if w < tau_max:
-        raise ConfigError(f"frame length {w} shorter than one f_min period ({tau_max} samples)")
+        raise ConfigError(f"f0_min {f_min} Hz: one period ({tau_max} samples) is longer than "
+                          f"the F0 frame ({w} samples)")
     segs = _frames(wav, w, cfg.hop_size, extra_right=tau_max + 1)
     count = segs.shape[0]
     n_lags = tau_max + 2  # need d at tau_max + 1 for interpolation
@@ -270,8 +272,8 @@ def a_weighting_db(freqs) -> np.ndarray:
 
 def compute_loudness(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Per-frame natural log of the A-weighted power-spectrum sum, [frames],
-    from a `loud_fft`-point STFT."""
-    n_fft = cfg.loud_fft
+    from a `LOUDNESS_FFT`-point STFT."""
+    n_fft = LOUDNESS_FFT
     power = np.abs(stft(wav, n_fft, cfg.hop_size)) ** 2
     freqs = np.arange(n_fft // 2 + 1) * cfg.sample_rate / n_fft
     weights = 10.0 ** (a_weighting_db(freqs) / 10.0)

@@ -28,9 +28,12 @@ class NoiseSchedule:
 
 
 def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Endpoint-inclusive linear betas: beta_1 = start, beta_T = end."""
+    """Endpoint-inclusive linear betas: beta_1 = start, beta_T = end.
+
+    The rule for the three run settings is stated here only, and
+    `RunConfig` checks it by building its schedule."""
     if steps < 2:
-        raise ConfigError(f"schedule needs at least 2 steps, got {steps}")
+        raise ConfigError(f"diffusion_steps must be at least 2, got {steps}")
     if not (0.0 < beta_start < beta_end < 1.0):
         raise ConfigError(f"need 0 < beta_start < beta_end < 1, got [{beta_start}, {beta_end}]")
     beta = np.linspace(beta_start, beta_end, steps)

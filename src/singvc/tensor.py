@@ -38,7 +38,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, ConfigError
+from .errors import ContractError, ShapeError
 
 
 class Tensor:
@@ -188,7 +188,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
         raise ShapeError(f"conv1d expects [C_in,L] and [K,C_out,C_in], got {x.shape}, {weight.shape}")
     k, c_out, c_in = weight.shape
     if k % 2 == 0:
-        raise ConfigError(f"conv1d kernel size must be odd, got {k}")
+        raise ShapeError(f"conv1d kernel size must be odd, got {k}")
     if x.shape[0] != c_in:
         raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs weight {weight.shape}")
     if bias.shape != (c_out,):

@@ -15,14 +15,17 @@ The corpus ranges (`FeatureStats`: the mel min/max that normalize the mel
 target, the log-F0 and loudness ranges that quantize the conditioner) are
 fixed by the first run and carried by its checkpoints.  `train` first checks
 every utterance: feature ranks, one shared frame count of at least one,
-finite values, and the configured PPG and mel widths.
+finite values, and the configured PPG and mel widths.  The settings
+themselves were checked when the `RunConfig` was built, so `train` takes
+them as they are.
 
 Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
 config block (key=value lines: the run config, then the training state in
 `_STATE_KEYS` order, the iteration, the stream's seed and counter and the
 `FeatureStats` fields, each written and read through its one type; a value
 that does not parse, a negative count or a range that is not finite is a
-`FormatError` naming the key), then named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
+`FormatError` naming the key, and so is a range whose low end is not below
+its high end), then named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
 float64 LE data}.  Nothing derivable is stored: the noise schedule follows
 from the config (`RunConfig.schedule`) and ADAM's step count equals the
 iteration, since every save follows a whole iteration.  Payloads are 64-bit
@@ -80,7 +83,9 @@ CKPT_MAGIC = b"DSVC"
 # conv's width and dilation, which are no longer keys
 # 6: the mel band spans 0 Hz to sample_rate / 2; a version-5 config block also
 # sets the band's two edges, which are no longer keys
-CKPT_VERSION = 6
+# 7: the loudness FFT length is a constant; a version-6 config block also sets
+# it as `loud_fft`, which is no longer a key
+CKPT_VERSION = 7
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -149,12 +154,12 @@ def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> Feature
 
     Falls back to the configured F0 search range if the corpus has no voiced
     frames; degenerate quantization ranges are widened so quantization stays
-    defined, and a degenerate mel range is a `ConfigError`.
+    defined, and a degenerate mel range is a `DataError`.
     """
     mel_lo = min(float(s.log_mel.min()) for s in data)
     mel_hi = max(float(s.log_mel.max()) for s in data)
     if not mel_lo < mel_hi:
-        raise ConfigError(f"degenerate mel statistics: min {mel_lo} >= max {mel_hi}")
+        raise DataError(f"degenerate mel statistics: min {mel_lo} >= max {mel_hi}")
     voiced = np.concatenate([s.f0.log_f0[s.f0.voiced] for s in data])
     if voiced.size:
         f0_lo, f0_hi = np.percentile(voiced, [0.1, 99.9])
@@ -394,8 +399,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
 
 def _parse_state(path, extras: dict[str, str]) -> dict:
     """The state keys' values, each cast to its type; a missing key, a value
-    that does not parse, a negative count or a range that is not finite is a
-    `FormatError`."""
+    that does not parse, a negative count, a range end that is not finite or
+    a range whose low end is not below its high end is a `FormatError`."""
     missing = [key for key in _STATE_KEYS if key not in extras]
     if missing:
         raise FormatError(f"{path}: config block missing state keys {missing}")
@@ -408,6 +413,11 @@ def _parse_state(path, extras: dict[str, str]) -> dict:
             valid = False
         if not valid:
             raise FormatError(f"{path}: state key {key}: bad value {extras[key]!r}")
+    ranges = [f.name for f in fields(FeatureStats)]
+    for lo, hi in zip(ranges[::2], ranges[1::2]):
+        if not state[lo] < state[hi]:
+            raise FormatError(f"{path}: state keys {lo}, {hi}: need {lo} < {hi}, "
+                              f"got {state[lo]!r} >= {state[hi]!r}")
     return state
 
 
@@ -535,7 +545,7 @@ def train(
             state.iteration = it
             losses.append(loss)
             wall_ms = (time.perf_counter() - tic) * 1e3
-            if log_file and (it % max(1, cfg.log_every) == 0 or it == cfg.n_iter):
+            if log_file and (it % cfg.log_every == 0 or it == cfg.n_iter):
                 log_file.write(f"{it},{loss!r},{wall_ms:.3f}\n")
             if ckpt_path and cfg.ckpt_every > 0 and it % cfg.ckpt_every == 0:
                 save_checkpoint(ckpt_path, state)

@@ -5,6 +5,7 @@ import pytest
 
 from singvc import cli, errors, featio
 from singvc.cli import main
+from singvc.denoiser import Denoiser
 from singvc.features import write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
@@ -13,6 +14,14 @@ from conftest import set_config_value, synth_voice
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def with_setting(cfg_path, out_path, key, value):
+    """Writes a copy of a config file with one key's value replaced."""
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in cfg_path.read_text().splitlines()]
+    out_path.write_text("\n".join(lines) + "\n")
+    return out_path
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +79,14 @@ class TestExtract:
         assert run("extract", "--wav", wav, "--out", out, "--config", cli_workspace["cfg"],
                    "--synth-ppg", 0) == 1
         assert capsys.readouterr().err == "error: audio sample rate 16000 != configured 24000\n"
+        assert not out.exists()
+
+    def test_bad_setting_is_error(self, cli_workspace, tmp_path, capsys):
+        cfg = with_setting(cli_workspace["cfg"], tmp_path / "bad.cfg", "hop_size", 0)
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out, "--config", cfg,
+                   "--synth-ppg", 0) == 1
+        assert capsys.readouterr().err == "error: hop_size must be at least 1, got 0\n"
         assert not out.exists()
 
     def test_missing_wav_is_runtime_error(self, cli_workspace, capsys):
@@ -137,6 +154,21 @@ class TestTrain:
         assert run("train", "--data", data, "--config", cli_workspace["cfg_small"],
                    "--out", tmp_path / "x.ckpt") == 1
         assert "utt0.mel.feat: non-finite value nan at index (4, 2)" in capsys.readouterr().err
+
+    def test_bad_setting_is_error(self, cli_workspace, extracted, tmp_path, capsys):
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "bad.cfg", "batch", 0)
+        assert run("train", "--data", extracted, "--config", cfg, "--out", tmp_path / "x.ckpt") == 1
+        assert capsys.readouterr().err == "error: batch must be at least 1, got 0\n"
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_bad_schedule_fails_before_the_model_is_built(self, cli_workspace, extracted, tmp_path,
+                                                          capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(Denoiser, "init", lambda *args: built.append(args))
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "bad.cfg", "beta_end", 2.0)
+        assert run("train", "--data", extracted, "--config", cfg, "--out", tmp_path / "x.ckpt") == 1
+        assert capsys.readouterr().err == "error: need 0 < beta_start < beta_end < 1, got [0.0001, 2.0]\n"
+        assert built == []
 
     def test_empty_data_dir_is_error(self, cli_workspace, tmp_path):
         assert run("train", "--data", tmp_path, "--config", cli_workspace["cfg_small"],
@@ -246,6 +278,18 @@ class TestConvert:
         assert capsys.readouterr().err == f"error: {bad}: state key {key}: bad value {value!r}\n"
         assert not out.exists()
 
+    def test_inverted_mel_range_is_error(self, extracted, trained, tmp_path, capsys):
+        bad, out = tmp_path / "bad.ckpt", tmp_path / "x.feat"
+        bad.write_bytes(trained.read_bytes())
+        set_config_value(bad, "mel_lo", "5.0")
+        set_config_value(bad, "mel_hi", "-5.0")
+        assert run("convert", "--ckpt", bad, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: state keys mel_lo, mel_hi: need mel_lo < mel_hi, got 5.0 >= -5.0\n")
+        assert not out.exists()
+
     def test_logf0_shift_moves_the_output(self, extracted, trained, tmp_path):
         outs = [tmp_path / "plain.feat", tmp_path / "shifted.feat"]
         for out, shift in zip(outs, ("0", "0.5")):
@@ -331,8 +375,15 @@ class TestScheduleCmd:
         assert lines[1].startswith("1,0.0001,")
         assert len(lines) == 101
 
-    def test_bad_range_is_error(self, capsys):
-        assert run("schedule", "--beta-start", "0.5", "--beta-end", "0.1") == 1
+    def test_config_sets_the_schedule(self, cli_workspace, capsys):
+        assert run("schedule", "--config", cli_workspace["cfg"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11  # diffusion_steps = 10
+
+    def test_bad_range_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("beta_start = 0.5\nbeta_end = 0.1\n")
+        assert run("schedule", "--config", cfg) == 1
+        assert capsys.readouterr().err == "error: need 0 < beta_start < beta_end < 1, got [0.5, 0.1]\n"
 
 
 class TestGradcheckCmd:

@@ -4,6 +4,7 @@ import pytest
 
 from singvc.config import RunConfig, load_config, parse_config_text, serialize_config
 from singvc.errors import ConfigError
+from singvc.features import LOUDNESS_FFT
 
 
 def test_defaults_match_published_setup():
@@ -16,7 +17,7 @@ def test_defaults_match_published_setup():
     assert (cfg.beta_start, cfg.beta_end) == (1e-4, 0.06)
     assert (cfg.layers, cfg.channels, cfg.cond_dim, cfg.n_bins) == (20, 256, 256, 256)
     assert cfg.lr == 2e-4
-    assert cfg.loud_fft == 2048
+    assert LOUDNESS_FFT == 2048
 
 
 def test_parse_serialize_idempotent():
@@ -33,8 +34,10 @@ def test_comments_and_blank_lines():
 
 
 def test_unknown_key_rejected():
-    # settings up to checkpoint version 4 (the next four) and 5 (the last two)
-    for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation", "mel_fmin", "mel_fmax"):
+    # settings up to checkpoint version 4 (the next four), 5 (the next two)
+    # and 6 (the last one)
+    for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation", "mel_fmin", "mel_fmax",
+                "loud_fft"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config_text(f"{key} = 1\n")
 
@@ -62,9 +65,51 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_every_field_survives_roundtrip():
-    # perturb each field away from its default one at a time
+    # perturb each field away from its default one at a time; beta_start + 0.5
+    # would pass beta_end
     base = RunConfig()
     for f in dataclasses.fields(RunConfig):
-        bumped = dataclasses.replace(base, **{f.name: getattr(base, f.name) + (2 if f.type in (int, "int") else 0.5)})
+        value = getattr(base, f.name) + (2 if f.type in (int, "int") else 0.5)
+        if f.name == "beta_start":
+            value = base.beta_start / 2
+        bumped = dataclasses.replace(base, **{f.name: value})
         parsed, _ = parse_config_text(serialize_config(bumped))
         assert parsed == bumped, f.name
+
+
+# one invalid value per rule; every field but `seed` has at least one
+INVALID = [
+    *((key, 0) for key in ("sample_rate", "n_fft", "hop_size", "n_mels", "ppg_dim", "layers",
+                           "channels", "cond_dim", "n_bins", "batch", "segment_frames")),
+    ("sample_rate", 1600),  # f0_max 800 is not below the Nyquist frequency
+    ("diffusion_steps", 1),
+    ("beta_start", 0.0),
+    ("beta_start", 0.1),  # above beta_end
+    ("beta_end", 2.0),
+    ("f0_min", 0.0),
+    ("f0_max", 30.0),  # below f0_min
+    ("f0_max", 12000.0),  # the Nyquist frequency
+    ("lr", 0.0),
+    ("lr", float("nan")),
+    ("lr", float("inf")),
+    ("grad_clip", -1.0),
+    ("grad_clip", float("nan")),
+    ("grad_clip", float("inf")),
+    ("n_iter", -1),
+    ("log_every", 0),
+    ("ckpt_every", -1),
+]
+
+
+@pytest.mark.parametrize("key, value", INVALID, ids=str)
+def test_invalid_setting_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"{key} = {value!r}\n")
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(RunConfig(), **{key: value})
+
+
+def test_every_setting_has_a_rule():
+    assert {key for key, _ in INVALID} | {"seed"} == {f.name for f in dataclasses.fields(RunConfig)}
+    for seed in (-1, 2**70):  # free: the stream takes any integer mod 2^64
+        assert parse_config_text(f"seed = {seed}\n")[0].seed == seed

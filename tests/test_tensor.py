@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from singvc import tensor as T
-from singvc.errors import ConfigError, ContractError, ShapeError
+from singvc.errors import ContractError, ShapeError
 from singvc.tensor import Tensor, backward
 
 
@@ -100,7 +100,7 @@ class TestConv1d:
         np.testing.assert_array_equal(out.data, [[1.0, 1.0, 1.0]])
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             T.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((2, 1, 1))), T.zeros(1))
 
     @pytest.mark.parametrize("dilation", [1])  # of the reference loss; conv1d's only one

@@ -514,15 +514,26 @@ class TestCheckpoint:
             f"loud_hi = {stats.loud_hi!r}",
         ]
 
-    @pytest.mark.parametrize("key, value", [("iteration", "z"), ("rng_counter", "7.5"), ("rng_counter", "-3"),
-                                            ("mel_lo", "q.0003"), ("f0_hi", "nan")])
-    def test_bad_state_value_rejected(self, corpus, tmp_path, key, value):
+    BAD_STATE = [
+        ("iteration", "z", "state key iteration: bad value 'z'"),
+        ("rng_counter", "7.5", "state key rng_counter: bad value '7.5'"),
+        ("rng_counter", "-3", "state key rng_counter: bad value '-3'"),
+        ("mel_lo", "q.0003", "state key mel_lo: bad value 'q.0003'"),
+        ("f0_hi", "nan", "state key f0_hi: bad value 'nan'"),
+        # each range's ends out of order
+        ("mel_lo", "1e9", "state keys mel_lo, mel_hi: need mel_lo < mel_hi, got 1000000000.0 >= "),
+        ("f0_hi", "-1e9", "state keys f0_lo, f0_hi: need f0_lo < f0_hi, got "),
+        ("loud_lo", "1e9", "state keys loud_lo, loud_hi: need loud_lo < loud_hi, got 1000000000.0 >= "),
+    ]
+
+    @pytest.mark.parametrize("key, value, error", BAD_STATE, ids=[f"{k}-{v}" for k, v, _ in BAD_STATE])
+    def test_bad_state_value_rejected(self, corpus, tmp_path, key, value, error):
         ckpt, _ = train(corpus, TOY_CFG)
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, ckpt)
         set_config_value(path, key, value)
         for optimizer in (True, False):
-            with pytest.raises(FormatError, match=re.escape(f"{path}: state key {key}: bad value {value!r}")):
+            with pytest.raises(FormatError, match=re.escape(f"{path}: {error}")):
                 load_checkpoint(path, optimizer=optimizer)
 
     def test_mismatched_dims_rejected(self, corpus, tmp_path):
@@ -561,8 +572,8 @@ class TestCheckpoint:
         # 1: fan-in-scaled step weights; 2: conv weights [C_out, C_in, K];
         # 3: stored schedule tables and ADAM step count; 4: STFT window and
         # residual conv settings in the config block; 5: the mel band's edges
-        # in the config block
-        for version in (1, 2, 3, 4, 5):
+        # in the config block; 6: the loudness FFT length in the config block
+        for version in (1, 2, 3, 4, 5, 6):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
@@ -779,7 +790,7 @@ class TestFeatureStats:
 
     def test_constant_mel_corpus_rejected(self):
         flat = dataclasses.replace(make_sample(), log_mel=np.full((32, 8), -3.0))
-        with pytest.raises(ConfigError, match=r"degenerate mel statistics: min -3.0 >= max -3.0"):
+        with pytest.raises(DataError, match=r"degenerate mel statistics: min -3.0 >= max -3.0"):
             compute_feature_stats([flat], TOY_CFG)
 
     def test_unvoiced_corpus_falls_back_to_config_range(self):
