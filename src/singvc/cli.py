@@ -22,7 +22,7 @@ import numpy as np
 from . import featio, gradcheck, metrics
 from .config import RunConfig, load_config
 from .diffusion import sample
-from .errors import DataError, FormatError, InputError, MetricUndefinedError, SingvcError
+from .errors import DataError, InputError, MetricUndefinedError, SingvcError
 from .features import (
     F0Contour,
     compute_log_mel,
@@ -142,6 +142,15 @@ def _shift_f0(hz: np.ndarray, shift: float) -> np.ndarray:
     return shifted
 
 
+def _read_rank(path, rank: int) -> np.ndarray:
+    """A feature file's values; any other rank is an `InputError` naming
+    the file."""
+    values = featio.read_feat(path)
+    if values.ndim != rank:
+        raise InputError(f"{path}: expected a rank-{rank} feature, got rank {values.ndim}")
+    return values
+
+
 def cmd_convert(args) -> int:
     ckpt = load_checkpoint(args.ckpt, optimizer=False)
     cfg = ckpt.config
@@ -150,10 +159,10 @@ def cmd_convert(args) -> int:
     ppg = load_ppg(args.ppg)
     if len(ppg) == 0:
         raise InputError(f"{args.ppg}: zero frames, nothing to convert")
-    hz = featio.read_feat(args.f0)
-    loud_values = featio.read_feat(args.loud)
-    if hz.ndim != 1 or loud_values.ndim != 1:
-        raise FormatError("f0 and loudness features must be rank 1")
+    if ppg.shape[1] != cfg.ppg_dim:
+        raise InputError(f"{args.ppg}: PPG dim {ppg.shape[1]} != checkpoint's ppg_dim {cfg.ppg_dim}")
+    hz = _read_rank(args.f0, 1)
+    loud_values = _read_rank(args.loud, 1)
 
     if args.logf0_shift:
         hz = _shift_f0(hz, args.logf0_shift)
@@ -188,14 +197,16 @@ def cmd_eval(args) -> int:
 
     lines = ["utterance_id,mcd_db,fpc,frames_ref,frames_hyp"]
     for stem in matched:
-        mel_ref = featio.read_feat(ref_dir / f"{stem}.mel.feat")
-        mel_hyp = featio.read_feat(hyp_dir / f"{stem}.mel.feat")
+        ref_path, hyp_path = ref_dir / f"{stem}.mel.feat", hyp_dir / f"{stem}.mel.feat"
+        mel_ref, mel_hyp = _read_rank(ref_path, 2), _read_rank(hyp_path, 2)
+        if mel_ref.shape[1] != mel_hyp.shape[1]:
+            raise InputError(f"{hyp_path}: mel depth {mel_hyp.shape[1]} != {mel_ref.shape[1]} in {ref_path}")
         mcd_db = metrics.mcd(metrics.mel_to_cepstrum(mel_ref), metrics.mel_to_cepstrum(mel_hyp))
         fpc_field = ""
         ref_f0, hyp_f0 = ref_dir / f"{stem}.f0.feat", hyp_dir / f"{stem}.f0.feat"
         if ref_f0.exists() and hyp_f0.exists():
             try:
-                fpc_field = repr(_aligned_fpc(featio.read_feat(ref_f0), featio.read_feat(hyp_f0)))
+                fpc_field = repr(_aligned_fpc(_read_rank(ref_f0, 1), _read_rank(hyp_f0, 1)))
             except MetricUndefinedError as exc:
                 print(f"warning: {stem!r}: {exc}", file=sys.stderr)
                 fpc_field = "nan"

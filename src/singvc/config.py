@@ -50,7 +50,6 @@ class RunConfig:
     segment_frames: int = 128
     log_every: int = 50
     ckpt_every: int = 0
-    grad_clip: float = 0.0
 
     def __post_init__(self):
         for key, least in _LEAST.items():
@@ -61,8 +60,6 @@ class RunConfig:
                               f"got f0_min {self.f0_min!r}, f0_max {self.f0_max!r}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and above 0, got {self.lr!r}")
-        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0.0):
-            raise ConfigError(f"grad_clip must be finite and at least 0, got {self.grad_clip!r}")
         self.schedule()  # raises on diffusion_steps, beta_start or beta_end
 
     def model_config(self) -> ModelConfig:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, ContractError, FormatError, InputError
 from .featio import read_feat
 from .rng import RandomStream
 
@@ -288,7 +288,7 @@ def compute_loudness(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
 def quantize(values: np.ndarray, lo: float, hi: float, n_bins: int) -> np.ndarray:
     """int64 bin = clamp(floor((v - lo) / (hi - lo) * n_bins), 0, n_bins - 1)."""
     if not lo < hi:
-        raise ConfigError(f"quantization range invalid: lo {lo} >= hi {hi}")
+        raise ContractError(f"quantization range invalid: lo {lo} >= hi {hi}")
     scaled = (np.asarray(values, dtype=np.float64) - lo) / (hi - lo) * n_bins
     return np.clip(np.floor(scaled), 0, n_bins - 1).astype(np.int64)
 

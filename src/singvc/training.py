@@ -20,20 +20,22 @@ themselves were checked when the `RunConfig` was built, so `train` takes
 them as they are.
 
 Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
-config block (key=value lines: the run config, then the training state in
-`_STATE_KEYS` order, the iteration, the stream's seed and counter and the
-`FeatureStats` fields, each written and read through its one type; a value
-that does not parse, a negative count or a range that is not finite is a
-`FormatError` naming the key, and so is a range whose low end is not below
-its high end), then named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
+config block (key=value lines: the run config, whose settings `RunConfig`
+checks, a bad one failing the load as a `FormatError` naming the file, then
+the training state in `_STATE_KEYS` order, the iteration, the stream's seed
+and counter and the `FeatureStats` fields, each written and read through its
+one type; a value that does not parse, a negative count or a range that is
+not finite is a `FormatError` naming the key, and so is a range whose low
+end is not below its high end), then named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
 float64 LE data}.  Nothing derivable is stored: the noise schedule follows
 from the config (`RunConfig.schedule`) and ADAM's step count equals the
 iteration, since every save follows a whole iteration.  Payloads are 64-bit
 so that a reloaded state continues training bit-exactly.  Records are looked
 up by name; they are written in the model's parameter order (parameters,
 then ``adam.m.*``, then ``adam.v.*``) and a loaded checkpoint keeps the order
-of its file, so the gradient-clip norm of a resumed run sums in the same
-order as the uninterrupted run and resume is bit-exact at any ``grad_clip``.
+of its file, so saving it again writes the same bytes.  ADAM updates each
+parameter from its own gradient alone, so a resumed run's updates do not
+depend on that order.
 Saves are atomic: the file is written under a temporary name in the same
 directory and renamed over the target, so an interrupted save leaves the
 previous checkpoint intact.
@@ -85,7 +87,9 @@ CKPT_MAGIC = b"DSVC"
 # sets the band's two edges, which are no longer keys
 # 7: the loudness FFT length is a constant; a version-6 config block also sets
 # it as `loud_fft`, which is no longer a key
-CKPT_VERSION = 7
+# 8: ADAM takes the raw gradient; a version-7 config block also sets the
+# gradient-clip norm, which is no longer a key
+CKPT_VERSION = 8
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -211,17 +215,14 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self._scratch = np.empty((2, 0))
 
-    def step(self, params: dict[str, Tensor], lr: float, grad_clip: float = 0.0) -> None:
+    def step(self, params: dict[str, Tensor], lr: float) -> None:
         """One update of every parameter from its ``.grad`` (None reads as
         zero), which is then released.  Every gradient is checked first, so a
         `DivergenceError` leaves parameters, moments and gradients untouched.
-        The clip norm is summed in ``params``' order, which a checkpoint keeps:
-        a resumed run clips by the same bits as an uninterrupted one.
 
         Each parameter is updated in place through two scratch buffers the
-        size of the largest one, reused across parameters and steps; a
-        clipped gradient is scaled in place.  The arithmetic is the
-        textbook expression's, operation for operation."""
+        size of the largest one, reused across parameters and steps.  The
+        arithmetic is the textbook expression's, operation for operation."""
         for name, p in params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
@@ -232,23 +233,11 @@ class Adam:
         def scratch(i: int, p: Tensor) -> np.ndarray:
             return self._scratch[i, : p.data.size].reshape(p.shape)
 
-        factor = None
-        if grad_clip > 0.0:
-            norm = 0.0
-            for p in params.values():
-                if p.grad is not None:
-                    sq = np.square(p.grad, out=scratch(0, p))
-                    norm += float(sq.sum())
-            norm = np.sqrt(norm)
-            if norm > grad_clip:
-                factor = grad_clip / norm
         self.step_count += 1
         c1 = 1.0 - ADAM_BETA1**self.step_count
         c2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in params.items():
             g = p.grad if p.grad is not None else 0.0
-            if factor is not None and p.grad is not None:
-                g *= factor
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
@@ -363,7 +352,10 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (block_len,) = struct.unpack("<I", take(4, "config length"))
         block = take(block_len, "config block").decode("utf-8")
-        config, extras = parse_config_text(block, extra_keys=tuple(_STATE_KEYS))
+        try:
+            config, extras = parse_config_text(block, extra_keys=tuple(_STATE_KEYS))
+        except ConfigError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         state = _parse_state(path, extras)
 
         params: dict[str, np.ndarray] = {}
@@ -541,7 +533,7 @@ def train(
                     f"(t={steps}, segments={names})"
                 )
             T.backward(total)
-            state.adam.step(model.params, cfg.lr, cfg.grad_clip)
+            state.adam.step(model.params, cfg.lr)
             state.iteration = it
             losses.append(loss)
             wall_ms = (time.perf_counter() - tic) * 1e3

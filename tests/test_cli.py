@@ -253,7 +253,19 @@ class TestConvert:
         out = tmp_path / "x.feat"
         assert run("convert", "--ckpt", trained, "--ppg", wide, "--f0", extracted / "utt0.f0.feat",
                    "--loud", extracted / "utt0.loud.feat", "--out", out) == 1
-        assert "ppg dim" in capsys.readouterr().err.lower()
+        assert capsys.readouterr().err == f"error: {wide}: PPG dim 17 != checkpoint's ppg_dim 16\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["f0", "loud"])
+    def test_rank_2_contour_is_error(self, extracted, trained, tmp_path, capsys, kind):
+        paths = {k: extracted / f"utt0.{k}.feat" for k in ("ppg", "f0", "loud")}
+        column = tmp_path / f"column.{kind}.feat"
+        featio.write_feat(column, featio.read_feat(paths[kind])[:, None])
+        paths[kind] = column
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", paths["ppg"], "--f0", paths["f0"],
+                   "--loud", paths["loud"], "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {column}: expected a rank-1 feature, got rank 2\n"
         assert not out.exists()
 
     def test_zero_frames_is_error(self, trained, tmp_path, capsys):
@@ -365,6 +377,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert "skipped 1" in err
         assert len(out.read_text().splitlines()) == 2
+
+    # each damages the hyp side's utt0: a rank-1 mel, a rank-2 F0, and a mel
+    # 2 bins short of the ref's 16, deep enough that both keep all 13 MCD
+    # coefficients and the cepstra alone would not show the mismatch
+    MALFORMED = {
+        "mel_rank": ("mel", lambda mel: mel[:, 0], "{hyp}: expected a rank-2 feature, got rank 1"),
+        "f0_rank": ("f0", lambda f0: f0[:, None], "{hyp}: expected a rank-1 feature, got rank 2"),
+        "mel_depth": ("mel", lambda mel: mel[:, :14], "{hyp}: mel depth 14 != 16 in {ref}"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_feature_is_error(self, extracted, tmp_path, capsys, case):
+        kind, damage, message = self.MALFORMED[case]
+        hyp_dir = tmp_path / "hyp"
+        hyp_dir.mkdir()
+        for src in extracted.glob("utt*.feat"):
+            (hyp_dir / src.name).write_bytes(src.read_bytes())
+        ref, hyp = extracted / f"utt0.{kind}.feat", hyp_dir / f"utt0.{kind}.feat"
+        featio.write_feat(hyp, damage(featio.read_feat(ref)))
+        out = tmp_path / "r.csv"
+        assert run("eval", "--ref", extracted, "--hyp", hyp_dir, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message.format(hyp=hyp, ref=ref)}\n"
+        assert not out.exists()
 
 
 class TestScheduleCmd:

@@ -34,10 +34,10 @@ def test_comments_and_blank_lines():
 
 
 def test_unknown_key_rejected():
-    # settings up to checkpoint version 4 (the next four), 5 (the next two)
-    # and 6 (the last one)
+    # settings up to checkpoint version 4 (the next four), 5 (the next two),
+    # 6 and 7 (one each)
     for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation", "mel_fmin", "mel_fmax",
-                "loud_fft"):
+                "loud_fft", "grad_clip"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config_text(f"{key} = 1\n")
 
@@ -92,9 +92,6 @@ INVALID = [
     ("lr", 0.0),
     ("lr", float("nan")),
     ("lr", float("inf")),
-    ("grad_clip", -1.0),
-    ("grad_clip", float("nan")),
-    ("grad_clip", float("inf")),
     ("n_iter", -1),
     ("log_every", 0),
     ("ckpt_every", -1),

@@ -7,7 +7,7 @@ import pytest
 
 from singvc import featio, features
 from singvc.config import RunConfig
-from singvc.errors import ConfigError, FormatError, InputError
+from singvc.errors import ConfigError, ContractError, FormatError, InputError
 from singvc.features import (
     F0Contour,
     LOG_MEL_FLOOR,
@@ -254,7 +254,7 @@ class TestQuantize:
         assert np.all(np.diff(bins) >= 0)
 
     def test_invalid_range_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             quantize(np.zeros(3), 1.0, 1.0, 256)
 
 

@@ -112,12 +112,11 @@ class TestAdam:
         with pytest.raises(DivergenceError):
             Adam().step({"p": p}, lr=0.01)
 
-    @pytest.mark.parametrize("grad_clip", [0.0, 0.1])
-    def test_step_releases_every_gradient(self, grad_clip):
+    def test_step_releases_every_gradient(self):
         params = {n: Tensor(np.ones(3), requires_grad=True) for n in "abc"}
         params["a"].grad = np.full(3, 0.5)
         params["b"].grad = np.full(3, -0.5)  # "c" has none: it reads as zero
-        Adam().step(params, lr=0.01, grad_clip=grad_clip)
+        Adam().step(params, lr=0.01)
         assert [p.grad for p in params.values()] == [None, None, None]
 
     def test_divergence_leaves_parameters_moments_and_gradients_untouched(self):
@@ -138,21 +137,13 @@ class TestAdam:
 
         before = state()
         with pytest.raises(DivergenceError, match="'b'"):
-            opt.step(params, lr=0.01, grad_clip=0.1)
+            opt.step(params, lr=0.01)
         assert state() == before
         for n, p in params.items():
             assert p.grad is grads[n]
         assert grads["a"].tobytes() == np.full(3, 0.5).tobytes()
 
-    def test_max_norm_clipping(self):
-        p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
-        p.grad = np.array([3.0, 4.0])  # norm 5
-        opt = Adam()
-        opt.step({"p": p}, lr=1.0, grad_clip=1.0)
-        np.testing.assert_allclose(opt.m["p"], 0.1 * np.array([0.6, 0.8]))
-
-    @pytest.mark.parametrize("grad_clip", [0.0, 1.0])
-    def test_in_place_update_matches_out_of_place_reference(self, grad_clip):
+    def test_in_place_update_matches_out_of_place_reference(self):
         rng = RandomStream(21)
         shapes = {"a": (5, 7), "b": (3,)}
         init = {n: rng.normal(shape) for n, shape in shapes.items()}
@@ -165,10 +156,6 @@ class TestAdam:
         m = {n: np.zeros_like(a) for n, a in init.items()}
         v = {n: np.zeros_like(a) for n, a in init.items()}
         for count, step_grads in enumerate(grads, start=1):
-            if grad_clip > 0.0:
-                norm = np.sqrt(sum(float((g**2).sum()) for g in step_grads.values()))
-                assert norm > grad_clip  # the clipping branch runs
-                step_grads = {n: g * (grad_clip / norm) for n, g in step_grads.items()}
             c1, c2 = 1.0 - b1**count, 1.0 - b2**count
             for n, g in step_grads.items():
                 m[n] = b1 * m[n] + (1.0 - b1) * g
@@ -180,7 +167,7 @@ class TestAdam:
         for count, step_grads in enumerate(grads, start=1):
             for n, p in params.items():
                 p.grad = step_grads[n]
-            opt.step(params, lr, grad_clip)
+            opt.step(params, lr)
             if count == 1:
                 moments = {n: (opt.m[n], opt.v[n]) for n in params}
         for n, p in params.items():
@@ -222,13 +209,9 @@ def reference_loss(schedule, model, y0, conds, steps, noises):
     return T.scale(total, 1.0 / len(steps))
 
 
-def reference_adam_step(params, m, v, count, lr, grad_clip):
+def reference_adam_step(params, m, v, count, lr):
     """ADAM with a new array for every intermediate."""
     grads = {n: p.grad if p.grad is not None else np.zeros_like(p.data) for n, p in params.items()}
-    if grad_clip > 0.0:
-        norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-        if norm > grad_clip:
-            grads = {n: g * (grad_clip / norm) for n, g in grads.items()}
     c1, c2 = 1.0 - 0.9**count, 1.0 - 0.999**count
     for n, p in params.items():
         g = grads[n]
@@ -247,24 +230,23 @@ def cond_inputs(sample, sl, cfg):
 class TestBatchedIteration:
     """One graph per iteration against the per-element loop, byte for byte."""
 
-    @pytest.mark.parametrize("grad_clip", [0.0, 0.01])
     @pytest.mark.parametrize("segments", [
         [("utt1", 3)],
         [("utt0", 5), ("short", 0), ("utt1", 20)],  # "short" has 11 frames, under segment_frames
     ])
-    def test_loss_gradients_and_adam_match_the_per_element_loop(self, corpus, grad_clip, segments):
-        self.match_per_element_loop(corpus, grad_clip, segments, TOY_CFG.layers)
+    def test_loss_gradients_and_adam_match_the_per_element_loop(self, corpus, segments):
+        self.match_per_element_loop(corpus, segments, TOY_CFG.layers)
 
     def test_conditioner_gradient_sums_three_layers_in_order(self, corpus):
         # two layers' contributions add the same bits in either order; three
         # do not, so this pins the order in which the layers' cond convs add
         # into the conditioner's gradient
-        self.match_per_element_loop(corpus, 0.0, [("utt0", 5), ("utt1", 20)], 3)
+        self.match_per_element_loop(corpus, [("utt0", 5), ("utt1", 20)], 3)
 
     @staticmethod
-    def match_per_element_loop(corpus, grad_clip, segments, layers):
+    def match_per_element_loop(corpus, segments, layers):
         utts = {s.name: s for s in corpus + [make_sample("short", frames=11, seed=3)]}
-        cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": len(segments), "grad_clip": grad_clip, "layers": layers})
+        cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": len(segments), "layers": layers})
         schedule = cfg.schedule()
         init = Denoiser.init(cfg.model_config(), RandomStream(4).split("init"))
         # a non-zero output conv, so every parameter gets a gradient at once
@@ -295,8 +277,8 @@ class TestBatchedIteration:
                 assert (p.grad is None) == (q.grad is None), name
                 assert p.grad is None or p.grad.tobytes() == q.grad.tobytes(), name
 
-            adam.step(batched.params, cfg.lr, grad_clip)
-            reference_adam_step(ref.params, ref_m, ref_v, count, cfg.lr, grad_clip)
+            adam.step(batched.params, cfg.lr)
+            reference_adam_step(ref.params, ref_m, ref_v, count, cfg.lr)
             for name, p in batched.params.items():
                 assert p.data.tobytes() == ref.params[name].data.tobytes(), name
                 assert adam.m[name].tobytes() == ref_m[name].tobytes(), name
@@ -464,24 +446,11 @@ class TestCheckpoint:
         for name in ("beta", "alpha", "alpha_bar", "sigma"):
             assert getattr(loaded, name).tobytes() == getattr(run, name).tobytes()
 
-    @pytest.mark.parametrize("grad_clip", [0.0, 0.01])
-    def test_resume_reproduces_uninterrupted_losses(self, corpus, tmp_path, monkeypatch, grad_clip):
-        norms = []
-        inner = Adam.__dict__["step"]
-
-        def step(self, params, lr, clip=0.0):
-            grads = [p.grad for p in params.values() if p.grad is not None]
-            norms.append(math.sqrt(sum(float((g**2).sum()) for g in grads)))
-            inner(self, params, lr, clip)
-
-        monkeypatch.setattr(Adam, "step", step)
-        head_cfg = RunConfig(**{**TOY_CFG.__dict__, "grad_clip": grad_clip})  # 12 iterations
-        full_cfg = RunConfig(**{**head_cfg.__dict__, "n_iter": 22})
+    def test_resume_reproduces_uninterrupted_losses(self, corpus, tmp_path):
+        full_cfg = RunConfig(**{**TOY_CFG.__dict__, "n_iter": 22})  # TOY_CFG runs 12
         full, full_losses = train(corpus, full_cfg)
-        if grad_clip > 0.0:
-            assert min(norms) > grad_clip  # every step is clipped
 
-        ckpt, head_losses = train(corpus, head_cfg)
+        ckpt, head_losses = train(corpus, TOY_CFG)
         path = tmp_path / "resume.ckpt"
         save_checkpoint(path, ckpt)
         resumed, tail_losses = train(corpus, full_cfg, resume=load_checkpoint(path))
@@ -524,6 +493,8 @@ class TestCheckpoint:
         ("mel_lo", "1e9", "state keys mel_lo, mel_hi: need mel_lo < mel_hi, got 1000000000.0 >= "),
         ("f0_hi", "-1e9", "state keys f0_lo, f0_hi: need f0_lo < f0_hi, got "),
         ("loud_lo", "1e9", "state keys loud_lo, loud_hi: need loud_lo < loud_hi, got 1000000000.0 >= "),
+        # a run setting that `RunConfig` rejects names the file too
+        ("batch", "0", "batch must be at least 1, got 0"),
     ]
 
     @pytest.mark.parametrize("key, value, error", BAD_STATE, ids=[f"{k}-{v}" for k, v, _ in BAD_STATE])
@@ -572,8 +543,9 @@ class TestCheckpoint:
         # 1: fan-in-scaled step weights; 2: conv weights [C_out, C_in, K];
         # 3: stored schedule tables and ADAM step count; 4: STFT window and
         # residual conv settings in the config block; 5: the mel band's edges
-        # in the config block; 6: the loudness FFT length in the config block
-        for version in (1, 2, 3, 4, 5, 6):
+        # in the config block; 6: the loudness FFT length in the config block;
+        # 7: the gradient-clip norm in the config block
+        for version in (1, 2, 3, 4, 5, 6, 7):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
