@@ -1,9 +1,9 @@
 """Command-line pipeline: extract | train | convert | eval | schedule | gradcheck.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.  All randomness flows
-from explicit --seed flags.  Every run setting comes from a `--config` file
-or a checkpoint's config block, and is checked as it is read, so a bad one
-exits 1 before any work.
+Exit codes: 0 success, 1 runtime error (running out of memory included), 2
+usage error.  All randomness flows from explicit --seed flags.  Every run
+setting comes from a `--config` file or a checkpoint's config block, and is
+checked as it is read, so a bad one exits 1 before any work.
 
 `convert` projects the conditioner into the residual layers once
 (`Denoiser.prepare`) and runs every sampling step on that projection.
@@ -163,6 +163,9 @@ def cmd_convert(args) -> int:
         raise InputError(f"{args.ppg}: PPG dim {ppg.shape[1]} != checkpoint's ppg_dim {cfg.ppg_dim}")
     hz = _read_rank(args.f0, 1)
     loud_values = _read_rank(args.loud, 1)
+    for path, values in ((args.f0, hz), (args.loud, loud_values)):
+        if len(values) != len(ppg):
+            raise InputError(f"{path}: {len(values)} frames != {len(ppg)} in the PPG file {args.ppg}")
 
     if args.logf0_shift:
         hz = _shift_f0(hz, args.logf0_shift)
@@ -292,6 +295,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

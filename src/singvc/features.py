@@ -21,6 +21,19 @@ Fixed conventions (tests depend on these):
     normalization, spanning 0 Hz to sample_rate / 2;
   * log compression is ln(mel_power + 1e-5); the floor keeps silence finite.
 
+F0 and every STFT run over blocks of `FRAME_BLOCK` frames.  Each block's
+samples are cut from the clip with the padding above applied at the clip's
+edges, so no padded copy of the clip is made, and each call allocates its
+work buffers once and reuses them for every block.  The F0 work therefore
+takes the same memory at any clip length (about 3.5 MiB at the default
+F0 range).  The power spectrum behind log-mel and loudness still holds one
+[frames, n_fft//2 + 1] row per frame.  Blocking keeps every bit: each
+row of an FFT, a cumsum, the difference function and |.|^2 is computed
+on its own, whatever the rows around it.  The filterbank and A-weight
+products are not: BLAS may round a row of a product differently with the
+number of rows in the call (a per-block `power @ fb.T` changed log-mel
+bits at 16 mels), so both run once over the whole clip.
+
 The corpus ranges that normalize the mel and quantize F0 and loudness are
 training state: `training.FeatureStats`.
 """
@@ -43,6 +56,7 @@ LOG_MEL_FLOOR = 1e-5
 LOUDNESS_FLOOR = 1e-10
 YIN_THRESHOLD = 0.1
 YIN_FRAME = 2048  # samples per F0 analysis window
+FRAME_BLOCK = 32  # frames per block of F0 and STFT work
 LOUDNESS_FFT = 2048  # points of the loudness STFT
 GRIFFIN_LIM_ITERATIONS = 32
 
@@ -74,39 +88,77 @@ def frame_count(num_samples: int, hop: int) -> int:
     return -(-num_samples // hop)
 
 
-def _pad_center(wav: np.ndarray, pad: int) -> np.ndarray:
-    """Reflect-pad by `pad` per side; zero-fill whatever reflect cannot cover."""
+def _fill_centered(out: np.ndarray, wav: np.ndarray, start: int, reach: int) -> None:
+    """out[i] = sample start + i of wav extended by reflection `reach`
+    samples past each end (the edge sample itself not repeated), 0 beyond."""
     n = len(wav)
-    r = min(pad, n - 1) if n > 1 else 0
-    out = np.pad(wav, r, mode="reflect") if r else wav.astype(np.float64)
-    if r < pad:
-        out = np.pad(out, pad - r)
-    return out
+    stop = start + len(out)
+    out.fill(0.0)
+    lo, hi = max(start, 0), min(stop, n)
+    if lo < hi:
+        out[lo - start : hi - start] = wav[lo:hi]
+    lo, hi = max(start, -reach), min(stop, 0)  # sample k < 0 is wav[-k]
+    if lo < hi:
+        out[lo - start : hi - start] = wav[1 - hi : 1 - lo][::-1]
+    lo, hi = max(start, n), min(stop, n + reach)  # sample k >= n is wav[2n - 2 - k]
+    if lo < hi:
+        out[lo - start : hi - start] = wav[2 * n - 1 - hi : 2 * n - 1 - lo][::-1]
 
 
-def _frames(wav: np.ndarray, win: int, hop: int, extra_right: int = 0) -> np.ndarray:
-    """[frames, win + extra_right] windows with frame t centered at t*hop."""
-    n = len(wav)
-    count = frame_count(n, hop)
+def _frame_blocks(wav: np.ndarray, win: int, hop: int, width: int):
+    """Yields (first frame, frames [rows, width]) for each `FRAME_BLOCK`
+    frames of the clip.  Frame t starts at sample t*hop - win//2, so a
+    win-long frame is centered at t*hop; samples before the start and past
+    the end reflect by up to win//2 and are 0 beyond that.  The frames are
+    a view of one buffer, which the next block overwrites."""
+    count = frame_count(len(wav), hop)
     pad = win // 2
-    x = _pad_center(wav, pad)
-    need = (count - 1) * hop + win + extra_right
-    if len(x) < need:
-        x = np.pad(x, (0, need - len(x)))
-    view = np.lib.stride_tricks.sliding_window_view(x, win + extra_right)
-    return view[: (count - 1) * hop + 1 : hop]
+    reach = min(pad, len(wav) - 1)
+    samples = np.empty((min(FRAME_BLOCK, count) - 1) * hop + width)
+    for first in range(0, count, FRAME_BLOCK):
+        rows = min(FRAME_BLOCK, count - first)
+        span = samples[: (rows - 1) * hop + width]
+        _fill_centered(span, wav, first * hop - pad, reach)
+        yield first, np.lib.stride_tricks.sliding_window_view(span, width)[::hop]
 
 
 def hann_window(win: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(win) / win))
 
 
-def stft(wav: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    """Complex spectrogram [frames, n_fft//2 + 1]; the window is n_fft long."""
+def _stft_blocks(wav: np.ndarray, n_fft: int, hop: int):
+    """Yields (first frame, complex spectrum [rows, n_fft//2 + 1]) for each
+    block of Hann-windowed frames; the spectrum is a buffer that the next
+    block overwrites."""
     if len(wav) == 0:
         raise InputError("empty audio")
-    frames = _frames(wav, n_fft, hop) * hann_window(n_fft)
-    return np.fft.rfft(frames, n=n_fft, axis=1)
+    window = hann_window(n_fft)
+    block = min(FRAME_BLOCK, frame_count(len(wav), hop))
+    windowed = np.empty((block, n_fft))
+    spec = np.empty((block, n_fft // 2 + 1), dtype=np.complex128)
+    for first, frames in _frame_blocks(wav, n_fft, hop, n_fft):
+        rows = len(frames)
+        np.multiply(frames, window, out=windowed[:rows])
+        np.fft.rfft(windowed[:rows], n=n_fft, axis=1, out=spec[:rows])
+        yield first, spec[:rows]
+
+
+def stft(wav: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Complex spectrogram [frames, n_fft//2 + 1]; the window is n_fft long."""
+    out = np.empty((frame_count(len(wav), hop), n_fft // 2 + 1), dtype=np.complex128)
+    for first, spec in _stft_blocks(wav, n_fft, hop):
+        out[first : first + len(spec)] = spec
+    return out
+
+
+def power_spectrum(wav: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """|STFT|^2, [frames, n_fft//2 + 1], filled block by block."""
+    power = np.empty((frame_count(len(wav), hop), n_fft // 2 + 1))
+    for first, spec in _stft_blocks(wav, n_fft, hop):
+        rows = power[first : first + len(spec)]
+        np.abs(spec, out=rows)
+        np.square(rows, out=rows)
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +202,9 @@ def mel_filterbank(cfg: RunConfig) -> np.ndarray:
 
 def compute_log_mel(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Unnormalized log-mel, [frames, n_mels]: ln(filterbank @ |STFT|^2 + floor)."""
-    power = np.abs(stft(wav, cfg.n_fft, cfg.hop_size)) ** 2
+    power = power_spectrum(wav, cfg.n_fft, cfg.hop_size)
+    # one product over the whole clip: per block, BLAS may round a row
+    # differently (it did at 16 mels)
     mel_power = power @ mel_filterbank(cfg).T
     return np.log(mel_power + LOG_MEL_FLOOR)
 
@@ -191,43 +245,64 @@ def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
     if w < tau_max:
         raise ConfigError(f"f0_min {f_min} Hz: one period ({tau_max} samples) is longer than "
                           f"the F0 frame ({w} samples)")
-    segs = _frames(wav, w, cfg.hop_size, extra_right=tau_max + 1)
-    count = segs.shape[0]
+    width = w + tau_max + 1  # each frame's segment: the window and every lag past it
     n_lags = tau_max + 2  # need d at tau_max + 1 for interpolation
-
-    # d(tau) = E(0) + E(tau) - 2 * corr(tau), via one FFT per frame; a
-    # circular correlation at any length >= the segment has no wraparound at
-    # the lags kept
-    fft_len = _fft_size(segs.shape[1])
-    spec_full = np.fft.rfft(segs, n=fft_len, axis=1)
-    spec_head = np.fft.rfft(segs[:, :w], n=fft_len, axis=1)
-    corr = np.fft.irfft(np.conj(spec_head) * spec_full, n=fft_len, axis=1)[:, :n_lags]
-
-    sq = np.cumsum(segs**2, axis=1)
-    energy = np.empty((count, n_lags))
-    energy[:, 0] = sq[:, w - 1]
-    energy[:, 1:] = sq[:, w : w + n_lags - 1] - sq[:, : n_lags - 1]
-    d = np.maximum(energy[:, :1] + energy - 2.0 * corr, 0.0)
-
-    # cumulative-mean normalization; flat (silent) frames pin to 1
-    cum = np.cumsum(d[:, 1:], axis=1)
-    dn = np.ones_like(d)
+    # a circular correlation at any length >= the segment has no wraparound
+    # at the lags kept
+    fft_len = _fft_size(width)
     taus = np.arange(1, n_lags, dtype=np.float64)
-    np.divide(d[:, 1:] * taus, cum, out=dn[:, 1:], where=cum > 0.0)
 
-    hz = np.zeros(count)
-    for i in range(count):
-        row = dn[i]
-        below = np.nonzero(row[tau_min : tau_max + 1] < YIN_THRESHOLD)[0]
-        if below.size == 0:
-            continue
-        tau = tau_min + int(below[0])
-        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-            tau += 1
-        denom = row[tau - 1] - 2.0 * row[tau] + row[tau + 1]
-        delta = 0.0 if denom <= 0 else (row[tau - 1] - row[tau + 1]) / (2.0 * denom)
-        period = tau + float(np.clip(delta, -1.0, 1.0))
-        hz[i] = float(np.clip(sample_rate / period, f_min, f_max))
+    hz = np.zeros(frame_count(len(wav), cfg.hop_size))
+    # one set of work buffers per call, reused by every block
+    block = min(FRAME_BLOCK, len(hz))
+    squares = np.empty((block, width))
+    spec_full = np.empty((block, fft_len // 2 + 1), dtype=np.complex128)
+    spec_head = np.empty_like(spec_full)
+    corr = np.empty((block, fft_len))
+    energy = np.empty((block, n_lags))
+    d = np.empty_like(energy)
+    dn = np.empty_like(energy)
+    cum = np.empty((block, n_lags - 1))
+    positive = np.empty(cum.shape, dtype=bool)
+
+    for first, segs in _frame_blocks(wav, w, cfg.hop_size, width):
+        rows = len(segs)
+        # d(tau) = E(0) + E(tau) - 2 * corr(tau), the correlation by one FFT
+        # per frame
+        np.fft.rfft(segs, n=fft_len, axis=1, out=spec_full[:rows])
+        np.fft.rfft(segs[:, :w], n=fft_len, axis=1, out=spec_head[:rows])
+        np.conjugate(spec_head[:rows], out=spec_head[:rows])
+        np.multiply(spec_head[:rows], spec_full[:rows], out=spec_head[:rows])
+        np.fft.irfft(spec_head[:rows], n=fft_len, axis=1, out=corr[:rows])
+
+        sq = np.square(segs, out=squares[:rows])
+        np.cumsum(sq, axis=1, out=sq)
+        e = energy[:rows]
+        e[:, 0] = sq[:, w - 1]
+        np.subtract(sq[:, w : w + n_lags - 1], sq[:, : n_lags - 1], out=e[:, 1:])
+        dd = np.add(e[:, :1], e, out=d[:rows])
+        c = np.multiply(2.0, corr[:rows, :n_lags], out=corr[:rows, :n_lags])
+        np.subtract(dd, c, out=dd)
+        np.maximum(dd, 0.0, out=dd)
+
+        # cumulative-mean normalization; flat (silent) frames pin to 1
+        cs = np.cumsum(dd[:, 1:], axis=1, out=cum[:rows])
+        norm = dn[:rows]
+        norm.fill(1.0)
+        weighted = np.multiply(dd[:, 1:], taus, out=e[:, 1:])  # E is spent by now
+        np.divide(weighted, cs, out=norm[:, 1:], where=np.greater(cs, 0.0, out=positive[:rows]))
+        for i in range(rows):
+            row = norm[i]
+            below = np.nonzero(row[tau_min : tau_max + 1] < YIN_THRESHOLD)[0]
+            if below.size == 0:
+                continue
+            tau = tau_min + int(below[0])
+            while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+                tau += 1
+            denom = row[tau - 1] - 2.0 * row[tau] + row[tau + 1]
+            delta = 0.0 if denom <= 0 else (row[tau - 1] - row[tau + 1]) / (2.0 * denom)
+            period = tau + float(np.clip(delta, -1.0, 1.0))
+            hz[first + i] = float(np.clip(sample_rate / period, f_min, f_max))
     return F0Contour(hz=hz)
 
 
@@ -274,7 +349,7 @@ def compute_loudness(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Per-frame natural log of the A-weighted power-spectrum sum, [frames],
     from a `LOUDNESS_FFT`-point STFT."""
     n_fft = LOUDNESS_FFT
-    power = np.abs(stft(wav, n_fft, cfg.hop_size)) ** 2
+    power = power_spectrum(wav, n_fft, cfg.hop_size)
     freqs = np.arange(n_fft // 2 + 1) * cfg.sample_rate / n_fft
     weights = 10.0 ** (a_weighting_db(freqs) / 10.0)
     weights[freqs <= 0] = 0.0

@@ -351,7 +351,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (block_len,) = struct.unpack("<I", take(4, "config length"))
-        block = take(block_len, "config block").decode("utf-8")
+        block = _decode(path, take(block_len, "config block"), "config block")
         try:
             config, extras = parse_config_text(block, extra_keys=tuple(_STATE_KEYS))
         except ConfigError as exc:
@@ -362,7 +362,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         adam = Adam() if optimizer else None
         while f.tell() < size:
             (name_len,) = struct.unpack("<H", take(2, "record name length"))
-            name = take(name_len, "record name").decode("utf-8")
+            name = _decode(path, take(name_len, "record name"), "record name")
             (rank,) = struct.unpack("<I", take(4, "record rank"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
             nbytes = 8 * math.prod(dims)
@@ -387,6 +387,15 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         adam.step_count = iteration
     return Checkpoint(config=config, params=params, adam=adam, stats=FeatureStats(**state),
                       iteration=iteration, rng=rng)
+
+
+def _decode(path, raw: bytes, what: str) -> str:
+    """UTF-8 text from a checkpoint; bytes that are not UTF-8 are a
+    `FormatError` naming the file."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8 ({exc})") from None
 
 
 def _parse_state(path, extras: dict[str, str]) -> dict:

@@ -1,4 +1,5 @@
 import inspect
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ class TestExtract:
         assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out, "--config", cfg,
                    "--synth-ppg", 0) == 1
         assert capsys.readouterr().err == "error: hop_size must be at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.86 GiB for an array", ""])
+    def test_out_of_memory_is_error(self, cli_workspace, tmp_path, monkeypatch, capsys, message):
+        def estimate_f0(wav, cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "estimate_f0", estimate_f0)
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out,
+                   "--config", cli_workspace["cfg"], "--synth-ppg", 0) == 1
+        detail = f" ({message})" if message else ""
+        assert capsys.readouterr().err == f"error: out of memory{detail}\n"
         assert not out.exists()
 
     def test_missing_wav_is_runtime_error(self, cli_workspace, capsys):
@@ -239,12 +253,26 @@ class TestConvert:
         assert f"nan.{kind}.feat: non-finite value nan at index (7" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_frame_mismatch_is_error(self, cli_workspace, extracted, trained, tmp_path):
-        short = tmp_path / "short.f0.feat"
-        featio.write_feat(short, featio.read_feat(extracted / "utt0.f0.feat")[:50])
-        assert run("convert", "--ckpt", trained, "--ppg", extracted / "utt0.ppg.feat",
-                   "--f0", short, "--loud", extracted / "utt0.loud.feat",
-                   "--out", tmp_path / "x.feat") == 1
+    @staticmethod
+    def check_cut_contour(extracted, trained, tmp_path, capsys, kind):
+        """`convert` with the `kind` contour cut to 50 of its 100 frames
+        exits 1 with an error naming the cut file and the PPG file."""
+        paths = {k: extracted / f"utt0.{k}.feat" for k in ("ppg", "f0", "loud")}
+        short = tmp_path / f"short.{kind}.feat"
+        featio.write_feat(short, featio.read_feat(paths[kind])[:50])
+        paths[kind] = short
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", paths["ppg"], "--f0", paths["f0"],
+                   "--loud", paths["loud"], "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {short}: 50 frames != 100 in the PPG file {paths['ppg']}\n")
+        assert not out.exists()
+
+    def test_frame_mismatch_is_error(self, extracted, trained, tmp_path, capsys):
+        self.check_cut_contour(extracted, trained, tmp_path, capsys, "f0")
+
+    def test_loudness_frame_mismatch_is_error(self, extracted, trained, tmp_path, capsys):
+        self.check_cut_contour(extracted, trained, tmp_path, capsys, "loud")
 
     def test_ppg_dim_mismatch_is_error(self, extracted, trained, tmp_path, capsys):
         ppg = featio.read_feat(extracted / "utt0.ppg.feat")
@@ -288,6 +316,21 @@ class TestConvert:
                    "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
                    "--out", out) == 1
         assert capsys.readouterr().err == f"error: {bad}: state key {key}: bad value {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config block", "record name"])
+    def test_non_utf8_byte_is_error(self, extracted, trained, tmp_path, capsys, where):
+        data = bytearray(trained.read_bytes())
+        (block_len,) = struct.unpack_from("<I", data, 5)  # after the magic and the u8 version
+        # the config block starts at byte 9; the first record's name after its u16 length
+        data[9 if where == "config block" else 9 + block_len + 2] = 0xFF
+        bad, out = tmp_path / "bad.ckpt", tmp_path / "x.feat"
+        bad.write_bytes(bytes(data))
+        assert run("convert", "--ckpt", bad, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {where} is not UTF-8 (") and err.count("\n") == 1
         assert not out.exists()
 
     def test_inverted_mel_range_is_error(self, extracted, trained, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import wave
 
 import numpy as np
@@ -172,6 +173,119 @@ class TestF0:
         for n in (24000, 12345, 999):
             wav = sine(220.0)[:n]
             assert len(estimate_f0(wav, CFG)) == compute_log_mel(wav, CFG).shape[0]
+
+
+def whole_clip_frames(wav, win, hop, width):
+    """Every frame of the clip at once, from the whole reflect-padded clip:
+    the reference the blocked framing must match."""
+    pad = win // 2
+    reach = min(pad, len(wav) - 1)
+    x = np.pad(np.pad(wav, reach, mode="reflect") if reach else wav, pad - reach)
+    count = frame_count(len(wav), hop)
+    x = np.pad(x, (0, max(0, (count - 1) * hop + width - len(x))))
+    return np.lib.stride_tricks.sliding_window_view(x, width)[: (count - 1) * hop + 1 : hop]
+
+
+def whole_clip_power(wav, n_fft, hop):
+    frames = whole_clip_frames(wav, n_fft, hop, n_fft) * features.hann_window(n_fft)
+    return np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+
+
+def whole_clip_f0(wav, cfg):
+    """`estimate_f0` with every frame's arrays built at once."""
+    sr, f_min, f_max = cfg.sample_rate, cfg.f0_min, cfg.f0_max
+    tau_min, tau_max = max(2, math.ceil(sr / f_max)), math.floor(sr / f_min)
+    w, n_lags = features.YIN_FRAME, tau_max + 2
+    segs = whole_clip_frames(wav, w, cfg.hop_size, w + tau_max + 1)
+    fft_len = features._fft_size(segs.shape[1])
+    spec_full = np.fft.rfft(segs, n=fft_len, axis=1)
+    spec_head = np.fft.rfft(segs[:, :w], n=fft_len, axis=1)
+    corr = np.fft.irfft(np.conj(spec_head) * spec_full, n=fft_len, axis=1)[:, :n_lags]
+    sq = np.cumsum(segs**2, axis=1)
+    energy = np.empty((len(segs), n_lags))
+    energy[:, 0] = sq[:, w - 1]
+    energy[:, 1:] = sq[:, w : w + n_lags - 1] - sq[:, : n_lags - 1]
+    d = np.maximum(energy[:, :1] + energy - 2.0 * corr, 0.0)
+    cum = np.cumsum(d[:, 1:], axis=1)
+    dn = np.ones_like(d)
+    np.divide(d[:, 1:] * np.arange(1, n_lags, dtype=np.float64), cum, out=dn[:, 1:], where=cum > 0.0)
+    hz = np.zeros(len(segs))
+    for i, row in enumerate(dn):
+        below = np.nonzero(row[tau_min : tau_max + 1] < features.YIN_THRESHOLD)[0]
+        if below.size == 0:
+            continue
+        tau = tau_min + int(below[0])
+        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+            tau += 1
+        denom = row[tau - 1] - 2.0 * row[tau] + row[tau + 1]
+        delta = 0.0 if denom <= 0 else (row[tau - 1] - row[tau + 1]) / (2.0 * denom)
+        hz[i] = float(np.clip(sr / (tau + float(np.clip(delta, -1.0, 1.0))), f_min, f_max))
+    return hz
+
+
+TOY_MEL_CFG = dataclasses.replace(CFG, n_mels=16)
+BLOCK = features.FRAME_BLOCK
+
+
+class TestFrameBlocks:
+    """The blocked F0 and STFT keep every bit of the whole-clip computation."""
+
+    @staticmethod
+    def song(frames, hop=240):
+        """A note with vibrato over noise, stopping midway, `frames` frames
+        long: voiced and unvoiced frames, and edges that reflect."""
+        n = frames * hop - 7
+        rng = RandomStream(17).split(f"song-{frames}")
+        t = np.arange(n) / 24000
+        tone = 0.4 * np.sin(2 * np.pi * np.cumsum(200.0 * (1.0 + 0.02 * np.sin(2 * np.pi * 5.0 * t))) / 24000)
+        return np.where(t < n / 48000, tone, 0.0) + 0.01 * rng.normal(n)
+
+    # 1 frame, exactly one block, one block + 1 frame, and several blocks
+    # with a partial last one
+    LENGTHS = [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+    @pytest.mark.parametrize("cfg", [CFG, TOY_MEL_CFG], ids=["published", "16_mels"])
+    @pytest.mark.parametrize("frames", LENGTHS)
+    def test_power_and_features_match_the_whole_clip(self, cfg, frames):
+        wav = self.song(frames)
+        assert frame_count(len(wav), cfg.hop_size) == frames
+        for n_fft in (cfg.n_fft, features.LOUDNESS_FFT):
+            got = features.power_spectrum(wav, n_fft, cfg.hop_size)
+            assert got.tobytes() == whole_clip_power(wav, n_fft, cfg.hop_size).tobytes()
+        power = whole_clip_power(wav, cfg.n_fft, cfg.hop_size)
+        log_mel = np.log(power @ mel_filterbank(cfg).T + LOG_MEL_FLOOR)
+        assert compute_log_mel(wav, cfg).tobytes() == log_mel.tobytes()
+
+    @pytest.mark.parametrize("cfg", [CFG, TOY_MEL_CFG], ids=["published", "16_mels"])
+    @pytest.mark.parametrize("frames", LENGTHS)
+    def test_f0_matches_the_whole_clip(self, cfg, frames):
+        wav = self.song(frames)
+        hz = estimate_f0(wav, cfg).hz
+        assert hz.tobytes() == whole_clip_f0(wav, cfg).tobytes()
+        if frames > BLOCK:
+            assert 0 < np.count_nonzero(hz) < frames
+
+    def test_one_sample_clip(self):
+        wav = np.array([0.25])  # nothing to reflect: all padding is zeros
+        assert estimate_f0(wav, CFG).hz.tobytes() == whole_clip_f0(wav, CFG).tobytes()
+        got = features.power_spectrum(wav, CFG.n_fft, CFG.hop_size)
+        assert got.tobytes() == whole_clip_power(wav, CFG.n_fft, CFG.hop_size).tobytes()
+
+    def test_f0_memory_does_not_grow_with_the_clip(self):
+        # the whole-clip arrays took about 107 MiB at 10 s and grew with the
+        # clip; the blocked work buffers take about 3.5 MiB at any length
+        estimate_f0(self.song(BLOCK), CFG)  # FFT plans are cached on first use
+        peaks = {}
+        for seconds in (1, 8):
+            wav = self.song(100 * seconds)
+            tracemalloc.start()
+            try:
+                estimate_f0(wav, CFG)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 8 * 2**20
+        assert peaks[8] < 1.25 * peaks[1]
 
 
 class TestMedianF0:
