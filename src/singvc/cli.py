@@ -7,6 +7,10 @@ checked as it is read, so a bad one exits 1 before any work.
 
 `convert` projects the conditioner into the residual layers once
 (`Denoiser.prepare`) and runs every sampling step on that projection.
+
+`eval` aligns each pair once: MCD's cepstral DTW path (`metrics.mcd`) also
+indexes the two F0 contours for FPC, so each F0 file must have its mel
+file's frame count.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .features import (
     compute_loudness,
     estimate_f0,
     invert_log_mel,
-    load_ppg,
     read_wav,
     synth_ppg,
     write_wav,
@@ -64,7 +67,7 @@ def cmd_extract(args) -> int:
     frames = log_mel.shape[0]
 
     if args.ppg is not None:
-        ppg = load_ppg(args.ppg)
+        ppg = _read_rank(args.ppg, 2)
         if ppg.shape[0] != frames:
             raise InputError(f"PPG frames {ppg.shape[0]} != mel frames {frames}")
         if ppg.shape[1] != cfg.ppg_dim:
@@ -156,7 +159,7 @@ def cmd_convert(args) -> int:
     cfg = ckpt.config
     model = ckpt.build_model()
 
-    ppg = load_ppg(args.ppg)
+    ppg = _read_rank(args.ppg, 2)
     if len(ppg) == 0:
         raise InputError(f"{args.ppg}: zero frames, nothing to convert")
     if ppg.shape[1] != cfg.ppg_dim:
@@ -181,13 +184,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _aligned_fpc(ref_hz: np.ndarray, hyp_hz: np.ndarray) -> float:
-    if len(ref_hz) != len(hyp_hz):
-        path, _ = metrics.dtw(ref_hz[:, None], hyp_hz[:, None])
-        ref_hz, hyp_hz = ref_hz[path[:, 0]], hyp_hz[path[:, 1]]
-    return metrics.fpc(F0Contour(hz=ref_hz), F0Contour(hz=hyp_hz))
-
-
 def cmd_eval(args) -> int:
     ref_dir, hyp_dir = Path(args.ref), Path(args.hyp)
     ref_stems = {p.name[: -len(".mel.feat")] for p in ref_dir.glob("*.mel.feat")}
@@ -204,12 +200,19 @@ def cmd_eval(args) -> int:
         mel_ref, mel_hyp = _read_rank(ref_path, 2), _read_rank(hyp_path, 2)
         if mel_ref.shape[1] != mel_hyp.shape[1]:
             raise InputError(f"{hyp_path}: mel depth {mel_hyp.shape[1]} != {mel_ref.shape[1]} in {ref_path}")
-        mcd_db = metrics.mcd(metrics.mel_to_cepstrum(mel_ref), metrics.mel_to_cepstrum(mel_hyp))
+        mcd_db, path = metrics.mcd(metrics.mel_to_cepstrum(mel_ref), metrics.mel_to_cepstrum(mel_hyp))
         fpc_field = ""
         ref_f0, hyp_f0 = ref_dir / f"{stem}.f0.feat", hyp_dir / f"{stem}.f0.feat"
         if ref_f0.exists() and hyp_f0.exists():
+            contours = []
+            for f0_path, mel_path, mel, on_path in ((ref_f0, ref_path, mel_ref, path[:, 0]),
+                                                    (hyp_f0, hyp_path, mel_hyp, path[:, 1])):
+                hz = _read_rank(f0_path, 1)
+                if len(hz) != len(mel):
+                    raise InputError(f"{f0_path}: {len(hz)} frames != {len(mel)} in the mel file {mel_path}")
+                contours.append(F0Contour(hz=hz[on_path]))
             try:
-                fpc_field = repr(_aligned_fpc(_read_rank(ref_f0, 1), _read_rank(hyp_f0, 1)))
+                fpc_field = repr(metrics.fpc(*contours))
             except MetricUndefinedError as exc:
                 print(f"warning: {stem!r}: {exc}", file=sys.stderr)
                 fpc_field = "nan"

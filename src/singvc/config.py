@@ -8,7 +8,8 @@ one.
 way to build one (the constructor, `parse_config_text`, `dataclasses.replace`,
 the checkpoint reader) checks every setting, so a bad value is a
 `ConfigError` naming its key before any command does work.  The noise
-schedule's rule is `linear_schedule`'s, which the check calls."""
+schedule's only setting is its step count T; its beta range is the published
+one, `schedule.BETA_START` to `schedule.BETA_END`."""
 
 from __future__ import annotations
 
@@ -33,10 +34,8 @@ class RunConfig:
     f0_min: float = 40.0
     f0_max: float = 800.0
     ppg_dim: int = 218
-    # noise schedule
+    # noise schedule; its beta range is a constant of `schedule`
     diffusion_steps: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 0.06
     # model
     layers: int = 20
     channels: int = 256
@@ -60,19 +59,19 @@ class RunConfig:
                               f"got f0_min {self.f0_min!r}, f0_max {self.f0_max!r}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and above 0, got {self.lr!r}")
-        self.schedule()  # raises on diffusion_steps, beta_start or beta_end
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
 
     def schedule(self) -> NoiseSchedule:
-        return linear_schedule(self.diffusion_steps, self.beta_start, self.beta_end)
+        return linear_schedule(self.diffusion_steps)
 
 
 # the least value of each count; `seed` may be any integer
 _LEAST = {
     **dict.fromkeys(("sample_rate", "n_fft", "hop_size", "n_mels", "ppg_dim", "layers", "channels",
                      "cond_dim", "n_bins", "batch", "segment_frames", "log_every"), 1),
+    "diffusion_steps": 2,
     "n_iter": 0,
     "ckpt_every": 0,
 }
@@ -107,7 +106,11 @@ def parse_config_text(text: str, extra_keys: tuple[str, ...] = ()) -> tuple[RunC
 
 
 def load_config(path) -> RunConfig:
-    cfg, _ = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from None
+    cfg, _ = parse_config_text(text)
     return cfg
 
 

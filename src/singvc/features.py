@@ -49,7 +49,6 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, ContractError, FormatError, InputError
-from .featio import read_feat
 from .rng import RandomStream
 
 LOG_MEL_FLOOR = 1e-5
@@ -390,14 +389,6 @@ def synth_ppg(frames: int, dim: int, seed: int = 0) -> np.ndarray:
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
     return p
-
-
-def load_ppg(path) -> np.ndarray:
-    """[frames, ppg_dim] PPGs from a FEAT1 file."""
-    values = read_feat(path)
-    if values.ndim != 2:
-        raise FormatError(f"{path}: PPG file must be rank 2, got rank {values.ndim}")
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     model = Denoiser.init(cfg, RandomStream(seed).split("toy-model"))
     # zero-initialized output layer hides downstream gradients; nudge it
     model.params["out_conv2.w"].data[:] = rng.normal(model.params["out_conv2.w"].shape) * 0.3
-    sched = linear_schedule(20, 1e-4, 0.06)
+    sched = linear_schedule(20)
     # a batch of two segments, 4 and 3 frames, at steps 7 and 15
     steps = [7, 15]
     data_rng = RandomStream(seed).split("toy-data")

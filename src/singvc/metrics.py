@@ -3,8 +3,10 @@ F0 Pearson correlation.
 
 Conventions: cepstra are the orthonormal DCT-II of denormalized log-mel
 frames, 13 coefficients kept; coefficient 0 (frame energy) is excluded from
-MCD; MCD is averaged over the aligned pairs of the optimal path; FPC is
-computed on Hz over frames voiced in both contours.
+MCD and from its alignment; MCD is averaged over the aligned pairs of the
+optimal path, which `mcd` also returns, and FPC is computed on Hz over the
+frames voiced in both contours, the F0 contours indexed with that same path,
+so one alignment serves both metrics.
 
 DTW fills its (N+1)×(M+1) cost table one anti-diagonal k = i + j at a time.
 In the flat C-order table a diagonal and its up, left and diagonal
@@ -118,17 +120,18 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array(pairs, dtype=np.int64), float(acc[ni, nj])
 
 
-def mcd(ref: np.ndarray, hyp: np.ndarray) -> float:
-    """Mel-cepstrum distortion in dB between two [frames, n_coeffs] cepstra:
-    coefficients 1..12 aligned with DTW, (10/ln 10) * sqrt(2 * sum of
-    squared diffs), averaged over aligned pairs."""
+def mcd(ref: np.ndarray, hyp: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mel-cepstrum distortion in dB between two [frames, n_coeffs] cepstra,
+    and the DTW path it is averaged over: coefficients 1..12 aligned with
+    DTW, (10/ln 10) * sqrt(2 * sum of squared diffs), averaged over the
+    path's (ref, hyp) frame pairs."""
     if ref.shape[1] != hyp.shape[1]:
         raise InputError(f"coefficient count mismatch: {ref.shape[1]} vs {hyp.shape[1]}")
     r = ref[:, 1:]
     h = hyp[:, 1:]
     path, _ = dtw(r, h)
     sq = ((r[path[:, 0]] - h[path[:, 1]]) ** 2).sum(axis=1)
-    return float(_MCD_SCALE * np.mean(np.sqrt(2.0 * sq)))
+    return float(_MCD_SCALE * np.mean(np.sqrt(2.0 * sq))), path
 
 
 def fpc(ref: F0Contour, hyp: F0Contour) -> float:

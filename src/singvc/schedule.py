@@ -1,8 +1,11 @@
 """Noise schedule and its derived per-step constants.
 
-For steps t = 1..T the tables hold beta_t, alpha_t = 1 - beta_t, the running
-product alpha_bar_t, and sigma_t = sqrt((1 - alpha_bar_{t-1}) /
-(1 - alpha_bar_t) * beta_t) with alpha_bar_0 defined as 1 (so sigma_1 = 0).
+The schedule is the published linear one: T betas spaced evenly from
+`BETA_START` to `BETA_END`, both included.  T is the only run setting
+(`diffusion_steps`, checked by `RunConfig`).  For steps t = 1..T the tables
+hold beta_t, alpha_t = 1 - beta_t, the running product alpha_bar_t, and
+sigma_t = sqrt((1 - alpha_bar_{t-1}) / (1 - alpha_bar_t) * beta_t) with
+alpha_bar_0 defined as 1 (so sigma_1 = 0).
 Arrays are 0-indexed; the public API is 1-indexed in t.
 """
 
@@ -12,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
+
+BETA_START = 1e-4
+BETA_END = 0.06
 
 
 @dataclass(frozen=True)
@@ -27,16 +33,10 @@ class NoiseSchedule:
         return len(self.beta)
 
 
-def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Endpoint-inclusive linear betas: beta_1 = start, beta_T = end.
-
-    The rule for the three run settings is stated here only, and
-    `RunConfig` checks it by building its schedule."""
-    if steps < 2:
-        raise ConfigError(f"diffusion_steps must be at least 2, got {steps}")
-    if not (0.0 < beta_start < beta_end < 1.0):
-        raise ConfigError(f"need 0 < beta_start < beta_end < 1, got [{beta_start}, {beta_end}]")
-    beta = np.linspace(beta_start, beta_end, steps)
+def linear_schedule(steps: int) -> NoiseSchedule:
+    """Endpoint-inclusive linear betas over `steps` >= 2 steps:
+    beta_1 = BETA_START, beta_T = BETA_END."""
+    beta = np.linspace(BETA_START, BETA_END, steps)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))

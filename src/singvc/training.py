@@ -89,7 +89,9 @@ CKPT_MAGIC = b"DSVC"
 # it as `loud_fft`, which is no longer a key
 # 8: ADAM takes the raw gradient; a version-7 config block also sets the
 # gradient-clip norm, which is no longer a key
-CKPT_VERSION = 8
+# 9: the schedule's beta range is a constant; a version-8 config block also
+# sets `beta_start` and `beta_end`, which are no longer keys
+CKPT_VERSION = 9
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -442,10 +444,7 @@ def _check_records(path, config: RunConfig, params: dict[str, np.ndarray], adam:
                                   f"expected {shapes[name]}")
 
 
-_DIM_FIELDS = (
-    *(f.name for f in fields(ModelConfig)),
-    "diffusion_steps", "beta_start", "beta_end",
-)
+_DIM_FIELDS = (*(f.name for f in fields(ModelConfig)), "diffusion_steps")
 
 
 def _check_resume_config(cfg: RunConfig, ckpt: Checkpoint) -> None:

@@ -143,7 +143,7 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_schedule_correctness():
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     prod = 1.0
     max_err = 0.0
     for t in range(100):
@@ -162,7 +162,7 @@ def test_criterion_2_schedule_correctness():
 
 @pytest.mark.parametrize("t", [1, 50, 100])
 def test_criterion_3_forward_statistics(t):
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     n = 10_000
     y0_value = 0.7
     rng = RandomStream(300 + t)
@@ -181,7 +181,7 @@ def test_criterion_3_forward_statistics(t):
 
 
 def test_criterion_4_perfect_predictor_consistency():
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     rng = RandomStream(44)
     y0 = Tensor(rng.normal((8, 16)))
     eps = Tensor(rng.normal((8, 16)))
@@ -247,7 +247,7 @@ def test_criterion_6_metrics_oracles():
     shifted = base.copy()
     shifted[:, 1:] += delta
     expected = (10.0 / math.log(10.0)) * math.sqrt(24.0) * delta
-    mcd_err = abs(mcd(base, shifted) - expected)
+    mcd_err = abs(mcd(base, shifted)[0] - expected)
 
     ref = np.linspace(100.0, 400.0, 40)
     hyp = ref + rng.normal(40) * 7.0

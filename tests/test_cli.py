@@ -4,13 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from singvc import cli, errors, featio
+from singvc import cli, errors, featio, metrics
 from singvc.cli import main
 from singvc.denoiser import Denoiser
-from singvc.features import write_wav
+from singvc.features import F0Contour, write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
-from conftest import set_config_value, synth_voice
+from conftest import config_block_lines, set_config_value, synth_voice
 
 
 def run(*argv):
@@ -88,6 +88,15 @@ class TestExtract:
         assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out, "--config", cfg,
                    "--synth-ppg", 0) == 1
         assert capsys.readouterr().err == "error: hop_size must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_rank_1_ppg_is_error(self, cli_workspace, extracted, tmp_path, capsys):
+        ppg = tmp_path / "column.ppg.feat"
+        featio.write_feat(ppg, featio.read_feat(extracted / "utt0.ppg.feat")[:, 0])
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out,
+                   "--config", cli_workspace["cfg"], "--ppg", ppg) == 1
+        assert capsys.readouterr().err == f"error: {ppg}: expected a rank-2 feature, got rank 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("message", ["Unable to allocate 1.86 GiB for an array", ""])
@@ -179,9 +188,9 @@ class TestTrain:
                                                           capsys, monkeypatch):
         built = []
         monkeypatch.setattr(Denoiser, "init", lambda *args: built.append(args))
-        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "bad.cfg", "beta_end", 2.0)
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "bad.cfg", "diffusion_steps", 1)
         assert run("train", "--data", extracted, "--config", cfg, "--out", tmp_path / "x.ckpt") == 1
-        assert capsys.readouterr().err == "error: need 0 < beta_start < beta_end < 1, got [0.0001, 2.0]\n"
+        assert capsys.readouterr().err == "error: diffusion_steps must be at least 2, got 1\n"
         assert built == []
 
     def test_empty_data_dir_is_error(self, cli_workspace, tmp_path):
@@ -296,6 +305,15 @@ class TestConvert:
         assert capsys.readouterr().err == f"error: {column}: expected a rank-1 feature, got rank 2\n"
         assert not out.exists()
 
+    def test_rank_1_ppg_is_error(self, extracted, trained, tmp_path, capsys):
+        ppg = tmp_path / "column.ppg.feat"
+        featio.write_feat(ppg, featio.read_feat(extracted / "utt0.ppg.feat")[:, 0])
+        out = tmp_path / "x.feat"
+        assert run("convert", "--ckpt", trained, "--ppg", ppg, "--f0", extracted / "utt0.f0.feat",
+                   "--loud", extracted / "utt0.loud.feat", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {ppg}: expected a rank-2 feature, got rank 1\n"
+        assert not out.exists()
+
     def test_zero_frames_is_error(self, trained, tmp_path, capsys):
         paths = {kind: tmp_path / f"empty.{kind}.feat" for kind in ("ppg", "f0", "loud")}
         featio.write_feat(paths["ppg"], np.zeros((0, 16)))
@@ -316,6 +334,21 @@ class TestConvert:
                    "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
                    "--out", out) == 1
         assert capsys.readouterr().err == f"error: {bad}: state key {key}: bad value {value!r}\n"
+        assert not out.exists()
+
+    def test_version_8_checkpoint_is_error(self, extracted, trained, tmp_path, capsys):
+        # a version-8 file: its config block also sets the schedule's beta range
+        lines = config_block_lines(trained)
+        at = lines.index("diffusion_steps = 10") + 1
+        block = "\n".join(lines[:at] + ["beta_start = 0.0001", "beta_end = 0.06"] + lines[at:]) + "\n"
+        data = trained.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 5)
+        old, out = tmp_path / "v8.ckpt", tmp_path / "x.feat"
+        old.write_bytes(b"DSVC\x08" + struct.pack("<I", len(block)) + block.encode() + data[9 + length :])
+        assert run("convert", "--ckpt", old, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {old}: unsupported checkpoint version 8\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["config block", "record name"])
@@ -421,13 +454,35 @@ class TestEval:
         assert "skipped 1" in err
         assert len(out.read_text().splitlines()) == 2
 
-    # each damages the hyp side's utt0: a rank-1 mel, a rank-2 F0, and a mel
-    # 2 bins short of the ref's 16, deep enough that both keep all 13 MCD
-    # coefficients and the cepstra alone would not show the mismatch
+    def test_time_stretched_pair_scores_fpc_on_the_mcd_path(self, cli_workspace, extracted, tmp_path):
+        # the same note sung 5% slower: 105 frames against the ref's 100
+        wav = tmp_path / "utt0.wav"
+        write_wav(wav, synth_voice(220.0, seconds=1.05, vibrato_hz=5.0 / 1.05), 24000)
+        hyp_dir, out = tmp_path / "hyp", tmp_path / "r.csv"
+        assert run("extract", "--wav", wav, "--out", hyp_dir, "--config", cli_workspace["cfg"],
+                   "--synth-ppg", 0) == 0
+        assert run("eval", "--ref", extracted, "--hyp", hyp_dir, "--out", out) == 0
+        _, row = out.read_text().splitlines()
+        stem, mcd_db, fpc, frames_ref, frames_hyp = row.split(",")
+        assert (stem, frames_ref, frames_hyp) == ("utt0", "100", "105")
+
+        ref = {kind: featio.read_feat(extracted / f"utt0.{kind}.feat") for kind in ("mel", "f0")}
+        hyp = {kind: featio.read_feat(hyp_dir / f"utt0.{kind}.feat") for kind in ("mel", "f0")}
+        expected_mcd, path = metrics.mcd(metrics.mel_to_cepstrum(ref["mel"]),
+                                         metrics.mel_to_cepstrum(hyp["mel"]))
+        expected_fpc = metrics.fpc(F0Contour(hz=ref["f0"][path[:, 0]]), F0Contour(hz=hyp["f0"][path[:, 1]]))
+        assert float(mcd_db) == expected_mcd
+        assert float(fpc) == expected_fpc
+
+    # each damages the hyp side's utt0: a rank-1 mel, a rank-2 F0, a mel 2
+    # bins short of the ref's 16, deep enough that both keep all 13 MCD
+    # coefficients and the cepstra alone would not show the mismatch, and an
+    # F0 contour half as long as its mel
     MALFORMED = {
         "mel_rank": ("mel", lambda mel: mel[:, 0], "{hyp}: expected a rank-2 feature, got rank 1"),
         "f0_rank": ("f0", lambda f0: f0[:, None], "{hyp}: expected a rank-1 feature, got rank 2"),
         "mel_depth": ("mel", lambda mel: mel[:, :14], "{hyp}: mel depth 14 != 16 in {ref}"),
+        "f0_frames": ("f0", lambda f0: f0[:50], "{hyp}: 50 frames != 100 in the mel file {hyp_mel}"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -441,7 +496,8 @@ class TestEval:
         featio.write_feat(hyp, damage(featio.read_feat(ref)))
         out = tmp_path / "r.csv"
         assert run("eval", "--ref", extracted, "--hyp", hyp_dir, "--out", out) == 1
-        assert capsys.readouterr().err == f"error: {message.format(hyp=hyp, ref=ref)}\n"
+        message = message.format(hyp=hyp, ref=ref, hyp_mel=hyp_dir / "utt0.mel.feat")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -459,9 +515,24 @@ class TestScheduleCmd:
 
     def test_bad_range_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("beta_start = 0.5\nbeta_end = 0.1\n")
+        cfg.write_text("diffusion_steps = 1\n")
         assert run("schedule", "--config", cfg) == 1
-        assert capsys.readouterr().err == "error: need 0 < beta_start < beta_end < 1, got [0.5, 0.1]\n"
+        assert capsys.readouterr().err == "error: diffusion_steps must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("key", ["beta_start", "beta_end"])
+    def test_removed_schedule_key_is_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"diffusion_steps = 10\n{key} = 0.05\n")
+        assert run("schedule", "--config", cfg) == 1
+        assert capsys.readouterr() == ("", f"error: line 2: unknown key '{key}'\n")
+
+    def test_non_utf8_config_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# caf\xe9\ndiffusion_steps = 10\n")
+        assert run("schedule", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}: not UTF-8 (") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestGradcheckCmd:

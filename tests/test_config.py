@@ -5,6 +5,7 @@ import pytest
 from singvc.config import RunConfig, load_config, parse_config_text, serialize_config
 from singvc.errors import ConfigError
 from singvc.features import LOUDNESS_FFT
+from singvc.schedule import BETA_END, BETA_START
 
 
 def test_defaults_match_published_setup():
@@ -14,7 +15,7 @@ def test_defaults_match_published_setup():
     assert cfg.n_mels == 80
     assert cfg.ppg_dim == 218
     assert cfg.diffusion_steps == 100
-    assert (cfg.beta_start, cfg.beta_end) == (1e-4, 0.06)
+    assert (BETA_START, BETA_END) == (1e-4, 0.06)
     assert (cfg.layers, cfg.channels, cfg.cond_dim, cfg.n_bins) == (20, 256, 256, 256)
     assert cfg.lr == 2e-4
     assert LOUDNESS_FFT == 2048
@@ -35,9 +36,9 @@ def test_comments_and_blank_lines():
 
 def test_unknown_key_rejected():
     # settings up to checkpoint version 4 (the next four), 5 (the next two),
-    # 6 and 7 (one each)
+    # 6 and 7 (one each) and 8 (the last two)
     for key in ("bogus", "win_size", "loud_win", "kernel_size", "dilation", "mel_fmin", "mel_fmax",
-                "loud_fft", "grad_clip"):
+                "loud_fft", "grad_clip", "beta_start", "beta_end"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config_text(f"{key} = 1\n")
 
@@ -65,13 +66,10 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_every_field_survives_roundtrip():
-    # perturb each field away from its default one at a time; beta_start + 0.5
-    # would pass beta_end
+    # perturb each field away from its default one at a time
     base = RunConfig()
     for f in dataclasses.fields(RunConfig):
         value = getattr(base, f.name) + (2 if f.type in (int, "int") else 0.5)
-        if f.name == "beta_start":
-            value = base.beta_start / 2
         bumped = dataclasses.replace(base, **{f.name: value})
         parsed, _ = parse_config_text(serialize_config(bumped))
         assert parsed == bumped, f.name
@@ -83,9 +81,6 @@ INVALID = [
                            "channels", "cond_dim", "n_bins", "batch", "segment_frames")),
     ("sample_rate", 1600),  # f0_max 800 is not below the Nyquist frequency
     ("diffusion_steps", 1),
-    ("beta_start", 0.0),
-    ("beta_start", 0.1),  # above beta_end
-    ("beta_end", 2.0),
     ("f0_min", 0.0),
     ("f0_max", 30.0),  # below f0_min
     ("f0_max", 12000.0),  # the Nyquist frequency

@@ -159,7 +159,7 @@ class TestPredictEps:
         ppg = rng.normal((4, 12))
         f0_bins = rng.integers(0, 16, 4)
         loud_bins = rng.integers(0, 16, 4)
-        sched = linear_schedule(20, 1e-4, 0.06)
+        sched = linear_schedule(20)
 
         def run():
             cond = model.build_conditioner(ppg, f0_bins, loud_bins)
@@ -272,7 +272,7 @@ class TestPreparedConditioning:
 
     def test_sample_chain_is_byte_identical(self, live_model):
         _, cond = self.conditioner(live_model)
-        schedule = linear_schedule(20, 1e-4, 0.05)
+        schedule = linear_schedule(20)
         chains = [sample(schedule, live_model, c, 12, TOY.n_mels, RandomStream(4).split("sample")).data
                   for c in (cond, live_model.prepare(cond))]
         assert chains[0].tobytes() == chains[1].tobytes()

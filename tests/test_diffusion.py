@@ -10,7 +10,7 @@ from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule, step_stats
 from singvc.tensor import Tensor, backward
 
-S = linear_schedule(100, 1e-4, 0.06)
+S = linear_schedule(100)
 
 
 class ZeroModel:

@@ -206,7 +206,9 @@ class TestMelToCepstrum:
 class TestMcd:
     def test_identical_is_zero(self):
         cep = mel_to_cepstrum(RandomStream(5).normal((6, 20)))
-        assert mcd(cep, cep) == 0.0
+        db, path = mcd(cep, cep)
+        assert db == 0.0
+        assert path.tolist() == [[i, i] for i in range(6)]
 
     def test_constant_offset_closed_form(self):
         base = RandomStream(6).normal((5, 13))
@@ -214,13 +216,13 @@ class TestMcd:
         shifted = base.copy()
         shifted[:, 1:] += delta
         expected = (10.0 / math.log(10.0)) * math.sqrt(24.0) * delta
-        got = mcd(base, shifted)
+        got, _ = mcd(base, shifted)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_dtw_alignment_not_worse_than_straight(self):
         rng = RandomStream(7)
         a, b = rng.normal((10, 13)), rng.normal((10, 13))
-        aligned = mcd(a, b)
+        aligned, _ = mcd(a, b)
         straight = (10.0 / math.log(10.0)) * np.mean(
             np.sqrt(2.0 * ((a[:, 1:] - b[:, 1:]) ** 2).sum(axis=1))
         )
@@ -230,7 +232,18 @@ class TestMcd:
         rng = RandomStream(8)
         a = rng.normal((4, 13))
         b = rng.normal((7, 13))
-        assert mcd(a, b) > 0.0
+        assert mcd(a, b)[0] > 0.0
+
+    def test_averages_over_the_returned_path_without_coefficient_0(self):
+        rng = RandomStream(11)
+        a, b = rng.normal((6, 13)), rng.normal((9, 13))
+        a[:, 0] *= 100.0  # an energy track that would dominate the alignment
+        db, path = mcd(a, b)
+        expected_path, _ = dtw(a[:, 1:], b[:, 1:])
+        assert path.tolist() == expected_path.tolist()
+        assert path.tolist() != dtw(a, b)[0].tolist()
+        sq = ((a[path[:, 0], 1:] - b[path[:, 1], 1:]) ** 2).sum(axis=1)
+        assert db == (10.0 / math.log(10.0)) * np.mean(np.sqrt(2.0 * sq))
 
     def test_coefficient_mismatch_rejected(self):
         with pytest.raises(InputError):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from singvc.errors import ConfigError, ContractError
-from singvc.schedule import linear_schedule, schedule_csv, step_stats
+from singvc.errors import ContractError
+from singvc.schedule import BETA_END, BETA_START, linear_schedule, schedule_csv, step_stats
 
 
-def brute_force_alpha_bar(steps, beta_start, beta_end):
+def brute_force_alpha_bar(steps):
     """Independent direct-product oracle."""
-    betas = [beta_start + (t - 1) * (beta_end - beta_start) / (steps - 1) for t in range(1, steps + 1)]
+    betas = [BETA_START + (t - 1) * (BETA_END - BETA_START) / (steps - 1) for t in range(1, steps + 1)]
     out = []
     prod = 1.0
     for b in betas:
@@ -19,19 +19,19 @@ def brute_force_alpha_bar(steps, beta_start, beta_end):
 
 
 def test_default_schedule_endpoints():
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     assert s.beta[0] == 1e-4
     assert s.beta[-1] == 0.06
     assert s.alpha[0] == 1.0 - 1e-4
 
 
 def test_alpha_bar_matches_brute_force_product():
-    s = linear_schedule(100, 1e-4, 0.06)
-    np.testing.assert_allclose(s.alpha_bar, brute_force_alpha_bar(100, 1e-4, 0.06), rtol=0, atol=1e-12)
+    s = linear_schedule(100)
+    np.testing.assert_allclose(s.alpha_bar, brute_force_alpha_bar(100), rtol=0, atol=1e-12)
 
 
 def test_monotonicity_invariants():
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     assert np.all(np.diff(s.beta) > 0)
     assert 0 < s.beta[0] and s.beta[-1] < 1
     assert np.all(np.diff(s.alpha_bar) < 0)
@@ -39,19 +39,19 @@ def test_monotonicity_invariants():
 
 
 def test_sigma_one_is_zero_and_sigma_bounded_by_beta():
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     assert s.sigma[0] == 0.0
     assert np.all(s.sigma**2 <= s.beta + 1e-15)
 
 
 def test_recurrence_alpha_bar():
-    s = linear_schedule(50, 1e-3, 0.1)
+    s = linear_schedule(50)
     prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
     np.testing.assert_allclose(s.alpha_bar, prev * s.alpha, rtol=0, atol=1e-12)
 
 
 def test_step_stats_values():
-    s = linear_schedule(100, 1e-4, 0.06)
+    s = linear_schedule(100)
     sqrt_ab, sqrt_1mab, sigma = step_stats(s, 1)
     assert sigma == 0.0
     assert sqrt_ab == math.sqrt(0.9999)
@@ -61,24 +61,15 @@ def test_step_stats_values():
 
 
 def test_step_stats_range_checked():
-    s = linear_schedule(10, 1e-4, 0.06)
+    s = linear_schedule(10)
     with pytest.raises(ContractError):
         step_stats(s, 0)
     with pytest.raises(ContractError):
         step_stats(s, 11)
 
 
-@pytest.mark.parametrize(
-    "steps,start,end",
-    [(1, 1e-4, 0.06), (10, 0.0, 0.06), (10, 0.06, 1e-4), (10, 1e-4, 1.0)],
-)
-def test_invalid_schedule_rejected(steps, start, end):
-    with pytest.raises(ConfigError):
-        linear_schedule(steps, start, end)
-
-
 def test_csv_dump_first_row():
-    lines = schedule_csv(linear_schedule(100, 1e-4, 0.06)).splitlines()
+    lines = schedule_csv(linear_schedule(100)).splitlines()
     assert lines[0] == "t,beta,alpha_bar,sigma"
     assert lines[1].startswith("1,0.0001,")
     assert len(lines) == 101

@@ -334,7 +334,7 @@ class TestInitialLoss:
         # E||eps||^2 / D under mean reduction, 100 batches
         cfg = TOY_CFG
         model = Denoiser.init(cfg.model_config(), RandomStream(0).split("init"))
-        sched = linear_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
+        sched = linear_schedule(cfg.diffusion_steps)
         rng = RandomStream(123)
         losses = []
         for _ in range(100):
@@ -442,7 +442,7 @@ class TestCheckpoint:
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path).config.schedule()
-        run = linear_schedule(TOY_CFG.diffusion_steps, TOY_CFG.beta_start, TOY_CFG.beta_end)
+        run = linear_schedule(TOY_CFG.diffusion_steps)
         for name in ("beta", "alpha", "alpha_bar", "sigma"):
             assert getattr(loaded, name).tobytes() == getattr(run, name).tobytes()
 
@@ -544,8 +544,9 @@ class TestCheckpoint:
         # 3: stored schedule tables and ADAM step count; 4: STFT window and
         # residual conv settings in the config block; 5: the mel band's edges
         # in the config block; 6: the loudness FFT length in the config block;
-        # 7: the gradient-clip norm in the config block
-        for version in (1, 2, 3, 4, 5, 6, 7):
+        # 7: the gradient-clip norm in the config block; 8: the schedule's beta
+        # range in the config block
+        for version in (1, 2, 3, 4, 5, 6, 7, 8):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
