@@ -36,6 +36,8 @@ class NoiseSchedule:
 def linear_schedule(steps: int) -> NoiseSchedule:
     """Endpoint-inclusive linear betas over `steps` >= 2 steps:
     beta_1 = BETA_START, beta_T = BETA_END."""
+    if steps < 2:
+        raise ContractError(f"a linear schedule needs at least 2 steps, got {steps}")
     beta = np.linspace(BETA_START, BETA_END, steps)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

@@ -68,6 +68,14 @@ def test_step_stats_range_checked():
         step_stats(s, 11)
 
 
+@pytest.mark.parametrize("steps,start,end", [(1, BETA_START, BETA_END)])
+def test_invalid_schedule_rejected(steps, start, end):
+    # one step cannot run from start to end: linspace would give start alone
+    assert (start, end) == (BETA_START, BETA_END)
+    with pytest.raises(ContractError, match="at least 2 steps, got 1"):
+        linear_schedule(steps)
+
+
 def test_csv_dump_first_row():
     lines = schedule_csv(linear_schedule(100)).splitlines()
     assert lines[0] == "t,beta,alpha_bar,sigma"
