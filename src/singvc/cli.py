@@ -28,6 +28,7 @@ from .config import RunConfig, load_config
 from .diffusion import sample
 from .errors import DataError, InputError, MetricUndefinedError, SingvcError
 from .features import (
+    SAMPLE_RATE,
     F0Contour,
     compute_log_mel,
     compute_loudness,
@@ -59,19 +60,19 @@ def _write_text(path, text: str) -> None:
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     wav, sr = read_wav(args.wav)
-    if sr != cfg.sample_rate:
-        raise InputError(f"audio sample rate {sr} != configured {cfg.sample_rate}")
+    if sr != SAMPLE_RATE:
+        raise InputError(f"{args.wav}: sample rate {sr} Hz != {SAMPLE_RATE} Hz")
     log_mel = compute_log_mel(wav, cfg)
-    f0 = estimate_f0(wav, cfg)
-    loud = compute_loudness(wav, cfg)
+    f0 = estimate_f0(wav)
+    loud = compute_loudness(wav)
     frames = log_mel.shape[0]
 
     if args.ppg is not None:
         ppg = _read_rank(args.ppg, 2)
         if ppg.shape[0] != frames:
-            raise InputError(f"PPG frames {ppg.shape[0]} != mel frames {frames}")
+            raise InputError(f"{args.ppg}: PPG frames {ppg.shape[0]} != mel frames {frames}")
         if ppg.shape[1] != cfg.ppg_dim:
-            raise InputError(f"PPG dim {ppg.shape[1]} != configured {cfg.ppg_dim}")
+            raise InputError(f"{args.ppg}: PPG dim {ppg.shape[1]} != configured ppg_dim {cfg.ppg_dim}")
     else:
         ppg = synth_ppg(frames, cfg.ppg_dim, seed=args.synth_ppg)
 
@@ -180,7 +181,7 @@ def cmd_convert(args) -> int:
     log_mel = ckpt.stats.denormalize_mel(mel)
     featio.write_feat(args.out, log_mel if args.denorm else mel)
     if args.wav:
-        write_wav(args.wav, invert_log_mel(log_mel, cfg), cfg.sample_rate)
+        write_wav(args.wav, invert_log_mel(log_mel, cfg), SAMPLE_RATE)
     return 0
 
 

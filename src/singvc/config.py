@@ -1,8 +1,9 @@
 """Flat key=value run configuration covering features, schedule, model and
 training.  Unknown keys are rejected; parse -> serialize -> parse is
 idempotent.  The defaults are the published setup, stated here only: the
-feature functions read a `RunConfig` itself, and `ModelConfig` is built from
-one.
+mel functions read `n_mels` from a `RunConfig` itself, and `ModelConfig` is
+built from one.  The audio front end (sample rate, mel FFT, hop and F0
+range) is the published one, constants of `features`, not settings.
 
 `RunConfig` is also the one place that decides which values are valid.  Every
 way to build one (the constructor, `parse_config_text`, `dataclasses.replace`,
@@ -25,14 +26,9 @@ from .schedule import NoiseSchedule, linear_schedule
 
 @dataclass(frozen=True)
 class RunConfig:
-    # features; each STFT's window is as long as its FFT, the mel band spans
-    # 0 Hz to sample_rate / 2, and the loudness FFT is `features.LOUDNESS_FFT`
-    sample_rate: int = 24000
-    n_fft: int = 1024
-    hop_size: int = 240
+    # features; the sample rate, FFT lengths, hop and F0 range are constants
+    # of `features`
     n_mels: int = 80
-    f0_min: float = 40.0
-    f0_max: float = 800.0
     ppg_dim: int = 218
     # noise schedule; its beta range is a constant of `schedule`
     diffusion_steps: int = 100
@@ -54,9 +50,6 @@ class RunConfig:
         for key, least in _LEAST.items():
             if not getattr(self, key) >= least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
-        if not 0.0 < self.f0_min < self.f0_max < self.sample_rate / 2:
-            raise ConfigError(f"need 0 < f0_min < f0_max < sample_rate / 2 = {self.sample_rate / 2}, "
-                              f"got f0_min {self.f0_min!r}, f0_max {self.f0_max!r}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and above 0, got {self.lr!r}")
 
@@ -69,8 +62,8 @@ class RunConfig:
 
 # the least value of each count; `seed` may be any integer
 _LEAST = {
-    **dict.fromkeys(("sample_rate", "n_fft", "hop_size", "n_mels", "ppg_dim", "layers", "channels",
-                     "cond_dim", "n_bins", "batch", "segment_frames", "log_every"), 1),
+    **dict.fromkeys(("n_mels", "ppg_dim", "layers", "channels", "cond_dim", "n_bins", "batch",
+                     "segment_frames", "log_every"), 1),
     "diffusion_steps": 2,
     "n_iter": 0,
     "ckpt_every": 0,

@@ -3,11 +3,14 @@
 Layout: magic "FEAT1" (5 bytes), u8 format version = 1, u32 LE rank,
 rank x u32 LE dims, then row-major 32-bit LE floats.  Integer contours are
 stored as floats.  Reading rejects NaN and infinite values, which no feature
-can hold and which would otherwise surface far from the file.
+can hold and which would otherwise surface far from the file; writing
+refuses them too, including finite values beyond float32's range, so every
+file written can be read back.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -19,8 +22,21 @@ MAGIC = b"FEAT1"
 VERSION = 1
 
 
+def _first_non_finite(path, data: np.ndarray, dims) -> None:
+    """An `InputError` naming the file and the index of the first value of
+    the flat payload `data` that is NaN or infinite, if there is one."""
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], dims))
+        raise InputError(f"{path}: non-finite value {data[bad[0]]} at index {index}")
+
+
 def write_feat(path, array) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Writes `array` as float32; a value that is not finite as float32 is
+    an `InputError`, raised before the file is opened."""
+    with np.errstate(over="ignore"):  # an overflow shows up as inf, checked next
+        arr = np.ascontiguousarray(array, dtype="<f4")
+    _first_non_finite(path, arr.reshape(-1), arr.shape)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -52,13 +68,10 @@ def read_feat(path) -> np.ndarray:
     need(4 * rank, 10, "dims")
     dims = struct.unpack_from(f"<{rank}I", raw, 10)
     header = 10 + 4 * rank
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     need(4 * count, header, "payload")
     if len(raw) != header + 4 * count:
         raise FormatError(f"{path}: {len(raw) - header - 4 * count} trailing bytes at byte {header + 4 * count}")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=header)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        index = tuple(int(i) for i in np.unravel_index(bad[0], dims))
-        raise InputError(f"{path}: non-finite value {data[bad[0]]} at index {index}")
+    _first_non_finite(path, data, dims)
     return data.reshape(dims).astype(np.float64)

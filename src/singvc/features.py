@@ -1,11 +1,13 @@
 """Audio feature extraction: mel spectrograms, F0, loudness, quantization,
 PPG handling, and best-effort mel inversion.
 
-The analysis functions take the `RunConfig` itself and read the published
-values from it (sample rate, mel FFT length, hop, mel bins, F0 range), so
-each is stated once, in `config`, and has been checked when the config was
-built.  The F0 frame (`YIN_FRAME`) and the loudness FFT (`LOUDNESS_FFT`) are
-constants of this module, not settings.
+The audio front end is the published one (DiffSVC): 24 kHz audio
+(`SAMPLE_RATE`), a 1024-point mel FFT (`MEL_FFT`), a 240-sample hop
+(`HOP_SIZE`, 100 frames/s), an F0 search range of 40-800 Hz (`F0_MIN`,
+`F0_MAX`) in a 2048-sample frame (`YIN_FRAME`), and a 2048-point loudness
+FFT (`LOUDNESS_FFT`).  These are constants of this module, not settings.
+The mel functions take the `RunConfig` for its one feature setting,
+`n_mels`; F0 and loudness take only the audio.
 
 Features are plain float64 arrays with frames on axis 0 (log-mel and PPGs
 [frames, dim], loudness [frames]); quantized contours are int64 bins.  Only
@@ -13,23 +15,23 @@ F0 has a type, `F0Contour`, which carries the rule that a frame is voiced
 iff hz > 0.
 
 Fixed conventions (tests depend on these):
-  * frames = ceil(num_samples / hop); frame t is centered at sample t*hop via
-    reflect padding of n_fft//2 per side (zero-padded when the signal is too
-    short to reflect);
+  * frames = ceil(num_samples / HOP_SIZE); frame t is centered at sample
+    t*HOP_SIZE via reflect padding of n_fft//2 per side (zero-padded when
+    the signal is too short to reflect);
   * periodic Hann window as long as the FFT;
   * triangular mel filterbank on the Slaney mel scale with Slaney area
-    normalization, spanning 0 Hz to sample_rate / 2;
+    normalization, spanning 0 Hz to SAMPLE_RATE / 2;
   * log compression is ln(mel_power + 1e-5); the floor keeps silence finite.
 
 F0 and every STFT run over blocks of `FRAME_BLOCK` frames.  Each block's
 samples are cut from the clip with the padding above applied at the clip's
 edges, so no padded copy of the clip is made, and each call allocates its
 work buffers once and reuses them for every block.  The F0 work therefore
-takes the same memory at any clip length (about 3.5 MiB at the default
-F0 range).  The power spectrum behind log-mel and loudness still holds one
-[frames, n_fft//2 + 1] row per frame.  Blocking keeps every bit: each
-row of an FFT, a cumsum, the difference function and |.|^2 is computed
-on its own, whatever the rows around it.  The filterbank and A-weight
+takes the same memory at any clip length (about 3.5 MiB).  The power
+spectrum behind log-mel and loudness still holds one [frames, n_fft//2 + 1]
+row per frame.  Blocking keeps every bit: each row of an FFT, a cumsum, the
+difference function and |.|^2 is computed on its own, whatever the rows
+around it.  The filterbank and A-weight
 products are not: BLAS may round a row of a product differently with the
 number of rows in the call (a per-block `power @ fb.T` changed log-mel
 bits at 16 mels), so both run once over the whole clip.
@@ -48,13 +50,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, ContractError, FormatError, InputError
+from .errors import ContractError, FormatError, InputError
 from .rng import RandomStream
 
+SAMPLE_RATE = 24000  # Hz, of every WAV read and written
+MEL_FFT = 1024  # points of the mel STFT
+HOP_SIZE = 240  # samples between frames: 100 frames/s
+F0_MIN = 40.0  # Hz, the F0 search range
+F0_MAX = 800.0
 LOG_MEL_FLOOR = 1e-5
 LOUDNESS_FLOOR = 1e-10
 YIN_THRESHOLD = 0.1
-YIN_FRAME = 2048  # samples per F0 analysis window
+YIN_FRAME = 2048  # samples per F0 analysis window; holds one period of F0_MIN
 FRAME_BLOCK = 32  # frames per block of F0 and STFT work
 LOUDNESS_FFT = 2048  # points of the loudness STFT
 GRIFFIN_LIM_ITERATIONS = 32
@@ -83,8 +90,8 @@ class F0Contour:
 # framing / STFT
 
 
-def frame_count(num_samples: int, hop: int) -> int:
-    return -(-num_samples // hop)
+def frame_count(num_samples: int) -> int:
+    return -(-num_samples // HOP_SIZE)
 
 
 def _fill_centered(out: np.ndarray, wav: np.ndarray, start: int, reach: int) -> None:
@@ -104,13 +111,14 @@ def _fill_centered(out: np.ndarray, wav: np.ndarray, start: int, reach: int) -> 
         out[lo - start : hi - start] = wav[2 * n - 1 - hi : 2 * n - 1 - lo][::-1]
 
 
-def _frame_blocks(wav: np.ndarray, win: int, hop: int, width: int):
+def _frame_blocks(wav: np.ndarray, win: int, width: int):
     """Yields (first frame, frames [rows, width]) for each `FRAME_BLOCK`
     frames of the clip.  Frame t starts at sample t*hop - win//2, so a
     win-long frame is centered at t*hop; samples before the start and past
     the end reflect by up to win//2 and are 0 beyond that.  The frames are
     a view of one buffer, which the next block overwrites."""
-    count = frame_count(len(wav), hop)
+    hop = HOP_SIZE
+    count = frame_count(len(wav))
     pad = win // 2
     reach = min(pad, len(wav) - 1)
     samples = np.empty((min(FRAME_BLOCK, count) - 1) * hop + width)
@@ -125,35 +133,35 @@ def hann_window(win: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(win) / win))
 
 
-def _stft_blocks(wav: np.ndarray, n_fft: int, hop: int):
+def _stft_blocks(wav: np.ndarray, n_fft: int):
     """Yields (first frame, complex spectrum [rows, n_fft//2 + 1]) for each
     block of Hann-windowed frames; the spectrum is a buffer that the next
     block overwrites."""
     if len(wav) == 0:
         raise InputError("empty audio")
     window = hann_window(n_fft)
-    block = min(FRAME_BLOCK, frame_count(len(wav), hop))
+    block = min(FRAME_BLOCK, frame_count(len(wav)))
     windowed = np.empty((block, n_fft))
     spec = np.empty((block, n_fft // 2 + 1), dtype=np.complex128)
-    for first, frames in _frame_blocks(wav, n_fft, hop, n_fft):
+    for first, frames in _frame_blocks(wav, n_fft, n_fft):
         rows = len(frames)
         np.multiply(frames, window, out=windowed[:rows])
         np.fft.rfft(windowed[:rows], n=n_fft, axis=1, out=spec[:rows])
         yield first, spec[:rows]
 
 
-def stft(wav: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+def stft(wav: np.ndarray, n_fft: int) -> np.ndarray:
     """Complex spectrogram [frames, n_fft//2 + 1]; the window is n_fft long."""
-    out = np.empty((frame_count(len(wav), hop), n_fft // 2 + 1), dtype=np.complex128)
-    for first, spec in _stft_blocks(wav, n_fft, hop):
+    out = np.empty((frame_count(len(wav)), n_fft // 2 + 1), dtype=np.complex128)
+    for first, spec in _stft_blocks(wav, n_fft):
         out[first : first + len(spec)] = spec
     return out
 
 
-def power_spectrum(wav: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+def power_spectrum(wav: np.ndarray, n_fft: int) -> np.ndarray:
     """|STFT|^2, [frames, n_fft//2 + 1], filled block by block."""
-    power = np.empty((frame_count(len(wav), hop), n_fft // 2 + 1))
-    for first, spec in _stft_blocks(wav, n_fft, hop):
+    power = np.empty((frame_count(len(wav)), n_fft // 2 + 1))
+    for first, spec in _stft_blocks(wav, n_fft):
         rows = power[first : first + len(spec)]
         np.abs(spec, out=rows)
         np.square(rows, out=rows)
@@ -184,11 +192,11 @@ def _mel_to_hz(mel):
 
 
 def mel_filterbank(cfg: RunConfig) -> np.ndarray:
-    """[n_mels, n_fft//2 + 1] triangular filters from 0 Hz to Nyquist, Slaney
-    area normalization."""
-    n_bins = cfg.n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(cfg.sample_rate / 2), cfg.n_mels + 2)
+    """[n_mels, MEL_FFT//2 + 1] triangular filters from 0 Hz to Nyquist,
+    Slaney area normalization."""
+    n_bins = MEL_FFT // 2 + 1
+    fft_freqs = np.arange(n_bins) * SAMPLE_RATE / MEL_FFT
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2), cfg.n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
     fb = np.zeros((cfg.n_mels, n_bins))
     for m in range(cfg.n_mels):
@@ -201,7 +209,7 @@ def mel_filterbank(cfg: RunConfig) -> np.ndarray:
 
 def compute_log_mel(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Unnormalized log-mel, [frames, n_mels]: ln(filterbank @ |STFT|^2 + floor)."""
-    power = power_spectrum(wav, cfg.n_fft, cfg.hop_size)
+    power = power_spectrum(wav, MEL_FFT)
     # one product over the whole clip: per block, BLAS may round a row
     # differently (it did at 16 mels)
     mel_power = power @ mel_filterbank(cfg).T
@@ -225,8 +233,8 @@ def _fft_size(n: int) -> int:
         n += 1
 
 
-def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
-    """Per-frame F0 in [cfg.f0_min, cfg.f0_max] by normalized autocorrelation
+def estimate_f0(wav: np.ndarray) -> F0Contour:
+    """Per-frame F0 in [F0_MIN, F0_MAX] by normalized autocorrelation
     (YIN-style).
 
     The squared-difference function over candidate lags is normalized by its
@@ -237,13 +245,9 @@ def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
     """
     if len(wav) == 0:
         raise InputError("empty audio")
-    sample_rate, f_min, f_max = cfg.sample_rate, cfg.f0_min, cfg.f0_max
-    tau_min = max(2, int(math.ceil(sample_rate / f_max)))
-    tau_max = int(math.floor(sample_rate / f_min))
+    tau_min = max(2, int(math.ceil(SAMPLE_RATE / F0_MAX)))
+    tau_max = int(math.floor(SAMPLE_RATE / F0_MIN))
     w = YIN_FRAME
-    if w < tau_max:
-        raise ConfigError(f"f0_min {f_min} Hz: one period ({tau_max} samples) is longer than "
-                          f"the F0 frame ({w} samples)")
     width = w + tau_max + 1  # each frame's segment: the window and every lag past it
     n_lags = tau_max + 2  # need d at tau_max + 1 for interpolation
     # a circular correlation at any length >= the segment has no wraparound
@@ -251,7 +255,7 @@ def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
     fft_len = _fft_size(width)
     taus = np.arange(1, n_lags, dtype=np.float64)
 
-    hz = np.zeros(frame_count(len(wav), cfg.hop_size))
+    hz = np.zeros(frame_count(len(wav)))
     # one set of work buffers per call, reused by every block
     block = min(FRAME_BLOCK, len(hz))
     squares = np.empty((block, width))
@@ -264,7 +268,7 @@ def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
     cum = np.empty((block, n_lags - 1))
     positive = np.empty(cum.shape, dtype=bool)
 
-    for first, segs in _frame_blocks(wav, w, cfg.hop_size, width):
+    for first, segs in _frame_blocks(wav, w, width):
         rows = len(segs)
         # d(tau) = E(0) + E(tau) - 2 * corr(tau), the correlation by one FFT
         # per frame
@@ -301,7 +305,7 @@ def estimate_f0(wav: np.ndarray, cfg: RunConfig) -> F0Contour:
             denom = row[tau - 1] - 2.0 * row[tau] + row[tau + 1]
             delta = 0.0 if denom <= 0 else (row[tau - 1] - row[tau + 1]) / (2.0 * denom)
             period = tau + float(np.clip(delta, -1.0, 1.0))
-            hz[first + i] = float(np.clip(sample_rate / period, f_min, f_max))
+            hz[first + i] = float(np.clip(SAMPLE_RATE / period, F0_MIN, F0_MAX))
     return F0Contour(hz=hz)
 
 
@@ -344,12 +348,12 @@ def a_weighting_db(freqs) -> np.ndarray:
     return raw(freqs) - raw(1000.0)
 
 
-def compute_loudness(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
+def compute_loudness(wav: np.ndarray) -> np.ndarray:
     """Per-frame natural log of the A-weighted power-spectrum sum, [frames],
     from a `LOUDNESS_FFT`-point STFT."""
     n_fft = LOUDNESS_FFT
-    power = power_spectrum(wav, n_fft, cfg.hop_size)
-    freqs = np.arange(n_fft // 2 + 1) * cfg.sample_rate / n_fft
+    power = power_spectrum(wav, n_fft)
+    freqs = np.arange(n_fft // 2 + 1) * SAMPLE_RATE / n_fft
     weights = 10.0 ** (a_weighting_db(freqs) / 10.0)
     weights[freqs <= 0] = 0.0
     return np.log(power @ weights + LOUDNESS_FLOOR)
@@ -395,7 +399,8 @@ def synth_ppg(frames: int, dim: int, seed: int = 0) -> np.ndarray:
 # mel inversion (best effort; for audible sanity output only)
 
 
-def _istft(spec: np.ndarray, n_fft: int, hop: int, num_samples: int) -> np.ndarray:
+def _istft(spec: np.ndarray, num_samples: int) -> np.ndarray:
+    n_fft, hop = MEL_FFT, HOP_SIZE
     window = hann_window(n_fft)
     frames = np.fft.irfft(spec, n=n_fft, axis=1)
     count = spec.shape[0]
@@ -417,18 +422,18 @@ def invert_log_mel(log_mel: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Pseudo-inverse filterbank plus Griffin-Lim phase reconstruction.
 
     Zero-phase initialization keeps the output deterministic.  Output length
-    is exactly frames * hop samples.
+    is exactly frames * HOP_SIZE samples.
     """
     fb = mel_filterbank(cfg)
     mel_power = np.maximum(np.exp(log_mel) - LOG_MEL_FLOOR, 0.0)
     spec_power = np.maximum(mel_power @ np.linalg.pinv(fb).T, 0.0)
     mag = np.sqrt(spec_power)
-    num_samples = log_mel.shape[0] * cfg.hop_size
+    num_samples = log_mel.shape[0] * HOP_SIZE
     spec = mag.astype(np.complex128)
-    wav = _istft(spec, cfg.n_fft, cfg.hop_size, num_samples)
+    wav = _istft(spec, num_samples)
     for _ in range(GRIFFIN_LIM_ITERATIONS):
-        phase = np.angle(stft(wav, cfg.n_fft, cfg.hop_size))
-        wav = _istft(mag * np.exp(1j * phase), cfg.n_fft, cfg.hop_size, num_samples)
+        phase = np.angle(stft(wav, MEL_FFT))
+        wav = _istft(mag * np.exp(1j * phase), num_samples)
     return wav
 
 
@@ -447,6 +452,13 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             raw = f.readframes(f.getnframes())
     except wave.Error as exc:
         raise FormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    # `wave` raises these bare, without a message
+    except EOFError:
+        raise FormatError(f"{path}: not a readable WAV file (a chunk is cut short)") from None
+    except RuntimeError:
+        raise FormatError(f"{path}: not a readable WAV file (a chunk size is out of range)") from None
+    if len(raw) % 2:
+        raise FormatError(f"{path}: truncated sample data ({len(raw)} bytes, not whole 16-bit samples)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if len(samples) == 0:
         raise InputError(f"{path}: empty audio")

@@ -42,9 +42,11 @@ previous checkpoint intact.
 The reader streams: each record is read straight into its final array, its
 size checked against the bytes left in the file first, and a read for
 inference (``optimizer=False``) seeks past the ADAM moment records, which
-are twice the size of the parameters.  The records read are then checked
-against the config's parameter layout (``denoiser.parameter_layout``), so a
-missing, extra or misshapen record fails the load with a `FormatError`.
+are twice the size of the parameters.  A record read that holds NaN or
+infinity fails the load with a `FormatError` naming it.  The records read
+are then checked against the config's parameter layout
+(``denoiser.parameter_layout``), so a missing, extra or misshapen record
+fails the load with a `FormatError`.
 
 A `Checkpoint` is the training state itself: `train` builds one, advances
 its parameter arrays, ADAM moments, stream and iteration in place, and saves
@@ -69,7 +71,7 @@ from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser, ModelConfig, parameter_layout
 from .diffusion import diffusion_loss, gaussian
 from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
-from .features import F0Contour, quantize
+from .features import F0_MAX, F0_MIN, F0Contour, quantize
 from .rng import RandomStream
 from .tensor import Tensor
 
@@ -91,7 +93,10 @@ CKPT_MAGIC = b"DSVC"
 # gradient-clip norm, which is no longer a key
 # 9: the schedule's beta range is a constant; a version-8 config block also
 # sets `beta_start` and `beta_end`, which are no longer keys
-CKPT_VERSION = 9
+# 10: the audio front end is a set of constants of `features`; a version-9
+# config block also sets `sample_rate`, `n_fft`, `hop_size`, `f0_min` and
+# `f0_max`, which are no longer keys
+CKPT_VERSION = 10
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -155,12 +160,13 @@ _STATE_KEYS = {
 }
 
 
-def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> FeatureStats:
+def compute_feature_stats(data: list[TrainingSample]) -> FeatureStats:
     """Mel min/max plus 0.1/99.9 percentile quantization ranges.
 
-    Falls back to the configured F0 search range if the corpus has no voiced
-    frames; degenerate quantization ranges are widened so quantization stays
-    defined, and a degenerate mel range is a `DataError`.
+    Falls back to the F0 search range (`features.F0_MIN` to `F0_MAX`) if the
+    corpus has no voiced frames; degenerate quantization ranges are widened
+    so quantization stays defined, and a degenerate mel range is a
+    `DataError`.
     """
     mel_lo = min(float(s.log_mel.min()) for s in data)
     mel_hi = max(float(s.log_mel.max()) for s in data)
@@ -170,7 +176,7 @@ def compute_feature_stats(data: list[TrainingSample], cfg: RunConfig) -> Feature
     if voiced.size:
         f0_lo, f0_hi = np.percentile(voiced, [0.1, 99.9])
     else:
-        f0_lo, f0_hi = np.log(cfg.f0_min), np.log(cfg.f0_max)
+        f0_lo, f0_hi = np.log(F0_MIN), np.log(F0_MAX)
     loud = np.concatenate([s.loudness for s in data])
     loud_lo, loud_hi = np.percentile(loud, [0.1, 99.9])
     if f0_hi - f0_lo < 1e-6:
@@ -374,6 +380,9 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                 continue
             arr = np.empty(dims, dtype="<f8")
             f.readinto(arr)
+            if not np.isfinite(arr).all():
+                index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                raise FormatError(f"{path}: record {name!r}: non-finite value {arr[index]} at index {index}")
             if name.startswith("adam.m."):
                 adam.m[name[len("adam.m.") :]] = arr
             elif name.startswith("adam.v."):
@@ -500,7 +509,7 @@ def train(
             config=cfg,
             params={name: p.data for name, p in init.items()},
             adam=Adam(),
-            stats=compute_feature_stats(data, cfg),
+            stats=compute_feature_stats(data),
             iteration=0,
             rng=master.split("train"),
         )

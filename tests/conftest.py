@@ -18,6 +18,14 @@ def synth_voice(freq, seconds=1.0, sr=24000, vibrato_hz=5.0, vibrato_cents=30.0,
     return (envelope * np.sin(phase)).astype(np.float64)
 
 
+def write_raw_feat(path, array) -> None:
+    """A FEAT1 file holding `array` as float32 as it is, NaN and infinity
+    included, which `featio.write_feat` refuses to write."""
+    arr = np.ascontiguousarray(array, dtype="<f4")
+    header = b"FEAT1" + struct.pack(f"<BI{arr.ndim}I", 1, arr.ndim, *arr.shape)
+    path.write_bytes(header + arr.tobytes())
+
+
 def config_block_lines(path) -> list[str]:
     """The lines of a checkpoint's config block."""
     data = path.read_bytes()

@@ -88,8 +88,8 @@ def _overfit_sample() -> TrainingSample:
     return TrainingSample(
         name="one",
         ppg=synth_ppg(64, OVERFIT_CFG.ppg_dim, 0),
-        f0=estimate_f0(wav, OVERFIT_CFG),
-        loudness=compute_loudness(wav, OVERFIT_CFG),
+        f0=estimate_f0(wav),
+        loudness=compute_loudness(wav),
         log_mel=compute_log_mel(wav, OVERFIT_CFG),
     )
 
@@ -101,7 +101,7 @@ def test_f0_fft_length_keeps_the_overfit_conditioner(monkeypatch):
     monkeypatch.setattr(features, "_fft_size", lambda n: 1 << int(math.ceil(math.log2(n + features.YIN_FRAME))))
     ref = _overfit_sample()
     np.testing.assert_array_equal(data.f0.voiced, ref.f0.voiced)
-    bins = [conditioner_bins(compute_feature_stats([s], OVERFIT_CFG), s.f0, s.loudness, OVERFIT_CFG.n_bins)
+    bins = [conditioner_bins(compute_feature_stats([s]), s.f0, s.loudness, OVERFIT_CFG.n_bins)
             for s in (data, ref)]
     for new, old in zip(*bins):
         np.testing.assert_array_equal(new, old)
@@ -273,7 +273,7 @@ def test_criterion_7_f0_ensemble():
     for freq in (110.0, 220.0, 440.0):
         t = np.arange(24000) / 24000
         tone = 0.4 * np.sin(2 * np.pi * freq * t)
-        contour = estimate_f0(tone, RunConfig())
+        contour = estimate_f0(tone)
         voiced = contour.hz[contour.voiced]
         max_dev = max(max_dev, abs(float(np.median(voiced)) - freq))
 

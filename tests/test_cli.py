@@ -10,7 +10,7 @@ from singvc.denoiser import Denoiser
 from singvc.features import F0Contour, write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
-from conftest import config_block_lines, set_config_value, synth_voice
+from conftest import config_block_lines, set_config_value, synth_voice, write_raw_feat
 
 
 def run(*argv):
@@ -79,15 +79,50 @@ class TestExtract:
         out = tmp_path / "feats"
         assert run("extract", "--wav", wav, "--out", out, "--config", cli_workspace["cfg"],
                    "--synth-ppg", 0) == 1
-        assert capsys.readouterr().err == "error: audio sample rate 16000 != configured 24000\n"
+        assert capsys.readouterr().err == f"error: {wav}: sample rate 16000 Hz != 24000 Hz\n"
         assert not out.exists()
 
     def test_bad_setting_is_error(self, cli_workspace, tmp_path, capsys):
-        cfg = with_setting(cli_workspace["cfg"], tmp_path / "bad.cfg", "hop_size", 0)
+        cfg = with_setting(cli_workspace["cfg"], tmp_path / "bad.cfg", "n_mels", 0)
         out = tmp_path / "feats"
         assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out, "--config", cfg,
                    "--synth-ppg", 0) == 1
-        assert capsys.readouterr().err == "error: hop_size must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: n_mels must be at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("sample_rate", 24000), ("n_fft", 1024), ("hop_size", 240),
+                                            ("f0_min", 40.0), ("f0_max", 800.0)])
+    def test_front_end_key_is_error(self, cli_workspace, tmp_path, capsys, key, value):
+        # the audio front end is constants of `features`, not settings
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(cli_workspace["cfg"].read_text() + f"{key} = {value}\n")
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out, "--config", cfg,
+                   "--synth-ppg", 0) == 1
+        lines = len(cli_workspace["cfg"].read_text().splitlines())
+        assert capsys.readouterr().err == f"error: line {lines + 1}: unknown key '{key}'\n"
+        assert not out.exists()
+
+    def test_truncated_wav_is_error(self, cli_workspace, tmp_path, capsys):
+        wav = tmp_path / "cut.wav"
+        wav.write_bytes(cli_workspace["wavs"][0].read_bytes()[:-1])  # half of the last sample
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", wav, "--out", out, "--config", cli_workspace["cfg"],
+                   "--synth-ppg", 0) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav}: truncated sample data (") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["frames", "dim"])
+    def test_ppg_mismatch_names_the_file(self, cli_workspace, extracted, tmp_path, capsys, case):
+        ppg = featio.read_feat(extracted / "utt0.ppg.feat")
+        bad = tmp_path / "bad.ppg.feat"
+        featio.write_feat(bad, ppg[:99] if case == "frames" else ppg[:, :15])
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", cli_workspace["wavs"][0], "--out", out,
+                   "--config", cli_workspace["cfg"], "--ppg", bad) == 1
+        message = {"frames": "PPG frames 99 != mel frames 100", "dim": "PPG dim 15 != configured ppg_dim 16"}
+        assert capsys.readouterr().err == f"error: {bad}: {message[case]}\n"
         assert not out.exists()
 
     def test_rank_1_ppg_is_error(self, cli_workspace, extracted, tmp_path, capsys):
@@ -101,7 +136,7 @@ class TestExtract:
 
     @pytest.mark.parametrize("message", ["Unable to allocate 1.86 GiB for an array", ""])
     def test_out_of_memory_is_error(self, cli_workspace, tmp_path, monkeypatch, capsys, message):
-        def estimate_f0(wav, cfg):
+        def estimate_f0(wav):
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, "estimate_f0", estimate_f0)
@@ -173,7 +208,7 @@ class TestTrain:
             (data / src.name).write_bytes(src.read_bytes())
         mel = featio.read_feat(data / "utt0.mel.feat")
         mel[4, 2] = np.nan
-        featio.write_feat(data / "utt0.mel.feat", mel)
+        write_raw_feat(data / "utt0.mel.feat", mel)
         assert run("train", "--data", data, "--config", cli_workspace["cfg_small"],
                    "--out", tmp_path / "x.ckpt") == 1
         assert "utt0.mel.feat: non-finite value nan at index (4, 2)" in capsys.readouterr().err
@@ -255,7 +290,7 @@ class TestConvert:
         values = featio.read_feat(paths[kind])
         values[7] = np.nan
         paths[kind] = tmp_path / f"nan.{kind}.feat"
-        featio.write_feat(paths[kind], values)
+        write_raw_feat(paths[kind], values)
         out = tmp_path / "x.feat"
         assert run("convert", "--ckpt", trained, "--ppg", paths["ppg"], "--f0", paths["f0"],
                    "--loud", paths["loud"], "--out", out) == 1
@@ -334,6 +369,21 @@ class TestConvert:
                    "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
                    "--out", out) == 1
         assert capsys.readouterr().err == f"error: {bad}: state key {key}: bad value {value!r}\n"
+        assert not out.exists()
+
+    def test_version_9_checkpoint_is_error(self, extracted, trained, tmp_path, capsys):
+        # a version-9 file: its config block also sets the audio front end
+        lines = config_block_lines(trained)
+        front_end = ["sample_rate = 24000", "n_fft = 1024", "hop_size = 240", "f0_min = 40.0", "f0_max = 800.0"]
+        block = "\n".join(front_end + lines) + "\n"
+        data = trained.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 5)
+        old, out = tmp_path / "v9.ckpt", tmp_path / "x.feat"
+        old.write_bytes(b"DSVC\x09" + struct.pack("<I", len(block)) + block.encode() + data[9 + length :])
+        assert run("convert", "--ckpt", old, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {old}: unsupported checkpoint version 9\n"
         assert not out.exists()
 
     def test_version_8_checkpoint_is_error(self, extracted, trained, tmp_path, capsys):
@@ -420,6 +470,33 @@ class TestConvert:
         assert capsys.readouterr().err == (
             f"error: {damaged}: record 'f0_table' has shape (3, 16), expected (16, 16)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_record_is_error(self, extracted, trained, tmp_path, capsys, bad):
+        def spoil(params):
+            params["out_conv2.b"][0] = bad
+
+        code, damaged, out = self.convert_damaged(trained, extracted, tmp_path, spoil)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {damaged}: record 'out_conv2.b': non-finite value {bad} at index (0,)\n")
+        assert not out.exists()
+
+    def test_mel_beyond_float32_is_error(self, extracted, trained, tmp_path, capsys):
+        # finite float64 weights whose output overflows float32: the mel
+        # file would hold values `read_feat` rejects
+        ckpt = load_checkpoint(trained)
+        ckpt.params["out_conv2.w"][:] = 1e200
+        damaged, out, wav = tmp_path / "damaged.ckpt", tmp_path / "x.feat", tmp_path / "x.wav"
+        out.write_bytes(b"kept")
+        save_checkpoint(damaged, ckpt)
+        assert run("convert", "--ckpt", damaged, "--ppg", extracted / "utt1.ppg.feat",
+                   "--f0", extracted / "utt1.f0.feat", "--loud", extracted / "utt1.loud.feat",
+                   "--out", out, "--denorm", "--wav", wav) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: non-finite value ") and err.count("\n") == 1
+        assert out.read_bytes() == b"kept"
+        assert not wav.exists()
 
     def test_missing_record_is_error(self, extracted, trained, tmp_path, capsys):
         code, damaged, out = self.convert_damaged(trained, extracted, tmp_path,

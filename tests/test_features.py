@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import struct
 import tracemalloc
+import warnings
 import wave
 
 import numpy as np
@@ -8,8 +10,14 @@ import pytest
 
 from singvc import featio, features
 from singvc.config import RunConfig
-from singvc.errors import ConfigError, ContractError, FormatError, InputError
+from singvc.errors import ContractError, FormatError, InputError
 from singvc.features import (
+    F0_MAX,
+    F0_MIN,
+    HOP_SIZE,
+    MEL_FFT,
+    SAMPLE_RATE,
+    YIN_FRAME,
     F0Contour,
     LOG_MEL_FLOOR,
     LOUDNESS_FLOOR,
@@ -29,6 +37,8 @@ from singvc.features import (
 from singvc.rng import RandomStream
 from singvc.training import FeatureStats, TrainingSample, compute_feature_stats
 
+from conftest import write_raw_feat
+
 CFG = RunConfig()
 
 
@@ -36,7 +46,7 @@ def mel_stats(log_mels) -> FeatureStats:
     """`compute_feature_stats` over utterances that differ only in their mels."""
     samples = [TrainingSample(f"u{i}", np.zeros((len(m), 1)), F0Contour(hz=np.zeros(len(m))),
                               np.zeros(len(m)), m) for i, m in enumerate(log_mels)]
-    return compute_feature_stats(samples, CFG)
+    return compute_feature_stats(samples)
 
 
 def mel_range(lo, hi) -> FeatureStats:
@@ -52,7 +62,7 @@ class TestMel:
     def test_one_second_gives_100_frames(self):
         log_mel = compute_log_mel(sine(440.0), CFG)
         assert log_mel.shape == (100, 80)
-        assert frame_count(24000, 240) == 100
+        assert frame_count(24000) == 100
 
     def test_frame_count_is_ceil(self):
         assert compute_log_mel(sine(440.0, seconds=1.1)[:24001], CFG).shape[0] == 101
@@ -61,7 +71,7 @@ class TestMel:
     def test_pure_tone_argmax_constant_across_frames(self):
         # FFT-bin-aligned tone on a filter center near 1 kHz (exact 1 kHz
         # straddles two filters of the pinned filterbank)
-        freq = 45 * CFG.sample_rate / CFG.n_fft  # 1054.7 Hz, center of filter 24
+        freq = 45 * SAMPLE_RATE / MEL_FFT  # 1054.7 Hz, center of filter 24
         fb = mel_filterbank(CFG)
         expected = int(np.argmax(fb[:, 45]))
         # cosine: even at t=0, so the reflect-padded first frame has no kink
@@ -71,14 +81,13 @@ class TestMel:
 
     def test_exact_1khz_argmax_stays_within_straddled_pair(self):
         fb = mel_filterbank(CFG)
-        bin_1khz = round(1000.0 / (CFG.sample_rate / CFG.n_fft))
+        bin_1khz = round(1000.0 / (SAMPLE_RATE / MEL_FFT))
         top = int(np.argmax(fb[:, bin_1khz]))
         got = np.argmax(compute_log_mel(sine(1000.0), CFG), axis=1)
         assert set(np.unique(got)) <= {top - 1, top}
 
-    @pytest.mark.parametrize("sample_rate", [16000, 24000])
-    def test_band_ends_at_nyquist(self, sample_rate):
-        fb = mel_filterbank(dataclasses.replace(CFG, sample_rate=sample_rate))
+    def test_band_ends_at_nyquist(self):
+        fb = mel_filterbank(CFG)
         assert np.all(fb.max(axis=1) > 0)  # no filter lies above Nyquist
         assert fb[-1, -1] == 0.0 and fb[-1, -2] > 0  # the top filter closes at it
 
@@ -111,34 +120,32 @@ class TestMel:
 
 class TestF0:
     def test_sine_within_3hz(self):
-        contour = estimate_f0(sine(220.0), CFG)
+        contour = estimate_f0(sine(220.0))
         voiced = contour.hz[contour.voiced]
         assert len(voiced) > 50
         assert abs(np.median(voiced) - 220.0) < 3.0
 
     def test_white_noise_mostly_unvoiced(self):
         noise = RandomStream(0).normal(24000) * 0.3
-        contour = estimate_f0(noise, CFG)
+        contour = estimate_f0(noise)
         assert (~contour.voiced).mean() >= 0.8
 
     def test_silence_all_unvoiced(self):
-        contour = estimate_f0(np.zeros(24000), CFG)
+        contour = estimate_f0(np.zeros(24000))
         assert not contour.voiced.any()
 
     def test_amplitude_invariance(self):
-        base = estimate_f0(sine(220.0, amp=1.0), CFG)
+        base = estimate_f0(sine(220.0, amp=1.0))
         for s in (0.1, 0.4, 1.0):
-            scaled = estimate_f0(sine(220.0, amp=s), CFG)
+            scaled = estimate_f0(sine(220.0, amp=s))
             np.testing.assert_array_equal(scaled.voiced, base.voiced)
             np.testing.assert_allclose(scaled.hz[base.voiced], base.hz[base.voiced], atol=0.1)
 
-    def test_degenerate_window_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_f0(sine(220.0), dataclasses.replace(CFG, f0_min=10.0))
+    def test_search_range_lies_below_nyquist(self):
+        assert 0.0 < F0_MIN < F0_MAX < SAMPLE_RATE / 2
 
-    def test_bad_range_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_f0(sine(220.0), dataclasses.replace(CFG, f0_min=500.0, f0_max=100.0))
+    def test_longest_period_fits_the_frame(self):
+        assert SAMPLE_RATE / F0_MIN <= YIN_FRAME
 
     def test_log_f0_zero_for_unvoiced(self):
         contour = F0Contour(hz=np.array([0.0, 100.0, 0.0]))
@@ -161,9 +168,9 @@ class TestF0:
             "voice_in_noise": sine(95.0, seconds=1.5, amp=0.3) + 0.05 * rng.normal(36000),
             "noise": 0.2 * rng.normal(36000),
         }[name]
-        new = estimate_f0(wav, CFG).hz
+        new = estimate_f0(wav).hz
         monkeypatch.setattr(features, "_fft_size", lambda n: 1 << int(np.ceil(np.log2(n + features.YIN_FRAME))))
-        ref = estimate_f0(wav, CFG).hz
+        ref = estimate_f0(wav).hz
         np.testing.assert_array_equal(new > 0, ref > 0)
         voiced = ref > 0
         assert np.all(np.abs(new[voiced] - ref[voiced]) <= 1e-12 * ref[voiced])
@@ -172,31 +179,31 @@ class TestF0:
     def test_frame_count_matches_mel(self):
         for n in (24000, 12345, 999):
             wav = sine(220.0)[:n]
-            assert len(estimate_f0(wav, CFG)) == compute_log_mel(wav, CFG).shape[0]
+            assert len(estimate_f0(wav)) == compute_log_mel(wav, CFG).shape[0]
 
 
-def whole_clip_frames(wav, win, hop, width):
+def whole_clip_frames(wav, win, width):
     """Every frame of the clip at once, from the whole reflect-padded clip:
     the reference the blocked framing must match."""
     pad = win // 2
     reach = min(pad, len(wav) - 1)
     x = np.pad(np.pad(wav, reach, mode="reflect") if reach else wav, pad - reach)
-    count = frame_count(len(wav), hop)
-    x = np.pad(x, (0, max(0, (count - 1) * hop + width - len(x))))
-    return np.lib.stride_tricks.sliding_window_view(x, width)[: (count - 1) * hop + 1 : hop]
+    count = frame_count(len(wav))
+    x = np.pad(x, (0, max(0, (count - 1) * HOP_SIZE + width - len(x))))
+    return np.lib.stride_tricks.sliding_window_view(x, width)[: (count - 1) * HOP_SIZE + 1 : HOP_SIZE]
 
 
-def whole_clip_power(wav, n_fft, hop):
-    frames = whole_clip_frames(wav, n_fft, hop, n_fft) * features.hann_window(n_fft)
+def whole_clip_power(wav, n_fft):
+    frames = whole_clip_frames(wav, n_fft, n_fft) * features.hann_window(n_fft)
     return np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
 
 
-def whole_clip_f0(wav, cfg):
+def whole_clip_f0(wav):
     """`estimate_f0` with every frame's arrays built at once."""
-    sr, f_min, f_max = cfg.sample_rate, cfg.f0_min, cfg.f0_max
+    sr, f_min, f_max = SAMPLE_RATE, F0_MIN, F0_MAX
     tau_min, tau_max = max(2, math.ceil(sr / f_max)), math.floor(sr / f_min)
-    w, n_lags = features.YIN_FRAME, tau_max + 2
-    segs = whole_clip_frames(wav, w, cfg.hop_size, w + tau_max + 1)
+    w, n_lags = YIN_FRAME, tau_max + 2
+    segs = whole_clip_frames(wav, w, w + tau_max + 1)
     fft_len = features._fft_size(segs.shape[1])
     spec_full = np.fft.rfft(segs, n=fft_len, axis=1)
     spec_head = np.fft.rfft(segs[:, :w], n=fft_len, axis=1)
@@ -248,11 +255,11 @@ class TestFrameBlocks:
     @pytest.mark.parametrize("frames", LENGTHS)
     def test_power_and_features_match_the_whole_clip(self, cfg, frames):
         wav = self.song(frames)
-        assert frame_count(len(wav), cfg.hop_size) == frames
-        for n_fft in (cfg.n_fft, features.LOUDNESS_FFT):
-            got = features.power_spectrum(wav, n_fft, cfg.hop_size)
-            assert got.tobytes() == whole_clip_power(wav, n_fft, cfg.hop_size).tobytes()
-        power = whole_clip_power(wav, cfg.n_fft, cfg.hop_size)
+        assert frame_count(len(wav)) == frames
+        for n_fft in (MEL_FFT, features.LOUDNESS_FFT):
+            got = features.power_spectrum(wav, n_fft)
+            assert got.tobytes() == whole_clip_power(wav, n_fft).tobytes()
+        power = whole_clip_power(wav, MEL_FFT)
         log_mel = np.log(power @ mel_filterbank(cfg).T + LOG_MEL_FLOOR)
         assert compute_log_mel(wav, cfg).tobytes() == log_mel.tobytes()
 
@@ -260,27 +267,28 @@ class TestFrameBlocks:
     @pytest.mark.parametrize("frames", LENGTHS)
     def test_f0_matches_the_whole_clip(self, cfg, frames):
         wav = self.song(frames)
-        hz = estimate_f0(wav, cfg).hz
-        assert hz.tobytes() == whole_clip_f0(wav, cfg).tobytes()
+        hz = estimate_f0(wav).hz
+        assert hz.tobytes() == whole_clip_f0(wav).tobytes()
+        assert len(hz) == len(compute_log_mel(wav, cfg))
         if frames > BLOCK:
             assert 0 < np.count_nonzero(hz) < frames
 
     def test_one_sample_clip(self):
         wav = np.array([0.25])  # nothing to reflect: all padding is zeros
-        assert estimate_f0(wav, CFG).hz.tobytes() == whole_clip_f0(wav, CFG).tobytes()
-        got = features.power_spectrum(wav, CFG.n_fft, CFG.hop_size)
-        assert got.tobytes() == whole_clip_power(wav, CFG.n_fft, CFG.hop_size).tobytes()
+        assert estimate_f0(wav).hz.tobytes() == whole_clip_f0(wav).tobytes()
+        got = features.power_spectrum(wav, MEL_FFT)
+        assert got.tobytes() == whole_clip_power(wav, MEL_FFT).tobytes()
 
     def test_f0_memory_does_not_grow_with_the_clip(self):
         # the whole-clip arrays took about 107 MiB at 10 s and grew with the
         # clip; the blocked work buffers take about 3.5 MiB at any length
-        estimate_f0(self.song(BLOCK), CFG)  # FFT plans are cached on first use
+        estimate_f0(self.song(BLOCK))  # FFT plans are cached on first use
         peaks = {}
         for seconds in (1, 8):
             wav = self.song(100 * seconds)
             tracemalloc.start()
             try:
-                estimate_f0(wav, CFG)
+                estimate_f0(wav)
                 peaks[seconds] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -335,16 +343,16 @@ class TestLoudness:
         assert a_weighting_db(20000.0) < -5.0
 
     def test_doubling_amplitude_adds_log4(self):
-        quiet = compute_loudness(sine(440.0, amp=0.25), CFG)
-        loud = compute_loudness(sine(440.0, amp=0.5), CFG)
+        quiet = compute_loudness(sine(440.0, amp=0.25))
+        loud = compute_loudness(sine(440.0, amp=0.5))
         np.testing.assert_allclose(loud - quiet, math.log(4.0), atol=1e-6)
 
     def test_silence_floored_constant(self):
-        contour = compute_loudness(np.zeros(24000), CFG)
+        contour = compute_loudness(np.zeros(24000))
         np.testing.assert_array_equal(contour, np.full(100, math.log(LOUDNESS_FLOOR)))
 
     def test_finite_everywhere(self):
-        contour = compute_loudness(RandomStream(1).normal(10000) * 0.1, CFG)
+        contour = compute_loudness(RandomStream(1).normal(10000) * 0.1)
         assert np.all(np.isfinite(contour))
 
 
@@ -439,8 +447,29 @@ class TestFeatFormat:
         arr = np.ones((4, 3))
         arr[2, 1] = bad
         path = tmp_path / "nf.feat"
-        featio.write_feat(path, arr)
+        write_raw_feat(path, arr)
         with pytest.raises(InputError, match=r"nf\.feat: non-finite value .* at index \(2, 1\)"):
+            featio.read_feat(path)
+
+    # NaN, infinity, and finite float64 values that overflow float32
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e200])
+    def test_non_finite_value_not_written(self, tmp_path, bad):
+        arr = np.ones((4, 3))
+        arr[2, 1] = bad
+        path = tmp_path / "nf.feat"
+        path.write_bytes(b"kept")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning either
+            with pytest.raises(InputError, match=r"nf\.feat: non-finite value .* at index \(2, 1\)"):
+                featio.write_feat(path, arr)
+        assert path.read_bytes() == b"kept"
+
+    def test_element_count_is_exact(self, tmp_path):
+        # 2^22 * 2^21 * 2^21 = 2^64 elements: a wrapping int64 product is 0,
+        # which an empty payload would match
+        path = tmp_path / "huge.feat"
+        path.write_bytes(b"FEAT1" + struct.pack("<BI3I", 1, 3, 2**22, 2**21, 2**21))
+        with pytest.raises(FormatError, match=f"truncated payload at byte 22 \\(need {22 + 4 * 2**64}\\)"):
             featio.read_feat(path)
 
 
@@ -461,7 +490,7 @@ class TestInvertMel:
 
     def test_output_length(self):
         rec = invert_log_mel(np.full((25, 80), math.log(LOG_MEL_FLOOR)), CFG)
-        assert len(rec) == 25 * CFG.hop_size
+        assert len(rec) == 25 * HOP_SIZE
 
 
 class TestAlignment:
@@ -469,8 +498,8 @@ class TestAlignment:
         for n in (24000, 17777):
             wav = sine(330.0)[:n]
             frames = compute_log_mel(wav, CFG).shape[0]
-            assert len(estimate_f0(wav, CFG)) == frames
-            assert len(compute_loudness(wav, CFG)) == frames
+            assert len(estimate_f0(wav)) == frames
+            assert len(compute_loudness(wav)) == frames
             assert synth_ppg(frames, 16, 0).shape[0] == frames
 
 
@@ -508,3 +537,22 @@ class TestWavIO:
         path.write_bytes(b"not audio at all")
         with pytest.raises(FormatError):
             read_wav(path)
+
+    # damage to a 100-sample WAV (44-byte header): a cut inside the last
+    # sample, a cut inside the fmt chunk, and a fmt chunk size past the end
+    DAMAGE = {
+        "odd_sample_bytes": (lambda data: data[:-1], "truncated sample data (199 bytes"),
+        "cut_fmt_chunk": (lambda data: data[:30], "a chunk is cut short"),
+        "fmt_size_out_of_range": (lambda data: data[:16] + struct.pack("<I", 2**31) + data[20:],
+                                  "a chunk size is out of range"),
+    }
+
+    @pytest.mark.parametrize("case", DAMAGE)
+    def test_malformed_wav_is_format_error(self, tmp_path, case):
+        damage, message = self.DAMAGE[case]
+        path = tmp_path / "bad.wav"
+        write_wav(path, sine(440.0, seconds=100 / 24000), 24000)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(FormatError) as exc:
+            read_wav(path)
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)

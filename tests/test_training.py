@@ -13,7 +13,7 @@ from singvc.config import RunConfig, serialize_config
 from singvc.denoiser import Denoiser
 from singvc.diffusion import diffusion_loss, forward_sample, gaussian
 from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
-from singvc.features import F0Contour
+from singvc.features import F0_MAX, F0_MIN, F0Contour
 from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule
 from singvc.tensor import Tensor
@@ -419,14 +419,13 @@ class TestTrainLoop:
         with pytest.raises(DataError, match=re.escape(f"utterance 'bad': {message}")):
             train([corpus[0], malform(make_sample("bad"))], TOY_CFG)
 
-    def test_nan_loss_aborts_with_diagnostic(self, corpus, tmp_path):
+    def test_nan_loss_aborts_with_diagnostic(self, corpus):
         ckpt, _ = train(corpus, TOY_CFG)
+        # poisoned in memory: `load_checkpoint` rejects a NaN record
         ckpt.params["out_conv2.b"][:] = np.nan
-        path = tmp_path / "poison.ckpt"
-        save_checkpoint(path, ckpt)
         cfg = RunConfig(**{**TOY_CFG.__dict__, "n_iter": TOY_CFG.n_iter + 1})
         with pytest.raises(DivergenceError, match=r"iteration 13"):
-            train(corpus, cfg, resume=load_checkpoint(path))
+            train(corpus, cfg, resume=ckpt)
 
 
 class TestCheckpoint:
@@ -545,8 +544,8 @@ class TestCheckpoint:
         # residual conv settings in the config block; 5: the mel band's edges
         # in the config block; 6: the loudness FFT length in the config block;
         # 7: the gradient-clip norm in the config block; 8: the schedule's beta
-        # range in the config block
-        for version in (1, 2, 3, 4, 5, 6, 7, 8):
+        # range in the config block; 9: the audio front end in the config block
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
@@ -563,6 +562,10 @@ class TestCheckpoint:
         "missing_moment": (lambda ck: ck.adam.v.pop("out_conv2.b"), r"missing records \['adam.v.out_conv2.b'\]"),
         "moment_shape": (lambda ck: ck.adam.m.update({"step_fc1.b": np.zeros((1, 3))}),
                          r"record 'adam.m.step_fc1.b' has shape \(1, 3\), expected \(1, 512\)"),
+        "nan_param": (lambda ck: ck.params["out_conv2.b"].__setitem__(3, np.nan),
+                      r"record 'out_conv2.b': non-finite value nan at index \(3,\)"),
+        "inf_moment": (lambda ck: ck.adam.v["step_fc1.b"].__setitem__((0, 7), -np.inf),
+                       r"record 'adam.v.step_fc1.b': non-finite value -inf at index \(0, 7\)"),
     }
 
     @pytest.mark.parametrize("kind", DAMAGE)
@@ -753,7 +756,7 @@ class TestTrainingState:
 
 class TestFeatureStats:
     def test_quantization_ranges_are_percentiles(self, corpus):
-        stats = compute_feature_stats(corpus, TOY_CFG)
+        stats = compute_feature_stats(corpus)
         voiced = np.concatenate([s.f0.log_f0[s.f0.voiced] for s in corpus])
         lo, hi = np.percentile(voiced, [0.1, 99.9])
         assert stats.f0_lo == pytest.approx(lo)
@@ -764,9 +767,10 @@ class TestFeatureStats:
     def test_constant_mel_corpus_rejected(self):
         flat = dataclasses.replace(make_sample(), log_mel=np.full((32, 8), -3.0))
         with pytest.raises(DataError, match=r"degenerate mel statistics: min -3.0 >= max -3.0"):
-            compute_feature_stats([flat], TOY_CFG)
+            compute_feature_stats([flat])
 
     def test_unvoiced_corpus_falls_back_to_config_range(self):
+        # the F0 search range, constants of `features`
         sample = make_sample()
         silent = TrainingSample(
             name=sample.name,
@@ -775,6 +779,6 @@ class TestFeatureStats:
             loudness=sample.loudness,
             log_mel=sample.log_mel,
         )
-        stats = compute_feature_stats([silent], TOY_CFG)
-        assert stats.f0_lo == pytest.approx(math.log(TOY_CFG.f0_min))
-        assert stats.f0_hi == pytest.approx(math.log(TOY_CFG.f0_max))
+        stats = compute_feature_stats([silent])
+        assert stats.f0_lo == pytest.approx(math.log(F0_MIN))
+        assert stats.f0_hi == pytest.approx(math.log(F0_MAX))
