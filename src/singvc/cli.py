@@ -28,7 +28,6 @@ from .config import RunConfig, load_config
 from .diffusion import sample
 from .errors import DataError, InputError, MetricUndefinedError, SingvcError
 from .features import (
-    SAMPLE_RATE,
     F0Contour,
     compute_log_mel,
     compute_loudness,
@@ -59,10 +58,8 @@ def _write_text(path, text: str) -> None:
 
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
-    wav, sr = read_wav(args.wav)
-    if sr != SAMPLE_RATE:
-        raise InputError(f"{args.wav}: sample rate {sr} Hz != {SAMPLE_RATE} Hz")
-    log_mel = compute_log_mel(wav, cfg)
+    wav = read_wav(args.wav)
+    log_mel = compute_log_mel(wav, cfg.n_mels)
     f0 = estimate_f0(wav)
     loud = compute_loudness(wav)
     frames = log_mel.shape[0]
@@ -179,9 +176,11 @@ def cmd_convert(args) -> int:
     mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng).data
 
     log_mel = ckpt.stats.denormalize_mel(mel)
-    featio.write_feat(args.out, log_mel if args.denorm else mel)
+    # both outputs are checked before either is written
+    payload = featio.as_payload(args.out, log_mel if args.denorm else mel)
     if args.wav:
-        write_wav(args.wav, invert_log_mel(log_mel, cfg), SAMPLE_RATE)
+        write_wav(args.wav, invert_log_mel(log_mel))
+    featio.write_feat(args.out, payload)
     return 0
 
 

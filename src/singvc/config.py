@@ -1,9 +1,9 @@
 """Flat key=value run configuration covering features, schedule, model and
 training.  Unknown keys are rejected; parse -> serialize -> parse is
-idempotent.  The defaults are the published setup, stated here only: the
-mel functions read `n_mels` from a `RunConfig` itself, and `ModelConfig` is
-built from one.  The audio front end (sample rate, mel FFT, hop and F0
-range) is the published one, constants of `features`, not settings.
+idempotent.  The defaults are the published setup, stated here only, and
+`ModelConfig` is built from one.  The audio front end (sample rate, mel
+FFT, hop and F0 range) is the published one, constants of `features`, not
+settings.
 
 `RunConfig` is also the one place that decides which values are valid.  Every
 way to build one (the constructor, `parse_config_text`, `dataclasses.replace`,

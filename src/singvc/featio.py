@@ -31,12 +31,19 @@ def _first_non_finite(path, data: np.ndarray, dims) -> None:
         raise InputError(f"{path}: non-finite value {data[bad[0]]} at index {index}")
 
 
-def write_feat(path, array) -> None:
-    """Writes `array` as float32; a value that is not finite as float32 is
-    an `InputError`, raised before the file is opened."""
+def as_payload(path, array) -> np.ndarray:
+    """`array` as the float32 payload of a FEAT1 file at `path`; a value
+    that is not finite as float32 is an `InputError` naming the file."""
     with np.errstate(over="ignore"):  # an overflow shows up as inf, checked next
         arr = np.ascontiguousarray(array, dtype="<f4")
     _first_non_finite(path, arr.reshape(-1), arr.shape)
+    return arr
+
+
+def write_feat(path, array) -> None:
+    """Writes `array` as float32; a value that is not finite as float32 is
+    an `InputError`, raised before the file is opened."""
+    arr = as_payload(path, array)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(MAGIC)

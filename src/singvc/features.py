@@ -5,9 +5,9 @@ The audio front end is the published one (DiffSVC): 24 kHz audio
 (`SAMPLE_RATE`), a 1024-point mel FFT (`MEL_FFT`), a 240-sample hop
 (`HOP_SIZE`, 100 frames/s), an F0 search range of 40-800 Hz (`F0_MIN`,
 `F0_MAX`) in a 2048-sample frame (`YIN_FRAME`), and a 2048-point loudness
-FFT (`LOUDNESS_FFT`).  These are constants of this module, not settings.
-The mel functions take the `RunConfig` for its one feature setting,
-`n_mels`; F0 and loudness take only the audio.
+FFT (`LOUDNESS_FFT`).  These are constants of this module, not settings,
+so the mel functions take only `n_mels` (`invert_log_mel` reads it from its
+input), F0 and loudness only the audio, and WAV I/O is at 24 kHz only.
 
 Features are plain float64 arrays with frames on axis 0 (log-mel and PPGs
 [frames, dim], loudness [frames]); quantized contours are int64 bins.  Only
@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import ContractError, FormatError, InputError
 from .rng import RandomStream
 
@@ -150,10 +149,10 @@ def _stft_blocks(wav: np.ndarray, n_fft: int):
         yield first, spec[:rows]
 
 
-def stft(wav: np.ndarray, n_fft: int) -> np.ndarray:
-    """Complex spectrogram [frames, n_fft//2 + 1]; the window is n_fft long."""
-    out = np.empty((frame_count(len(wav)), n_fft // 2 + 1), dtype=np.complex128)
-    for first, spec in _stft_blocks(wav, n_fft):
+def stft(wav: np.ndarray) -> np.ndarray:
+    """Complex mel-FFT spectrogram [frames, MEL_FFT//2 + 1]."""
+    out = np.empty((frame_count(len(wav)), MEL_FFT // 2 + 1), dtype=np.complex128)
+    for first, spec in _stft_blocks(wav, MEL_FFT):
         out[first : first + len(spec)] = spec
     return out
 
@@ -191,15 +190,15 @@ def _mel_to_hz(mel):
     return hz
 
 
-def mel_filterbank(cfg: RunConfig) -> np.ndarray:
+def mel_filterbank(n_mels: int) -> np.ndarray:
     """[n_mels, MEL_FFT//2 + 1] triangular filters from 0 Hz to Nyquist,
     Slaney area normalization."""
     n_bins = MEL_FFT // 2 + 1
     fft_freqs = np.arange(n_bins) * SAMPLE_RATE / MEL_FFT
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2), cfg.n_mels + 2)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2), n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         lo, mid, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (fft_freqs - lo) / (mid - lo)
         down = (hi - fft_freqs) / (hi - mid)
@@ -207,12 +206,12 @@ def mel_filterbank(cfg: RunConfig) -> np.ndarray:
     return fb
 
 
-def compute_log_mel(wav: np.ndarray, cfg: RunConfig) -> np.ndarray:
+def compute_log_mel(wav: np.ndarray, n_mels: int) -> np.ndarray:
     """Unnormalized log-mel, [frames, n_mels]: ln(filterbank @ |STFT|^2 + floor)."""
     power = power_spectrum(wav, MEL_FFT)
     # one product over the whole clip: per block, BLAS may round a row
     # differently (it did at 16 mels)
-    mel_power = power @ mel_filterbank(cfg).T
+    mel_power = power @ mel_filterbank(n_mels).T
     return np.log(mel_power + LOG_MEL_FLOOR)
 
 
@@ -399,7 +398,7 @@ def synth_ppg(frames: int, dim: int, seed: int = 0) -> np.ndarray:
 # mel inversion (best effort; for audible sanity output only)
 
 
-def _istft(spec: np.ndarray, num_samples: int) -> np.ndarray:
+def _istft(spec: np.ndarray) -> np.ndarray:
     n_fft, hop = MEL_FFT, HOP_SIZE
     window = hann_window(n_fft)
     frames = np.fft.irfft(spec, n=n_fft, axis=1)
@@ -412,36 +411,37 @@ def _istft(spec: np.ndarray, num_samples: int) -> np.ndarray:
         out[t * hop : t * hop + n_fft] += frames[t] * window
         norm[t * hop : t * hop + n_fft] += window**2
     out = np.divide(out, norm, out=np.zeros_like(out), where=norm > 1e-10)
-    out = out[pad : pad + num_samples]
-    if len(out) < num_samples:
-        out = np.pad(out, (0, num_samples - len(out)))
-    return out
+    # the frames reach (count - 1) * hop + n_fft samples, past the cut
+    # whenever hop <= n_fft // 2
+    return out[pad : pad + count * hop]
 
 
-def invert_log_mel(log_mel: np.ndarray, cfg: RunConfig) -> np.ndarray:
+def invert_log_mel(log_mel: np.ndarray) -> np.ndarray:
     """Pseudo-inverse filterbank plus Griffin-Lim phase reconstruction.
 
     Zero-phase initialization keeps the output deterministic.  Output length
-    is exactly frames * HOP_SIZE samples.
+    is exactly frames * HOP_SIZE samples.  A log-mel too loud for `exp`
+    gives samples that are not finite, and no numpy warning.
     """
-    fb = mel_filterbank(cfg)
-    mel_power = np.maximum(np.exp(log_mel) - LOG_MEL_FLOOR, 0.0)
-    spec_power = np.maximum(mel_power @ np.linalg.pinv(fb).T, 0.0)
-    mag = np.sqrt(spec_power)
-    num_samples = log_mel.shape[0] * HOP_SIZE
-    spec = mag.astype(np.complex128)
-    wav = _istft(spec, num_samples)
-    for _ in range(GRIFFIN_LIM_ITERATIONS):
-        phase = np.angle(stft(wav, MEL_FFT))
-        wav = _istft(mag * np.exp(1j * phase), num_samples)
+    fb = mel_filterbank(log_mel.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mel_power = np.maximum(np.exp(log_mel) - LOG_MEL_FLOOR, 0.0)
+        spec_power = np.maximum(mel_power @ np.linalg.pinv(fb).T, 0.0)
+        mag = np.sqrt(spec_power)
+        wav = _istft(mag.astype(np.complex128))
+        for _ in range(GRIFFIN_LIM_ITERATIONS):
+            phase = np.angle(stft(wav))
+            wav = _istft(mag * np.exp(1j * phase))
     return wav
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (strict: 16-bit PCM mono)
+# WAV I/O (strict: 16-bit PCM mono at SAMPLE_RATE)
 
 
-def read_wav(path) -> tuple[np.ndarray, int]:
+def read_wav(path) -> np.ndarray:
+    """The samples of a 16-bit mono WAV at `SAMPLE_RATE`, in [-1, 1); any
+    other WAV is an `InputError`, a damaged one a `FormatError`."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
@@ -449,7 +449,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             if f.getsampwidth() != 2:
                 raise InputError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
             sr = f.getframerate()
-            raw = f.readframes(f.getnframes())
+            n_frames = f.getnframes()
+            raw = f.readframes(n_frames)
     except wave.Error as exc:
         raise FormatError(f"{path}: not a readable WAV file ({exc})") from exc
     # `wave` raises these bare, without a message
@@ -457,19 +458,27 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: not a readable WAV file (a chunk is cut short)") from None
     except RuntimeError:
         raise FormatError(f"{path}: not a readable WAV file (a chunk size is out of range)") from None
-    if len(raw) % 2:
-        raise FormatError(f"{path}: truncated sample data ({len(raw)} bytes, not whole 16-bit samples)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if len(samples) == 0:
+    if len(raw) != 2 * n_frames:
+        raise FormatError(f"{path}: truncated sample data ({len(raw)} bytes, "
+                          f"the header says {n_frames} 16-bit samples)")
+    if n_frames == 0:
         raise InputError(f"{path}: empty audio")
-    return samples, sr
+    if sr != SAMPLE_RATE:
+        raise InputError(f"{path}: sample rate {sr} Hz != {SAMPLE_RATE} Hz")
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
+def write_wav(path, samples: np.ndarray) -> None:
+    """Writes `samples` as 16-bit mono PCM at `SAMPLE_RATE`, clipped to
+    [-1, 1); a sample that is NaN or infinite is an `InputError`, raised
+    before the file is opened."""
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise InputError(f"{path}: non-finite sample {samples[bad[0]]} at index {int(bad[0])}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(sample_rate)
+        f.setframerate(SAMPLE_RATE)
         f.writeframes(pcm.tobytes())

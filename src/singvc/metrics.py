@@ -31,17 +31,17 @@ MCD_COEFFS = 13
 _MCD_SCALE = 10.0 / math.log(10.0)
 
 
-def mel_to_cepstrum(log_mel: np.ndarray, n_coeffs: int = MCD_COEFFS) -> np.ndarray:
-    """[frames, n_coeffs]: orthonormal DCT-II over the mel axis, first
-    n_coeffs kept (at most one per mel bin).
+def mel_to_cepstrum(log_mel: np.ndarray) -> np.ndarray:
+    """[frames, MCD_COEFFS]: orthonormal DCT-II over the mel axis, first
+    MCD_COEFFS kept (all N when there are fewer mel bins).
 
     Coefficient k of an N-bin frame x is
     s_k * sum_n x[n] * cos(pi * k * (2n + 1) / 2N), with s_0 = sqrt(1/N) and
     s_k = sqrt(2/N) above; only the kept rows of the transform are formed,
-    as an [N, n_coeffs] basis applied in one product."""
+    as an [N, MCD_COEFFS] basis applied in one product."""
     log_mel = np.asarray(log_mel, dtype=np.float64)
     n = log_mel.shape[1]
-    k = np.arange(min(n_coeffs, n))
+    k = np.arange(min(MCD_COEFFS, n))
     basis = np.cos(np.pi / (2 * n) * np.outer(2 * np.arange(n) + 1, k))
     basis *= np.where(k == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
     return log_mel @ basis

@@ -1,4 +1,5 @@
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ def synth_voice(freq, seconds=1.0, sr=24000, vibrato_hz=5.0, vibrato_cents=30.0,
     phase = 2 * np.pi * np.cumsum(inst_freq) / sr
     envelope = 0.3 + 0.2 * np.sin(2 * np.pi * 1.3 * t + seed)
     return (envelope * np.sin(phase)).astype(np.float64)
+
+
+def write_pcm_wav(path, samples, rate) -> None:
+    """A 16-bit mono WAV at any sample rate, which `features.write_wav`,
+    fixed at 24 kHz, cannot write."""
+    pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(rate)
+        f.writeframes(pcm.tobytes())
 
 
 def write_raw_feat(path, array) -> None:
@@ -73,6 +85,6 @@ def cli_workspace(tmp_path_factory):
     wavs = []
     for i, freq in enumerate((220.0, 330.0)):
         path = root / f"utt{i}.wav"
-        write_wav(path, synth_voice(freq, seed=i), 24000)
+        write_wav(path, synth_voice(freq, seed=i))
         wavs.append(path)
     return {"root": root, "cfg": cfg_path, "cfg_small": cfg_small, "wavs": wavs}

@@ -90,7 +90,7 @@ def _overfit_sample() -> TrainingSample:
         ppg=synth_ppg(64, OVERFIT_CFG.ppg_dim, 0),
         f0=estimate_f0(wav),
         loudness=compute_loudness(wav),
-        log_mel=compute_log_mel(wav, OVERFIT_CFG),
+        log_mel=compute_log_mel(wav, OVERFIT_CFG.n_mels),
     )
 
 
@@ -125,7 +125,7 @@ def pipeline_corpus(tmp_path_factory):
     feats = root / "feats"
     for i, freq in enumerate((196.0, 220.0, 262.0, 330.0)):
         wav_path = root / f"utt{i}.wav"
-        write_wav(wav_path, harmonic_voice(freq, seconds=1.0, seed=i), 24000)
+        write_wav(wav_path, harmonic_voice(freq, seconds=1.0, seed=i))
         code = cli_main(["extract", "--wav", str(wav_path), "--out", str(feats),
                          "--config", str(cfg_path), "--synth-ppg", str(i)])
         assert code == 0

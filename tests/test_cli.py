@@ -10,7 +10,7 @@ from singvc.denoiser import Denoiser
 from singvc.features import F0Contour, write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
-from conftest import config_block_lines, set_config_value, synth_voice, write_raw_feat
+from conftest import config_block_lines, set_config_value, synth_voice, write_pcm_wav, write_raw_feat
 
 
 def run(*argv):
@@ -75,7 +75,7 @@ class TestExtract:
 
     def test_sample_rate_mismatch_is_error(self, cli_workspace, tmp_path, capsys):
         wav = tmp_path / "low.wav"
-        write_wav(wav, synth_voice(220.0, sr=16000), 16000)
+        write_pcm_wav(wav, synth_voice(220.0, sr=16000), 16000)
         out = tmp_path / "feats"
         assert run("extract", "--wav", wav, "--out", out, "--config", cli_workspace["cfg"],
                    "--synth-ppg", 0) == 1
@@ -111,6 +111,18 @@ class TestExtract:
                    "--synth-ppg", 0) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {wav}: truncated sample data (") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [2, 2 * 500])
+    def test_wav_cut_between_samples_is_error(self, cli_workspace, tmp_path, capsys, cut):
+        # whole samples short of the header's count: 1 sample, 500 samples
+        wav = tmp_path / "cut.wav"
+        wav.write_bytes(cli_workspace["wavs"][0].read_bytes()[:-cut])
+        out = tmp_path / "feats"
+        assert run("extract", "--wav", wav, "--out", out, "--config", cli_workspace["cfg"],
+                   "--synth-ppg", 0) == 1
+        assert capsys.readouterr().err == (
+            f"error: {wav}: truncated sample data ({48000 - cut} bytes, the header says 24000 16-bit samples)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["frames", "dim"])
@@ -273,8 +285,7 @@ class TestConvert:
         assert run("convert", "--ckpt", trained, "--ppg", extracted / "utt0.ppg.feat",
                    "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
                    "--out", tmp_path / "c.feat", "--wav", wav_path) == 0
-        samples, sr = read_wav(wav_path)
-        assert sr == 24000 and len(samples) == 100 * 240
+        assert len(read_wav(wav_path)) == 100 * 240
 
     def test_denorm_flag_changes_domain(self, cli_workspace, extracted, trained, tmp_path):
         norm, denorm = tmp_path / "n.feat", tmp_path / "d.feat"
@@ -498,6 +509,20 @@ class TestConvert:
         assert out.read_bytes() == b"kept"
         assert not wav.exists()
 
+    def test_audio_beyond_exp_is_error(self, extracted, trained, tmp_path, capsys, recwarn):
+        # a finite bias that puts the log-mel near 8200: the mel file would be
+        # finite, but Griffin-Lim's exp overflows and the audio is NaN
+        ckpt = load_checkpoint(trained)
+        ckpt.params["out_conv2.b"][:] = -1e3
+        damaged, out, wav = tmp_path / "damaged.ckpt", tmp_path / "x.feat", tmp_path / "x.wav"
+        save_checkpoint(damaged, ckpt)
+        assert run("convert", "--ckpt", damaged, "--ppg", extracted / "utt1.ppg.feat",
+                   "--f0", extracted / "utt1.f0.feat", "--loud", extracted / "utt1.loud.feat",
+                   "--out", out, "--denorm", "--wav", wav) == 1
+        assert capsys.readouterr().err == f"error: {wav}: non-finite sample nan at index 0\n"
+        assert not out.exists() and not wav.exists()
+        assert len(recwarn) == 0
+
     def test_missing_record_is_error(self, extracted, trained, tmp_path, capsys):
         code, damaged, out = self.convert_damaged(trained, extracted, tmp_path,
                                                   lambda params: params.pop("layer1.skip.w"))
@@ -534,7 +559,7 @@ class TestEval:
     def test_time_stretched_pair_scores_fpc_on_the_mcd_path(self, cli_workspace, extracted, tmp_path):
         # the same note sung 5% slower: 105 frames against the ref's 100
         wav = tmp_path / "utt0.wav"
-        write_wav(wav, synth_voice(220.0, seconds=1.05, vibrato_hz=5.0 / 1.05), 24000)
+        write_wav(wav, synth_voice(220.0, seconds=1.05, vibrato_hz=5.0 / 1.05))
         hyp_dir, out = tmp_path / "hyp", tmp_path / "r.csv"
         assert run("extract", "--wav", wav, "--out", hyp_dir, "--config", cli_workspace["cfg"],
                    "--synth-ppg", 0) == 0

@@ -1,0 +1,202 @@
+"""A seeded corruption sweep over every input of `extract`, `schedule`,
+`convert` and `eval`.
+
+A workspace is built through the CLI at `SMALL_CFG`: two 0.5 s WAVs,
+extracted and trained.  Each case damages one input file (the WAV, the
+config, the checkpoint, or the PPG, F0, loudness or mel FEAT1 file) and
+runs every command that reads it through `cli.main` in process.  A case
+passes if the command exits 0, or if it exits 1 with exactly one `error:`
+line and writes none of its outputs; an exception escaping `cli.main` (a
+traceback) fails it.  Payload damage that leaves every value finite may
+exit 0: neither FEAT1 nor DSVC carries a checksum.  Damage every reader
+can see must exit 1: a binary file cut short, and each fixed case.
+
+The mutations are cuts at any length (odd and even, inside the header or
+the data), flips of one header byte, flips of one payload byte, and bytes
+appended, drawn from `RandomStream(seed)`; the fixed cases add every class
+of damage that once ended in a traceback or in a silent bad output.
+"""
+
+import shutil
+import struct
+
+import numpy as np
+import pytest
+
+from singvc import cli
+from singvc.config import serialize_config
+from singvc.features import write_wav
+from singvc.rng import RandomStream
+from singvc.training import load_checkpoint, save_checkpoint
+
+from conftest import SMALL_CFG, synth_voice
+
+SEEDS = (0, 1)
+PER_KIND = 8  # random mutations per seed, input, command and kind
+KINDS = ("cut", "header_flip", "payload_flip", "append")
+
+
+def header_size(kind: str, data: bytes) -> int:
+    """Bytes before the payload: the WAV's 44-byte header, FEAT1's magic,
+    version, rank and dims, DSVC's magic, version and config block; a
+    config file is all header."""
+    if kind == "wav":
+        return 44
+    if kind == "config":
+        return len(data)
+    if kind == "ckpt":
+        return 9 + struct.unpack_from("<I", data, 5)[0]
+    return 10 + 4 * struct.unpack_from("<I", data, 6)[0]
+
+
+def flip(data: bytes, at: int, mask: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+
+
+def mutate(data: bytes, header: int, kind: str, rng: RandomStream) -> bytes | None:
+    """`data` damaged by one mutation of `kind`; None where the file has no
+    byte of that kind to damage (a config file has no payload)."""
+    def pick(lo: int, hi: int) -> int:
+        return int(rng.integers(lo, hi)[0])
+
+    if kind == "cut":
+        return data[: pick(0, len(data))]
+    if kind == "append":
+        return data + bytes(int(b) for b in rng.integers(0, 256, pick(1, 17)))
+    lo, hi = (0, header) if kind == "header_flip" else (header, len(data))
+    if lo >= hi:
+        return None
+    return flip(data, pick(lo, hi), pick(1, 256))
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    cfg = root / "run.cfg"
+    cfg.write_text(serialize_config(SMALL_CFG))
+    feats = root / "feats"
+    for i, freq in enumerate((220.0, 330.0)):
+        wav = root / f"utt{i}.wav"
+        write_wav(wav, synth_voice(freq, seconds=0.5, seed=i))
+        assert cli.main(["extract", "--wav", str(wav), "--out", str(feats), "--config", str(cfg),
+                         "--synth-ppg", str(i)]) == 0
+    ckpt = root / "model.ckpt"
+    assert cli.main(["train", "--data", str(feats), "--config", str(cfg), "--out", str(ckpt)]) == 0
+    inputs = {"wav": root / "utt0.wav", "config": cfg, "ckpt": ckpt,
+              **{kind: feats / f"utt0.{kind}.feat" for kind in ("ppg", "f0", "loud", "mel")}}
+    return {"root": root, "feats": feats, "inputs": inputs}
+
+
+def command(name: str, paths: dict, feats, out):
+    """(argv, output paths) of one command on `paths`, writing under `out`."""
+    if name == "extract":
+        return (["extract", "--wav", paths["wav"], "--out", out / "feats", "--config", paths["config"],
+                 "--synth-ppg", 0], [out / "feats"])
+    if name == "extract_ppg":
+        return (["extract", "--wav", paths["wav"], "--out", out / "feats", "--config", paths["config"],
+                 "--ppg", paths["ppg"]], [out / "feats"])
+    if name == "schedule":
+        return ["schedule", "--config", paths["config"], "--out", out / "s.csv"], [out / "s.csv"]
+    if name == "convert":
+        return (["convert", "--ckpt", paths["ckpt"], "--ppg", paths["ppg"], "--f0", paths["f0"],
+                 "--loud", paths["loud"], "--out", out / "c.feat", "--denorm", "--wav", out / "c.wav"],
+                [out / "c.feat", out / "c.wav"])
+    # eval: the damaged F0 or mel file stands in for its clean copy on the hyp side
+    hyp = out / "hyp"
+    hyp.mkdir()
+    for src in feats.glob("*.feat"):
+        shutil.copyfile(src, hyp / src.name)
+    for kind in ("f0", "mel"):
+        shutil.copyfile(paths[kind], hyp / f"utt0.{kind}.feat")
+    return ["eval", "--ref", feats, "--hyp", hyp, "--out", out / "r.csv"], [out / "r.csv"]
+
+
+READERS = {
+    "wav": ("extract",),
+    "config": ("extract", "schedule"),
+    "ppg": ("extract_ppg", "convert"),
+    "ckpt": ("convert",),
+    "f0": ("convert", "eval"),
+    "loud": ("convert",),
+    "mel": ("eval",),
+}
+
+
+def run_case(workspace, capsys, case: str, target: str, data: bytes, name: str, refuse: bool) -> str | None:
+    """Runs `name` with `target` replaced by `data`; the reason the case
+    fails, or None if it passes.  With `refuse`, exit 0 fails it."""
+    out = workspace["root"] / "case"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    damaged = out / workspace["inputs"][target].name
+    damaged.write_bytes(data)
+    argv, outputs = command(name, {**workspace["inputs"], target: damaged}, workspace["feats"], out)
+    capsys.readouterr()
+    try:
+        code = cli.main([str(a) for a in argv])
+    except Exception as exc:  # a traceback on the command line
+        return f"{case}: {name} raised {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code == 0:
+        return f"{case}: {name} exited 0" if refuse else None
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code != 1 or len(errors) != 1:
+        return f"{case}: {name} exited {code} with stderr {err!r}"
+    written = [p.name for p in outputs if p.exists()]
+    if written:
+        return f"{case}: {name} exited 1 ({errors[0]}) but wrote {written}"
+    return None
+
+
+def damaged_checkpoint(path, damage) -> bytes:
+    """The bytes of the checkpoint at `path` with its parameters altered by
+    `damage`; `load_checkpoint` and `save_checkpoint` do the encoding."""
+    ckpt = load_checkpoint(path)
+    damage(ckpt.params)
+    out = path.with_name("fixed.ckpt")
+    save_checkpoint(out, ckpt)
+    return out.read_bytes()
+
+
+def fixed_cases(inputs) -> list[tuple[str, str, bytes]]:
+    """(case, input, damaged bytes) of every damage class once known to end
+    in a traceback or in a bad output written with exit 0."""
+    wav = inputs["wav"].read_bytes()
+
+    def set_item(name, index, value):
+        return lambda params: params[name].__setitem__(index, value)
+
+    return [
+        ("wav cut inside a sample", "wav", wav[:-1]),
+        ("wav cut by one sample", "wav", wav[:-2]),
+        ("wav cut by 1000 samples", "wav", wav[:-2000]),
+        ("fmt size flip: wave's EOFError", "wav", flip(wav, 16, 0x10)),
+        ("fmt size flip: wave's RuntimeError", "wav", flip(wav, 16, 0x80)),
+        ("FEAT1 dims past 2**64", "mel", b"FEAT1" + struct.pack("<BI3I", 1, 3, 2**22, 2**21, 2**21)),
+        ("NaN checkpoint record", "ckpt", damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))),
+        ("infinite checkpoint record", "ckpt",
+         damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))),
+        ("bias past Griffin-Lim's exp", "ckpt",
+         damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", slice(None), -1e3))),
+    ]
+
+
+def test_every_damaged_input_exits_cleanly(workspace, capsys):
+    inputs = workspace["inputs"]
+    # (case, input, damaged bytes, command, whether it must exit 1)
+    cases = [(case, target, data, name, True)
+             for case, target, data in fixed_cases(inputs) for name in READERS[target]]
+    for seed in SEEDS:
+        for target, readers in READERS.items():
+            data = inputs[target].read_bytes()
+            header = header_size(target, data)
+            for name in readers:
+                for kind in KINDS:
+                    rng = RandomStream(seed).split(f"{target}-{name}-{kind}")
+                    for i in range(PER_KIND):
+                        damaged = mutate(data, header, kind, rng)
+                        if damaged is not None:
+                            refuse = kind == "cut" and target != "config"
+                            cases.append((f"seed {seed} {target} {kind} #{i}", target, damaged, name, refuse))
+    failures = [failure for case in cases if (failure := run_case(workspace, capsys, *case))]
+    assert not failures, f"{len(failures)} of {len(cases)} cases failed:\n" + "\n".join(failures[:20])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import tracemalloc
@@ -39,7 +38,7 @@ from singvc.training import FeatureStats, TrainingSample, compute_feature_stats
 
 from conftest import write_raw_feat
 
-CFG = RunConfig()
+N_MELS = RunConfig().n_mels  # the published 80
 
 
 def mel_stats(log_mels) -> FeatureStats:
@@ -60,49 +59,49 @@ def sine(freq, seconds=1.0, sr=24000, amp=0.5):
 
 class TestMel:
     def test_one_second_gives_100_frames(self):
-        log_mel = compute_log_mel(sine(440.0), CFG)
+        log_mel = compute_log_mel(sine(440.0), N_MELS)
         assert log_mel.shape == (100, 80)
         assert frame_count(24000) == 100
 
     def test_frame_count_is_ceil(self):
-        assert compute_log_mel(sine(440.0, seconds=1.1)[:24001], CFG).shape[0] == 101
-        assert compute_log_mel(sine(440.0)[:239], CFG).shape[0] == 1
+        assert compute_log_mel(sine(440.0, seconds=1.1)[:24001], N_MELS).shape[0] == 101
+        assert compute_log_mel(sine(440.0)[:239], N_MELS).shape[0] == 1
 
     def test_pure_tone_argmax_constant_across_frames(self):
         # FFT-bin-aligned tone on a filter center near 1 kHz (exact 1 kHz
         # straddles two filters of the pinned filterbank)
         freq = 45 * SAMPLE_RATE / MEL_FFT  # 1054.7 Hz, center of filter 24
-        fb = mel_filterbank(CFG)
+        fb = mel_filterbank(N_MELS)
         expected = int(np.argmax(fb[:, 45]))
         # cosine: even at t=0, so the reflect-padded first frame has no kink
         tone = 0.5 * np.cos(2 * np.pi * freq * np.arange(24000) / 24000)
-        got = np.argmax(compute_log_mel(tone, CFG), axis=1)
+        got = np.argmax(compute_log_mel(tone, N_MELS), axis=1)
         assert np.all(got == expected)
 
     def test_exact_1khz_argmax_stays_within_straddled_pair(self):
-        fb = mel_filterbank(CFG)
+        fb = mel_filterbank(N_MELS)
         bin_1khz = round(1000.0 / (SAMPLE_RATE / MEL_FFT))
         top = int(np.argmax(fb[:, bin_1khz]))
-        got = np.argmax(compute_log_mel(sine(1000.0), CFG), axis=1)
+        got = np.argmax(compute_log_mel(sine(1000.0), N_MELS), axis=1)
         assert set(np.unique(got)) <= {top - 1, top}
 
     def test_band_ends_at_nyquist(self):
-        fb = mel_filterbank(CFG)
+        fb = mel_filterbank(N_MELS)
         assert np.all(fb.max(axis=1) > 0)  # no filter lies above Nyquist
         assert fb[-1, -1] == 0.0 and fb[-1, -2] > 0  # the top filter closes at it
 
     def test_silence_floors_and_normalizes_to_minus_one(self):
-        silent = compute_log_mel(np.zeros(24000), CFG)
+        silent = compute_log_mel(np.zeros(24000), N_MELS)
         np.testing.assert_array_equal(silent, np.full((100, 80), math.log(LOG_MEL_FLOOR)))
-        stats = mel_stats([silent, compute_log_mel(sine(440.0), CFG)])
+        stats = mel_stats([silent, compute_log_mel(sine(440.0), N_MELS)])
         np.testing.assert_array_equal(stats.normalize_mel(silent), np.full((100, 80), -1.0))
 
     def test_empty_audio_rejected(self):
         with pytest.raises(InputError):
-            compute_log_mel(np.array([]), CFG)
+            compute_log_mel(np.array([]), N_MELS)
 
     def test_normalization_exact_at_corpus_extremes(self):
-        mels = [compute_log_mel(sine(f), CFG) for f in (220.0, 660.0)]
+        mels = [compute_log_mel(sine(f), N_MELS) for f in (220.0, 660.0)]
         stats = mel_stats(mels)
         normalized = [stats.normalize_mel(m) for m in mels]
         assert min(n.min() for n in normalized) == -1.0
@@ -179,7 +178,7 @@ class TestF0:
     def test_frame_count_matches_mel(self):
         for n in (24000, 12345, 999):
             wav = sine(220.0)[:n]
-            assert len(estimate_f0(wav)) == compute_log_mel(wav, CFG).shape[0]
+            assert len(estimate_f0(wav)) == compute_log_mel(wav, N_MELS).shape[0]
 
 
 def whole_clip_frames(wav, win, width):
@@ -230,7 +229,6 @@ def whole_clip_f0(wav):
     return hz
 
 
-TOY_MEL_CFG = dataclasses.replace(CFG, n_mels=16)
 BLOCK = features.FRAME_BLOCK
 
 
@@ -251,25 +249,25 @@ class TestFrameBlocks:
     # with a partial last one
     LENGTHS = [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
 
-    @pytest.mark.parametrize("cfg", [CFG, TOY_MEL_CFG], ids=["published", "16_mels"])
+    @pytest.mark.parametrize("n_mels", [N_MELS, 16], ids=["published", "16_mels"])
     @pytest.mark.parametrize("frames", LENGTHS)
-    def test_power_and_features_match_the_whole_clip(self, cfg, frames):
+    def test_power_and_features_match_the_whole_clip(self, n_mels, frames):
         wav = self.song(frames)
         assert frame_count(len(wav)) == frames
         for n_fft in (MEL_FFT, features.LOUDNESS_FFT):
             got = features.power_spectrum(wav, n_fft)
             assert got.tobytes() == whole_clip_power(wav, n_fft).tobytes()
         power = whole_clip_power(wav, MEL_FFT)
-        log_mel = np.log(power @ mel_filterbank(cfg).T + LOG_MEL_FLOOR)
-        assert compute_log_mel(wav, cfg).tobytes() == log_mel.tobytes()
+        log_mel = np.log(power @ mel_filterbank(n_mels).T + LOG_MEL_FLOOR)
+        assert compute_log_mel(wav, n_mels).tobytes() == log_mel.tobytes()
 
-    @pytest.mark.parametrize("cfg", [CFG, TOY_MEL_CFG], ids=["published", "16_mels"])
+    @pytest.mark.parametrize("n_mels", [N_MELS, 16], ids=["published", "16_mels"])
     @pytest.mark.parametrize("frames", LENGTHS)
-    def test_f0_matches_the_whole_clip(self, cfg, frames):
+    def test_f0_matches_the_whole_clip(self, n_mels, frames):
         wav = self.song(frames)
         hz = estimate_f0(wav).hz
         assert hz.tobytes() == whole_clip_f0(wav).tobytes()
-        assert len(hz) == len(compute_log_mel(wav, cfg))
+        assert len(hz) == len(compute_log_mel(wav, n_mels))
         if frames > BLOCK:
             assert 0 < np.count_nonzero(hz) < frames
 
@@ -476,28 +474,38 @@ class TestFeatFormat:
 class TestInvertMel:
     def test_roundtrip_correlation_on_sine(self):
         wav = sine(440.0)
-        log_mel = compute_log_mel(wav, CFG)
-        rec = invert_log_mel(log_mel, CFG)
-        rec_mel = compute_log_mel(rec, CFG)
+        log_mel = compute_log_mel(wav, N_MELS)
+        rec = invert_log_mel(log_mel)
+        rec_mel = compute_log_mel(rec, N_MELS)
         for a, b in zip(log_mel, rec_mel):
             r = np.corrcoef(a, b)[0, 1]
             assert r >= 0.7
 
     def test_zero_mel_near_silent(self):
         log_mel = np.full((20, 80), math.log(LOG_MEL_FLOOR))
-        rec = invert_log_mel(log_mel, CFG)
+        rec = invert_log_mel(log_mel)
         assert np.abs(rec).max() < 0.01
 
     def test_output_length(self):
-        rec = invert_log_mel(np.full((25, 80), math.log(LOG_MEL_FLOOR)), CFG)
+        rec = invert_log_mel(np.full((25, 80), math.log(LOG_MEL_FLOOR)))
         assert len(rec) == 25 * HOP_SIZE
+
+    @pytest.mark.parametrize("bins", [slice(3, 4), slice(None)], ids=["one_bin", "all_bins"])
+    def test_overflow_is_non_finite_without_warnings(self, bins):
+        # exp(8200) overflows, in one bin or in every bin
+        log_mel = np.zeros((10, 16))
+        log_mel[:, bins] = 8200.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = invert_log_mel(log_mel)
+        assert len(rec) == 10 * HOP_SIZE and not np.isfinite(rec).any()
 
 
 class TestAlignment:
     def test_all_contours_same_frame_count(self):
         for n in (24000, 17777):
             wav = sine(330.0)[:n]
-            frames = compute_log_mel(wav, CFG).shape[0]
+            frames = compute_log_mel(wav, N_MELS).shape[0]
             assert len(estimate_f0(wav)) == frames
             assert len(compute_loudness(wav)) == frames
             assert synth_ppg(frames, 16, 0).shape[0] == frames
@@ -507,10 +515,20 @@ class TestWavIO:
     def test_roundtrip(self, tmp_path):
         wav = sine(440.0, seconds=0.1)
         path = tmp_path / "a.wav"
-        write_wav(path, wav, 24000)
-        loaded, sr = read_wav(path)
-        assert sr == 24000
-        np.testing.assert_allclose(loaded, wav, atol=1.0 / 32000)
+        write_wav(path, wav)
+        with wave.open(str(path), "rb") as f:
+            assert f.getframerate() == SAMPLE_RATE
+        np.testing.assert_allclose(read_wav(path), wav, atol=1.0 / 32000)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_sample_not_written(self, tmp_path, bad):
+        wav = sine(440.0, seconds=0.01)
+        wav[3] = bad
+        path = tmp_path / "out" / "a.wav"
+        with pytest.raises(InputError) as exc:
+            write_wav(path, wav)
+        assert str(exc.value) == f"{path}: non-finite sample {bad} at index 3"
+        assert not path.parent.exists()
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -538,10 +556,13 @@ class TestWavIO:
         with pytest.raises(FormatError):
             read_wav(path)
 
-    # damage to a 100-sample WAV (44-byte header): a cut inside the last
-    # sample, a cut inside the fmt chunk, and a fmt chunk size past the end
+    # damage to a 100-sample WAV (44-byte header): cuts inside the last
+    # sample, between samples and many samples short, a cut inside the fmt
+    # chunk, and a fmt chunk size past the end
     DAMAGE = {
         "odd_sample_bytes": (lambda data: data[:-1], "truncated sample data (199 bytes"),
+        "even_sample_bytes": (lambda data: data[:-2], "truncated sample data (198 bytes, the header says 100 "),
+        "cut_many_samples": (lambda data: data[:-120], "truncated sample data (80 bytes, the header says 100 "),
         "cut_fmt_chunk": (lambda data: data[:30], "a chunk is cut short"),
         "fmt_size_out_of_range": (lambda data: data[:16] + struct.pack("<I", 2**31) + data[20:],
                                   "a chunk size is out of range"),
@@ -551,7 +572,7 @@ class TestWavIO:
     def test_malformed_wav_is_format_error(self, tmp_path, case):
         damage, message = self.DAMAGE[case]
         path = tmp_path / "bad.wav"
-        write_wav(path, sine(440.0, seconds=100 / 24000), 24000)
+        write_wav(path, sine(440.0, seconds=100 / 24000))
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(FormatError) as exc:
             read_wav(path)
