@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, load_config, serialize_config
 from .denoiser import Denoiser, ModelConfig
-from .diffusion import diffusion_loss, forward_sample, gaussian, reverse_step, sample
+from .diffusion import diffusion_loss, forward_sample, reverse_step, sample
 from .features import F0Contour
 from .rng import RandomStream
 from .schedule import NoiseSchedule, linear_schedule, step_stats
@@ -29,7 +29,6 @@ __all__ = [
     "backward",
     "diffusion_loss",
     "forward_sample",
-    "gaussian",
     "linear_schedule",
     "load_checkpoint",
     "load_config",

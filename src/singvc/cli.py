@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 runtime error (running out of memory included), 2
 usage error.  All randomness flows from explicit --seed flags.  Every run
 setting comes from a `--config` file or a checkpoint's config block, and is
-checked as it is read, so a bad one exits 1 before any work.
+checked as it is read, so a bad one exits 1 before any work.  So does an
+output path that names a directory; an output's missing parent directories
+are made before the work starts.
 
 `convert` projects the conditioner into the residual layers once
 (`Denoiser.prepare`) and runs every sampling step on that projection.
@@ -47,6 +49,18 @@ from .training import (
 )
 
 _ERRORS = (SingvcError, OSError)
+
+
+def _output_path(path):
+    """`path` (None passes through) checked before any work is done: a
+    directory there is an `InputError`, and missing parents are made."""
+    if path is None:
+        return None
+    path = Path(path)
+    if path.is_dir():
+        raise InputError(f"{path}: is a directory, not a file to write")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_text(path, text: str) -> None:
@@ -112,7 +126,8 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     data = load_corpus(args.data)
     resume = load_checkpoint(args.resume) if args.resume else None
-    _, losses = train(data, cfg, resume=resume, log_path=args.log, ckpt_path=args.out)
+    out, log = _output_path(args.out), _output_path(args.log)
+    _, losses = train(data, cfg, resume=resume, log_path=log, ckpt_path=out)
     if losses:
         print(f"trained to iteration {cfg.n_iter}: final loss {losses[-1]:.6f}", file=sys.stderr)
     return 0
@@ -153,6 +168,7 @@ def _read_rank(path, rank: int) -> np.ndarray:
 
 
 def cmd_convert(args) -> int:
+    out, wav = _output_path(args.out), _output_path(args.wav)
     ckpt = load_checkpoint(args.ckpt, optimizer=False)
     cfg = ckpt.config
     model = ckpt.build_model()
@@ -173,18 +189,19 @@ def cmd_convert(args) -> int:
     f0_bins, loud_bins = conditioner_bins(ckpt.stats, F0Contour(hz=hz), loud_values, cfg.n_bins)
     cond = model.prepare(model.build_conditioner(ppg, f0_bins, loud_bins))
     rng = RandomStream(args.seed).split("sample")
-    mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng).data
+    mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng)
 
     log_mel = ckpt.stats.denormalize_mel(mel)
     # both outputs are checked before either is written
-    payload = featio.as_payload(args.out, log_mel if args.denorm else mel)
-    if args.wav:
-        write_wav(args.wav, invert_log_mel(log_mel))
-    featio.write_feat(args.out, payload)
+    payload = featio.as_payload(out, log_mel if args.denorm else mel)
+    if wav:
+        write_wav(wav, invert_log_mel(log_mel))
+    featio.write_feat(out, payload)
     return 0
 
 
 def cmd_eval(args) -> int:
+    out = _output_path(args.out)
     ref_dir, hyp_dir = Path(args.ref), Path(args.hyp)
     ref_stems = {p.name[: -len(".mel.feat")] for p in ref_dir.glob("*.mel.feat")}
     hyp_stems = {p.name[: -len(".mel.feat")] for p in hyp_dir.glob("*.mel.feat")}
@@ -221,13 +238,13 @@ def cmd_eval(args) -> int:
         lines.append(f"{stem},{mcd_db!r},{fpc_field},{mel_ref.shape[0]},{mel_hyp.shape[0]}")
 
     print(f"evaluated {len(matched)} utterances, skipped {len(unmatched)}", file=sys.stderr)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_schedule(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    _write_text(args.out, schedule_csv(cfg.schedule()))
+    _write_text(_output_path(args.out), schedule_csv(cfg.schedule()))
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .denoiser import Denoiser, ModelConfig
-from .diffusion import diffusion_loss, gaussian
+from .diffusion import diffusion_loss
 from .rng import RandomStream
 from .schedule import linear_schedule
 from .tensor import Tensor
@@ -159,7 +159,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     steps = [7, 15]
     data_rng = RandomStream(seed).split("toy-data")
     segs = [
-        (Tensor(data_rng.normal((frames, cfg.n_mels))), gaussian((frames, cfg.n_mels), data_rng),
+        (data_rng.normal((frames, cfg.n_mels)), data_rng.normal((frames, cfg.n_mels)),
          data_rng.normal((frames, cfg.ppg_dim)), data_rng.integers(0, cfg.n_bins, frames),
          data_rng.integers(0, cfg.n_bins, frames))
         for frames in (4, 3)

@@ -69,7 +69,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser, ModelConfig, parameter_layout
-from .diffusion import diffusion_loss, gaussian
+from .diffusion import diffusion_loss
 from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from .features import F0_MAX, F0_MIN, F0Contour, quantize
 from .rng import RandomStream
@@ -520,7 +520,9 @@ def train(
     prepared = []
     for s in data:
         f0_bins, loud_bins = conditioner_bins(state.stats, s.f0, s.loudness, cfg.n_bins)
-        prepared.append(_Prepared(s.name, state.stats.normalize_mel(s.log_mel), s.ppg, f0_bins, loud_bins))
+        # float64 whatever the corpus dtype: the loss noises y0 in float64
+        mel = state.stats.normalize_mel(s.log_mel).astype(np.float64, copy=False)
+        prepared.append(_Prepared(s.name, mel, s.ppg, f0_bins, loud_bins))
 
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     if log_file:
@@ -537,9 +539,9 @@ def train(
                 seg = min(cfg.segment_frames, item.mel.shape[0])
                 start = int(rng.integers(0, item.mel.shape[0] - seg + 1, 1)[0])
                 steps.append(stratified_step(rng, b, cfg.batch, cfg.diffusion_steps))
-                noises.append(gaussian((seg, cfg.n_mels), rng))
+                noises.append(rng.normal((seg, cfg.n_mels)))
                 sl = slice(start, start + seg)
-                y0.append(Tensor(item.mel[sl]))
+                y0.append(item.mel[sl])
                 conds.append(model.build_conditioner(item.ppg[sl], item.f0_bins[sl], item.loud_bins[sl]))
                 names.append(f"{item.name}[{start}:{start + seg}]")
             total = diffusion_loss(schedule, model, y0, conds, steps, noises)

@@ -15,7 +15,7 @@ from singvc import featio, features, gradcheck
 from singvc.cli import main as cli_main
 from singvc.config import RunConfig, serialize_config
 from singvc.denoiser import Denoiser
-from singvc.diffusion import forward_sample, gaussian, reverse_step, sample
+from singvc.diffusion import forward_sample, reverse_step, sample
 from singvc.features import (
     F0Contour,
     compute_log_mel,
@@ -28,7 +28,7 @@ from singvc.features import (
 from singvc.metrics import dtw, fpc, mcd
 from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule, step_stats
-from singvc.tensor import Tensor, zeros
+from singvc.tensor import Tensor
 from singvc.training import (
     TrainingSample,
     compute_feature_stats,
@@ -168,7 +168,7 @@ def test_criterion_3_forward_statistics(t):
     rng = RandomStream(300 + t)
     sqrt_ab, sqrt_1mab, _ = step_stats(s, t)
     draws = np.array(
-        [forward_sample(s, Tensor([[y0_value]]), t, gaussian((1, 1), rng)).data[0, 0] for _ in range(n)]
+        [forward_sample(s, np.array([[y0_value]]), t, rng.normal((1, 1)))[0, 0] for _ in range(n)]
     )
     true_var = sqrt_1mab**2
     mean_err = abs(draws.mean() - sqrt_ab * y0_value)
@@ -183,16 +183,16 @@ def test_criterion_3_forward_statistics(t):
 def test_criterion_4_perfect_predictor_consistency():
     s = linear_schedule(100)
     rng = RandomStream(44)
-    y0 = Tensor(rng.normal((8, 16)))
-    eps = Tensor(rng.normal((8, 16)))
+    y0 = rng.normal((8, 16))
+    eps = rng.normal((8, 16))
 
     class Perfect:
         def __call__(self, y_t, t, cond):
-            return Tensor(eps.data.copy())
+            return Tensor(eps.copy())
 
     y1 = forward_sample(s, y0, 1, eps)
-    rec = reverse_step(s, Perfect(), y1, 1, None, zeros((8, 16)))
-    err = float(np.abs(rec.data - y0.data).max())
+    rec = reverse_step(s, Perfect(), y1, 1, None, np.zeros((8, 16)))
+    err = float(np.abs(rec - y0).max())
     report(4, "perfect predictor reconstructs y0 from t=1", err < 1e-9, f"max err {err:.2e}")
 
 
@@ -205,7 +205,7 @@ def test_criterion_5_overfit_reconstruction(overfit_run):
     f0_bins, loud_bins = conditioner_bins(ckpt.stats, data.f0, data.loudness, OVERFIT_CFG.n_bins)
     cond = model.build_conditioner(data.ppg, f0_bins, loud_bins)
     out = sample(ckpt.config.schedule(), model, cond, 64, OVERFIT_CFG.n_mels,
-                 RandomStream(7).split("sample")).data
+                 RandomStream(7).split("sample"))
     target = ckpt.stats.normalize_mel(data.log_mel)
     pearson = np.array(
         [np.corrcoef(out[:, b], target[:, b])[0, 1] for b in range(OVERFIT_CFG.n_mels)]

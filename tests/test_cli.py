@@ -240,6 +240,21 @@ class TestTrain:
         assert capsys.readouterr().err == "error: diffusion_steps must be at least 2, got 1\n"
         assert built == []
 
+    def test_out_into_missing_directory(self, cli_workspace, extracted, tmp_path):
+        ckpt, log = tmp_path / "nodir" / "sub" / "m.ckpt", tmp_path / "logs" / "loss.csv"
+        assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"],
+                   "--out", ckpt, "--log", log) == 0
+        assert load_checkpoint(ckpt).iteration == 15
+        assert len(log.read_text().splitlines()) == 16
+
+    def test_out_naming_a_directory_fails_before_training(self, cli_workspace, extracted, tmp_path, capsys):
+        target, log = tmp_path / "ckpts", tmp_path / "loss.csv"
+        target.mkdir()
+        assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"],
+                   "--out", target, "--log", log) == 1
+        assert capsys.readouterr().err == f"error: {target}: is a directory, not a file to write\n"
+        assert not log.exists() and list(target.iterdir()) == []
+
     def test_empty_data_dir_is_error(self, cli_workspace, tmp_path):
         assert run("train", "--data", tmp_path, "--config", cli_workspace["cfg_small"],
                    "--out", tmp_path / "x.ckpt") == 1
@@ -544,6 +559,18 @@ class TestEval:
             assert float(fpc) == 1.0
             assert fr == fh == "100"
 
+    def test_out_into_missing_directory(self, extracted, tmp_path):
+        out = tmp_path / "nodir2" / "r.csv"
+        assert run("eval", "--ref", extracted, "--hyp", extracted, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_out_naming_a_directory_fails_before_alignment(self, extracted, tmp_path, capsys, monkeypatch):
+        aligned = []
+        monkeypatch.setattr(metrics, "mcd", lambda *args: aligned.append(args))
+        assert run("eval", "--ref", extracted, "--hyp", extracted, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: is a directory, not a file to write\n"
+        assert aligned == []
+
     def test_unmatched_stems_warned_and_skipped(self, extracted, tmp_path, capsys):
         hyp = tmp_path / "partial"
         hyp.mkdir()
@@ -614,6 +641,11 @@ class TestScheduleCmd:
     def test_config_sets_the_schedule(self, cli_workspace, capsys):
         assert run("schedule", "--config", cli_workspace["cfg"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 11  # diffusion_steps = 10
+
+    def test_out_into_missing_directory(self, tmp_path):
+        out = tmp_path / "nodir" / "s.csv"
+        assert run("schedule", "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 101
 
     def test_bad_range_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

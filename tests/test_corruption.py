@@ -1,10 +1,16 @@
 """A seeded corruption sweep over every input of `extract`, `schedule`,
-`convert` and `eval`.
+`convert`, `eval` and `train`.
 
 A workspace is built through the CLI at `SMALL_CFG`: two 0.5 s WAVs,
 extracted and trained.  Each case damages one input file (the WAV, the
 config, the checkpoint, or the PPG, F0, loudness or mel FEAT1 file) and
-runs every command that reads it through `cli.main` in process.  A case
+runs every command that reads it through `cli.main` in process.  `train`
+gets its own config, a 3-iteration `SMALL_CFG`, and resumes from a
+checkpoint of 2 iterations, so each of its cases trains a step or more; its
+data directory holds both utterances, one of them damaged.  A key a config
+leaves out takes its published default, so a config cut between lines would
+train the published model for hours; `train`'s config lists `ppg_dim`
+last, and such a cut fails on the corpus's PPG width instead.  A case
 passes if the command exits 0, or if it exits 1 with exactly one `error:`
 line and writes none of its outputs; an exception escaping `cli.main` (a
 traceback) fails it.  Payload damage that leaves every value finite may
@@ -17,6 +23,7 @@ appended, drawn from `RandomStream(seed)`; the fixed cases add every class
 of damage that once ended in a traceback or in a silent bad output.
 """
 
+import dataclasses
 import shutil
 import struct
 
@@ -34,6 +41,8 @@ from conftest import SMALL_CFG, synth_voice
 SEEDS = (0, 1)
 PER_KIND = 8  # random mutations per seed, input, command and kind
 KINDS = ("cut", "header_flip", "payload_flip", "append")
+# the file format of an input whose name is not its format
+FORMAT = {"train_config": "config", "resume": "ckpt"}
 
 
 def header_size(kind: str, data: bytes) -> int:
@@ -69,6 +78,12 @@ def mutate(data: bytes, header: int, kind: str, rng: RandomStream) -> bytes | No
     return flip(data, pick(lo, hi), pick(1, 256))
 
 
+def ppg_dim_last(cfg) -> str:
+    """`cfg` as a config file with `ppg_dim` moved to its last line."""
+    lines = serialize_config(cfg).splitlines()
+    return "\n".join(sorted(lines, key=lambda line: line.startswith("ppg_dim ="))) + "\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("sweep")
@@ -82,8 +97,12 @@ def workspace(tmp_path_factory):
                          "--synth-ppg", str(i)]) == 0
     ckpt = root / "model.ckpt"
     assert cli.main(["train", "--data", str(feats), "--config", str(cfg), "--out", str(ckpt)]) == 0
-    inputs = {"wav": root / "utt0.wav", "config": cfg, "ckpt": ckpt,
-              **{kind: feats / f"utt0.{kind}.feat" for kind in ("ppg", "f0", "loud", "mel")}}
+    train_cfg, resume = root / "train.cfg", root / "resume.ckpt"
+    train_cfg.write_text(ppg_dim_last(dataclasses.replace(SMALL_CFG, n_iter=2)))
+    assert cli.main(["train", "--data", str(feats), "--config", str(train_cfg), "--out", str(resume)]) == 0
+    train_cfg.write_text(ppg_dim_last(dataclasses.replace(SMALL_CFG, n_iter=3)))
+    inputs = {"wav": root / "utt0.wav", "config": cfg, "ckpt": ckpt, "train_config": train_cfg,
+              "resume": resume, **{kind: feats / f"utt0.{kind}.feat" for kind in ("ppg", "f0", "loud", "mel")}}
     return {"root": root, "feats": feats, "inputs": inputs}
 
 
@@ -95,6 +114,17 @@ def command(name: str, paths: dict, feats, out):
     if name == "extract_ppg":
         return (["extract", "--wav", paths["wav"], "--out", out / "feats", "--config", paths["config"],
                  "--ppg", paths["ppg"]], [out / "feats"])
+    if name in ("train", "train_resume"):
+        # the damaged feature file stands in for its clean copy in --data
+        data = out / "data"
+        data.mkdir()
+        for src in feats.glob("*.feat"):
+            shutil.copyfile(src, data / src.name)
+        for kind in ("ppg", "f0", "loud", "mel"):
+            shutil.copyfile(paths[kind], data / f"utt0.{kind}.feat")
+        resume = ["--resume", paths["resume"]] if name == "train_resume" else []
+        return (["train", "--data", data, "--config", paths["train_config"], "--out", out / "m.ckpt", *resume],
+                [out / "m.ckpt"])
     if name == "schedule":
         return ["schedule", "--config", paths["config"], "--out", out / "s.csv"], [out / "s.csv"]
     if name == "convert":
@@ -119,6 +149,11 @@ READERS = {
     "f0": ("convert", "eval"),
     "loud": ("convert",),
     "mel": ("eval",),
+}
+TRAIN_READERS = {
+    "train_config": ("train",),
+    **{kind: ("train",) for kind in ("ppg", "f0", "loud", "mel")},
+    "resume": ("train_resume",),
 }
 
 
@@ -158,21 +193,25 @@ def damaged_checkpoint(path, damage) -> bytes:
     return out.read_bytes()
 
 
+# a FEAT1 header whose dims multiply past 2**64
+HUGE_FEAT1 = b"FEAT1" + struct.pack("<BI3I", 1, 3, 2**22, 2**21, 2**21)
+
+
+def set_item(name, index, value):
+    return lambda params: params[name].__setitem__(index, value)
+
+
 def fixed_cases(inputs) -> list[tuple[str, str, bytes]]:
     """(case, input, damaged bytes) of every damage class once known to end
     in a traceback or in a bad output written with exit 0."""
     wav = inputs["wav"].read_bytes()
-
-    def set_item(name, index, value):
-        return lambda params: params[name].__setitem__(index, value)
-
     return [
         ("wav cut inside a sample", "wav", wav[:-1]),
         ("wav cut by one sample", "wav", wav[:-2]),
         ("wav cut by 1000 samples", "wav", wav[:-2000]),
         ("fmt size flip: wave's EOFError", "wav", flip(wav, 16, 0x10)),
         ("fmt size flip: wave's RuntimeError", "wav", flip(wav, 16, 0x80)),
-        ("FEAT1 dims past 2**64", "mel", b"FEAT1" + struct.pack("<BI3I", 1, 3, 2**22, 2**21, 2**21)),
+        ("FEAT1 dims past 2**64", "mel", HUGE_FEAT1),
         ("NaN checkpoint record", "ckpt", damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))),
         ("infinite checkpoint record", "ckpt",
          damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))),
@@ -181,22 +220,52 @@ def fixed_cases(inputs) -> list[tuple[str, str, bytes]]:
     ]
 
 
-def test_every_damaged_input_exits_cleanly(workspace, capsys):
-    inputs = workspace["inputs"]
-    # (case, input, damaged bytes, command, whether it must exit 1)
-    cases = [(case, target, data, name, True)
-             for case, target, data in fixed_cases(inputs) for name in READERS[target]]
+def train_fixed_cases(inputs) -> list[tuple[str, str, bytes]]:
+    """`fixed_cases` for the files `train` reads."""
+    return [
+        ("FEAT1 dims past 2**64", "mel", HUGE_FEAT1),
+        ("NaN resume record", "resume", damaged_checkpoint(inputs["resume"], set_item("out_conv2.b", 0, np.nan))),
+        ("infinite resume record", "resume",
+         damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))),
+    ]
+
+
+def sweep(inputs, readers, fixed):
+    """Yields (case, input, damaged bytes, command, whether it must exit 1)
+    for the `fixed` cases and `PER_KIND` seeded mutations of each kind, for
+    every input in `readers` and every command that reads it; one at a time,
+    since a damaged checkpoint is megabytes."""
+    for case, target, data in fixed:
+        for name in readers[target]:
+            yield case, target, data, name, True
     for seed in SEEDS:
-        for target, readers in READERS.items():
+        for target, names in readers.items():
             data = inputs[target].read_bytes()
-            header = header_size(target, data)
-            for name in readers:
+            form = FORMAT.get(target, target)
+            header = header_size(form, data)
+            for name in names:
                 for kind in KINDS:
                     rng = RandomStream(seed).split(f"{target}-{name}-{kind}")
                     for i in range(PER_KIND):
                         damaged = mutate(data, header, kind, rng)
                         if damaged is not None:
-                            refuse = kind == "cut" and target != "config"
-                            cases.append((f"seed {seed} {target} {kind} #{i}", target, damaged, name, refuse))
-    failures = [failure for case in cases if (failure := run_case(workspace, capsys, *case))]
-    assert not failures, f"{len(failures)} of {len(cases)} cases failed:\n" + "\n".join(failures[:20])
+                            refuse = kind == "cut" and form != "config"
+                            yield f"seed {seed} {target} {kind} #{i}", target, damaged, name, refuse
+
+
+def check_all(workspace, capsys, cases) -> None:
+    failures, count = [], 0
+    for count, case in enumerate(cases, 1):
+        if failure := run_case(workspace, capsys, *case):
+            failures.append(failure)
+    assert not failures, f"{len(failures)} of {count} cases failed:\n" + "\n".join(failures[:20])
+
+
+def test_every_damaged_input_exits_cleanly(workspace, capsys):
+    inputs = workspace["inputs"]
+    check_all(workspace, capsys, sweep(inputs, READERS, fixed_cases(inputs)))
+
+
+def test_every_damaged_train_input_exits_cleanly(workspace, capsys):
+    inputs = workspace["inputs"]
+    check_all(workspace, capsys, sweep(inputs, TRAIN_READERS, train_fixed_cases(inputs)))

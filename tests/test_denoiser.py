@@ -154,8 +154,8 @@ class TestPredictEps:
         model = Denoiser.init(cfg, RandomStream(4).split("fd"))
         model.params["out_conv2.w"].data[:] = RandomStream(5).normal((8, 8, 1)).transpose(2, 0, 1) * 0.3
         rng = RandomStream(6)
-        y0 = Tensor(rng.normal((4, 8)))
-        eps = Tensor(rng.normal((4, 8)))
+        y0 = rng.normal((4, 8))
+        eps = rng.normal((4, 8))
         ppg = rng.normal((4, 12))
         f0_bins = rng.integers(0, 16, 4)
         loud_bins = rng.integers(0, 16, 4)
@@ -273,7 +273,7 @@ class TestPreparedConditioning:
     def test_sample_chain_is_byte_identical(self, live_model):
         _, cond = self.conditioner(live_model)
         schedule = linear_schedule(20)
-        chains = [sample(schedule, live_model, c, 12, TOY.n_mels, RandomStream(4).split("sample")).data
+        chains = [sample(schedule, live_model, c, 12, TOY.n_mels, RandomStream(4).split("sample"))
                   for c in (cond, live_model.prepare(cond))]
         assert chains[0].tobytes() == chains[1].tobytes()
 

@@ -11,7 +11,7 @@ from singvc import cli, featio, training
 from singvc import tensor as T
 from singvc.config import RunConfig, serialize_config
 from singvc.denoiser import Denoiser
-from singvc.diffusion import diffusion_loss, forward_sample, gaussian
+from singvc.diffusion import diffusion_loss, forward_sample
 from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from singvc.features import F0_MAX, F0_MIN, F0Contour
 from singvc.rng import RandomStream
@@ -203,8 +203,8 @@ def reference_loss(schedule, model, y0, conds, steps, noises):
     scaled by 1/batch."""
     total = None
     for y, cond, t, eps in zip(y0, conds, steps, noises):
-        pred = reference_predict_eps(model, forward_sample(schedule, y, t, eps), t, cond)
-        term = T.mse(eps, pred)
+        pred = reference_predict_eps(model, Tensor(forward_sample(schedule, y, t, eps)), t, cond)
+        term = T.mse(Tensor(eps), pred)
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / len(steps))
 
@@ -261,9 +261,9 @@ class TestBatchedIteration:
                 sample = utts[name]
                 sl = slice(start, start + min(cfg.segment_frames, sample.log_mel.shape[0]))
                 slices.append((sample, sl))
-                y0.append(Tensor(sample.log_mel[sl]))
+                y0.append(sample.log_mel[sl])
                 steps.append(stratified_step(rng, b, cfg.batch, cfg.diffusion_steps))
-                noises.append(gaussian((sl.stop - sl.start, cfg.n_mels), rng))
+                noises.append(rng.normal((sl.stop - sl.start, cfg.n_mels)))
 
             loss = diffusion_loss(schedule, batched, y0, [batched.build_conditioner(*cond_inputs(s, sl, cfg))
                                                           for s, sl in slices], steps, noises)
@@ -338,8 +338,8 @@ class TestInitialLoss:
         rng = RandomStream(123)
         losses = []
         for _ in range(100):
-            y0 = Tensor(rng.normal((16, cfg.n_mels)))
-            eps = gaussian((16, cfg.n_mels), rng)
+            y0 = rng.normal((16, cfg.n_mels))
+            eps = rng.normal((16, cfg.n_mels))
             t = int(rng.integers(1, cfg.diffusion_steps + 1, 1)[0])
             cond = model.build_conditioner(
                 rng.normal((16, cfg.ppg_dim)),
