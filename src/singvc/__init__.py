@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .config import RunConfig, load_config, serialize_config
 from .denoiser import Denoiser, ModelConfig
 from .diffusion import diffusion_loss, forward_sample, reverse_step, sample
-from .features import F0Contour
 from .rng import RandomStream
 from .schedule import NoiseSchedule, linear_schedule, step_stats
 from .tensor import Tensor, backward
@@ -18,7 +17,6 @@ __all__ = [
     "Adam",
     "Checkpoint",
     "Denoiser",
-    "F0Contour",
     "FeatureStats",
     "ModelConfig",
     "NoiseSchedule",

@@ -30,7 +30,6 @@ from .config import RunConfig, load_config
 from .diffusion import sample
 from .errors import DataError, InputError, MetricUndefinedError, SingvcError
 from .features import (
-    F0Contour,
     compute_log_mel,
     compute_loudness,
     estimate_f0,
@@ -91,7 +90,7 @@ def cmd_extract(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.wav).stem
     featio.write_feat(out / f"{stem}.mel.feat", log_mel)
-    featio.write_feat(out / f"{stem}.f0.feat", f0.hz)
+    featio.write_feat(out / f"{stem}.f0.feat", f0)
     featio.write_feat(out / f"{stem}.loud.feat", loud)
     featio.write_feat(out / f"{stem}.ppg.feat", ppg)
     return 0
@@ -112,7 +111,7 @@ def load_corpus(data_dir) -> list[TrainingSample]:
             TrainingSample(
                 name=stem,
                 ppg=featio.read_feat(paths["ppg"]),
-                f0=F0Contour(hz=featio.read_feat(paths["f0"])),
+                f0=featio.read_feat(paths["f0"]),
                 loudness=featio.read_feat(paths["loud"]),
                 log_mel=featio.read_feat(paths["mel"]),
             )
@@ -186,7 +185,7 @@ def cmd_convert(args) -> int:
 
     if args.logf0_shift:
         hz = _shift_f0(hz, args.logf0_shift)
-    f0_bins, loud_bins = conditioner_bins(ckpt.stats, F0Contour(hz=hz), loud_values, cfg.n_bins)
+    f0_bins, loud_bins = conditioner_bins(ckpt.stats, hz, loud_values, cfg.n_bins)
     cond = model.prepare(model.build_conditioner(ppg, f0_bins, loud_bins))
     rng = RandomStream(args.seed).split("sample")
     mel = sample(cfg.schedule(), model, cond, len(ppg), cfg.n_mels, rng)
@@ -217,6 +216,8 @@ def cmd_eval(args) -> int:
         mel_ref, mel_hyp = _read_rank(ref_path, 2), _read_rank(hyp_path, 2)
         if mel_ref.shape[1] != mel_hyp.shape[1]:
             raise InputError(f"{hyp_path}: mel depth {mel_hyp.shape[1]} != {mel_ref.shape[1]} in {ref_path}")
+        if mel_ref.shape[1] == 0:
+            raise InputError(f"{ref_path}: mel depth 0, no cepstrum to compare")
         mcd_db, path = metrics.mcd(metrics.mel_to_cepstrum(mel_ref), metrics.mel_to_cepstrum(mel_hyp))
         fpc_field = ""
         ref_f0, hyp_f0 = ref_dir / f"{stem}.f0.feat", hyp_dir / f"{stem}.f0.feat"
@@ -227,7 +228,7 @@ def cmd_eval(args) -> int:
                 hz = _read_rank(f0_path, 1)
                 if len(hz) != len(mel):
                     raise InputError(f"{f0_path}: {len(hz)} frames != {len(mel)} in the mel file {mel_path}")
-                contours.append(F0Contour(hz=hz[on_path]))
+                contours.append(hz[on_path])
             try:
                 fpc_field = repr(metrics.fpc(*contours))
             except MetricUndefinedError as exc:

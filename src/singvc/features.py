@@ -9,12 +9,12 @@ FFT (`LOUDNESS_FFT`).  These are constants of this module, not settings,
 so the mel functions take only `n_mels` (`invert_log_mel` reads it from its
 input), F0 and loudness only the audio, and WAV I/O is at 24 kHz only.
 
-Features are plain float64 arrays with frames on axis 0 (log-mel and PPGs
-[frames, dim], loudness [frames]); quantized contours are int64 bins.  Only
-F0 has a type, `F0Contour`, which carries the rule that a frame is voiced
-iff hz > 0.
+Every feature is a plain float64 array with frames on axis 0: log-mel and
+PPGs [frames, dim], F0 and loudness [frames]; quantized contours are int64
+bins.
 
 Fixed conventions (tests depend on these):
+  * F0 is in Hz, 0 where unvoiced: a frame is voiced iff hz > 0;
   * frames = ceil(num_samples / HOP_SIZE); frame t is centered at sample
     t*HOP_SIZE via reflect padding of n_fft//2 per side (zero-padded when
     the signal is too short to reflect);
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import wave
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,25 +63,6 @@ YIN_FRAME = 2048  # samples per F0 analysis window; holds one period of F0_MIN
 FRAME_BLOCK = 32  # frames per block of F0 and STFT work
 LOUDNESS_FFT = 2048  # points of the loudness STFT
 GRIFFIN_LIM_ITERATIONS = 32
-
-
-@dataclass(frozen=True)
-class F0Contour:
-    hz: np.ndarray  # 0 where unvoiced
-
-    @property
-    def log_f0(self) -> np.ndarray:
-        out = np.zeros_like(self.hz)
-        voiced = self.hz > 0
-        out[voiced] = np.log(self.hz[voiced])
-        return out
-
-    @property
-    def voiced(self) -> np.ndarray:
-        return self.hz > 0
-
-    def __len__(self) -> int:
-        return len(self.hz)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +212,7 @@ def _fft_size(n: int) -> int:
         n += 1
 
 
-def estimate_f0(wav: np.ndarray) -> F0Contour:
+def estimate_f0(wav: np.ndarray) -> np.ndarray:
     """Per-frame F0 in [F0_MIN, F0_MAX] by normalized autocorrelation
     (YIN-style).
 
@@ -305,11 +285,11 @@ def estimate_f0(wav: np.ndarray) -> F0Contour:
             delta = 0.0 if denom <= 0 else (row[tau - 1] - row[tau + 1]) / (2.0 * denom)
             period = tau + float(np.clip(delta, -1.0, 1.0))
             hz[first + i] = float(np.clip(SAMPLE_RATE / period, F0_MIN, F0_MAX))
-    return F0Contour(hz=hz)
+    return hz
 
 
-def median_f0(contours: list[F0Contour]) -> F0Contour:
-    """Per-frame fusion of estimator outputs.
+def median_f0(contours: list[np.ndarray]) -> np.ndarray:
+    """Per-frame fusion of estimator outputs, F0 contours of one length.
 
     A frame is voiced iff a strict majority of the contours are voiced there;
     its value is the median over the voiced values only.
@@ -320,13 +300,13 @@ def median_f0(contours: list[F0Contour]) -> F0Contour:
     for c in contours[1:]:
         if len(c) != length:
             raise InputError(f"contour length mismatch: {len(c)} != {length}")
-    stacked = np.stack([c.hz for c in contours])
+    stacked = np.stack(contours)
     voiced = stacked > 0
     majority = voiced.sum(axis=0) * 2 > len(contours)
     hz = np.zeros(length)
     for j in np.nonzero(majority)[0]:
         hz[j] = float(np.median(stacked[voiced[:, j], j]))
-    return F0Contour(hz=hz)
+    return hz
 
 
 # ---------------------------------------------------------------------------

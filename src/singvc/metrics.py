@@ -4,9 +4,9 @@ F0 Pearson correlation.
 Conventions: cepstra are the orthonormal DCT-II of denormalized log-mel
 frames, 13 coefficients kept; coefficient 0 (frame energy) is excluded from
 MCD and from its alignment; MCD is averaged over the aligned pairs of the
-optimal path, which `mcd` also returns, and FPC is computed on Hz over the
-frames voiced in both contours, the F0 contours indexed with that same path,
-so one alignment serves both metrics.
+optimal path, which `mcd` also returns, and FPC is computed on two F0
+arrays in Hz over the frames voiced in both, the arrays indexed with that
+same path, so one alignment serves both metrics.
 
 DTW fills its (N+1)×(M+1) cost table one anti-diagonal k = i + j at a time.
 In the flat C-order table a diagonal and its up, left and diagonal
@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from .errors import InputError, MetricUndefinedError
-from .features import F0Contour
 
 MCD_COEFFS = 13
 _MCD_SCALE = 10.0 / math.log(10.0)
@@ -134,18 +133,19 @@ def mcd(ref: np.ndarray, hyp: np.ndarray) -> tuple[float, np.ndarray]:
     return float(_MCD_SCALE * np.mean(np.sqrt(2.0 * sq))), path
 
 
-def fpc(ref: F0Contour, hyp: F0Contour) -> float:
-    """Pearson correlation of Hz values over frames voiced in both contours.
+def fpc(ref_hz: np.ndarray, hyp_hz: np.ndarray) -> float:
+    """Pearson correlation of two F0 contours in Hz over the frames voiced
+    in both.
 
     Inputs are assumed already aligned (equal length).
     """
-    if len(ref) != len(hyp):
-        raise InputError(f"contour length mismatch: {len(ref)} vs {len(hyp)}")
-    both = ref.voiced & hyp.voiced
+    if len(ref_hz) != len(hyp_hz):
+        raise InputError(f"contour length mismatch: {len(ref_hz)} vs {len(hyp_hz)}")
+    both = (ref_hz > 0) & (hyp_hz > 0)
     if both.sum() < 2:
         raise MetricUndefinedError(f"FPC undefined: only {int(both.sum())} jointly voiced frames")
-    x = ref.hz[both]
-    y = hyp.hz[both]
+    x = ref_hz[both]
+    y = hyp_hz[both]
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float((xc**2).sum() * (yc**2).sum()))

@@ -71,7 +71,7 @@ from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser, ModelConfig, parameter_layout
 from .diffusion import diffusion_loss
 from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
-from .features import F0_MAX, F0_MIN, F0Contour, quantize
+from .features import F0_MAX, F0_MIN, quantize
 from .rng import RandomStream
 from .tensor import Tensor
 
@@ -100,11 +100,11 @@ CKPT_VERSION = 10
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One frame-aligned utterance: PPG, F0, loudness, raw log-mel."""
+    """One frame-aligned utterance: PPG, F0 in Hz, loudness, raw log-mel."""
 
     name: str
     ppg: np.ndarray
-    f0: F0Contour
+    f0: np.ndarray
     loudness: np.ndarray
     log_mel: np.ndarray
 
@@ -112,7 +112,7 @@ class TrainingSample:
         """Ranks (ppg and mel 2, F0 and loudness 1), one shared frame count of
         at least one, and finite values; else a `DataError` naming the
         utterance."""
-        arrays = {"ppg": self.ppg, "f0": self.f0.hz, "loudness": self.loudness, "mel": self.log_mel}
+        arrays = {"ppg": self.ppg, "f0": self.f0, "loudness": self.loudness, "mel": self.log_mel}
         for kind, values in arrays.items():
             rank = 2 if kind in ("ppg", "mel") else 1
             if values.ndim != rank:
@@ -172,7 +172,7 @@ def compute_feature_stats(data: list[TrainingSample]) -> FeatureStats:
     mel_hi = max(float(s.log_mel.max()) for s in data)
     if not mel_lo < mel_hi:
         raise DataError(f"degenerate mel statistics: min {mel_lo} >= max {mel_hi}")
-    voiced = np.concatenate([s.f0.log_f0[s.f0.voiced] for s in data])
+    voiced = np.concatenate([np.log(s.f0[s.f0 > 0]) for s in data])
     if voiced.size:
         f0_lo, f0_hi = np.percentile(voiced, [0.1, 99.9])
     else:
@@ -187,11 +187,14 @@ def compute_feature_stats(data: list[TrainingSample]) -> FeatureStats:
                         loud_lo=float(loud_lo), loud_hi=float(loud_hi))
 
 
-def conditioner_bins(stats: FeatureStats, f0: F0Contour, loudness: np.ndarray,
+def conditioner_bins(stats: FeatureStats, f0_hz: np.ndarray, loudness: np.ndarray,
                      n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quantized melody and loudness bins; unvoiced frames land in bin 0
-    because log-F0 = 0 clamps to the low edge."""
-    f0_bins = quantize(f0.log_f0, stats.f0_lo, stats.f0_hi, n_bins)
+    """Quantized melody (log-F0) and loudness bins; unvoiced frames land in
+    bin 0 because their log-F0 is taken as 0, which clamps to the low edge."""
+    log_f0 = np.zeros_like(f0_hz)
+    voiced = f0_hz > 0
+    log_f0[voiced] = np.log(f0_hz[voiced])
+    f0_bins = quantize(log_f0, stats.f0_lo, stats.f0_hi, n_bins)
     loud_bins = quantize(loudness, stats.loud_lo, stats.loud_hi, n_bins)
     return f0_bins, loud_bins
 

@@ -7,7 +7,7 @@ import pytest
 from singvc import cli, errors, featio, metrics
 from singvc.cli import main
 from singvc.denoiser import Denoiser
-from singvc.features import F0Contour, write_wav
+from singvc.features import write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
 from conftest import config_block_lines, set_config_value, synth_voice, write_pcm_wav, write_raw_feat
@@ -599,7 +599,7 @@ class TestEval:
         hyp = {kind: featio.read_feat(hyp_dir / f"utt0.{kind}.feat") for kind in ("mel", "f0")}
         expected_mcd, path = metrics.mcd(metrics.mel_to_cepstrum(ref["mel"]),
                                          metrics.mel_to_cepstrum(hyp["mel"]))
-        expected_fpc = metrics.fpc(F0Contour(hz=ref["f0"][path[:, 0]]), F0Contour(hz=hyp["f0"][path[:, 1]]))
+        expected_fpc = metrics.fpc(ref["f0"][path[:, 0]], hyp["f0"][path[:, 1]])
         assert float(mcd_db) == expected_mcd
         assert float(fpc) == expected_fpc
 

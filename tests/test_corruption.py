@@ -2,9 +2,10 @@
 `convert`, `eval` and `train`.
 
 A workspace is built through the CLI at `SMALL_CFG`: two 0.5 s WAVs,
-extracted and trained.  Each case damages one input file (the WAV, the
-config, the checkpoint, or the PPG, F0, loudness or mel FEAT1 file) and
-runs every command that reads it through `cli.main` in process.  `train`
+extracted and trained.  Each case damages input files (the WAV, the
+config, the checkpoint, the PPG, F0, loudness or mel FEAT1 file, or the mel
+on `eval`'s ref side; one file, or several in a fixed case) and runs every
+command that reads them through `cli.main` in process.  `train`
 gets its own config, a 3-iteration `SMALL_CFG`, and resumes from a
 checkpoint of 2 iterations, so each of its cases trains a step or more; its
 data directory holds both utterances, one of them damaged.  A key a config
@@ -102,7 +103,8 @@ def workspace(tmp_path_factory):
     assert cli.main(["train", "--data", str(feats), "--config", str(train_cfg), "--out", str(resume)]) == 0
     train_cfg.write_text(ppg_dim_last(dataclasses.replace(SMALL_CFG, n_iter=3)))
     inputs = {"wav": root / "utt0.wav", "config": cfg, "ckpt": ckpt, "train_config": train_cfg,
-              "resume": resume, **{kind: feats / f"utt0.{kind}.feat" for kind in ("ppg", "f0", "loud", "mel")}}
+              "resume": resume, **{kind: feats / f"utt0.{kind}.feat" for kind in ("ppg", "f0", "loud", "mel")},
+              "ref_mel": feats / "utt0.mel.feat"}
     return {"root": root, "feats": feats, "inputs": inputs}
 
 
@@ -131,14 +133,15 @@ def command(name: str, paths: dict, feats, out):
         return (["convert", "--ckpt", paths["ckpt"], "--ppg", paths["ppg"], "--f0", paths["f0"],
                  "--loud", paths["loud"], "--out", out / "c.feat", "--denorm", "--wav", out / "c.wav"],
                 [out / "c.feat", out / "c.wav"])
-    # eval: the damaged F0 or mel file stands in for its clean copy on the hyp side
-    hyp = out / "hyp"
-    hyp.mkdir()
-    for src in feats.glob("*.feat"):
-        shutil.copyfile(src, hyp / src.name)
-    for kind in ("f0", "mel"):
-        shutil.copyfile(paths[kind], hyp / f"utt0.{kind}.feat")
-    return ["eval", "--ref", feats, "--hyp", hyp, "--out", out / "r.csv"], [out / "r.csv"]
+    # eval: the damaged F0 or mel file stands in for its clean copy on the hyp
+    # side, the damaged ref mel on the ref side
+    for side, kinds in (("ref", {"mel": "ref_mel"}), ("hyp", {"f0": "f0", "mel": "mel"})):
+        (out / side).mkdir()
+        for src in feats.glob("*.feat"):
+            shutil.copyfile(src, out / side / src.name)
+        for kind, target in kinds.items():
+            shutil.copyfile(paths[target], out / side / f"utt0.{kind}.feat")
+    return ["eval", "--ref", out / "ref", "--hyp", out / "hyp", "--out", out / "r.csv"], [out / "r.csv"]
 
 
 READERS = {
@@ -149,6 +152,7 @@ READERS = {
     "f0": ("convert", "eval"),
     "loud": ("convert",),
     "mel": ("eval",),
+    "ref_mel": ("eval",),
 }
 TRAIN_READERS = {
     "train_config": ("train",),
@@ -157,15 +161,18 @@ TRAIN_READERS = {
 }
 
 
-def run_case(workspace, capsys, case: str, target: str, data: bytes, name: str, refuse: bool) -> str | None:
-    """Runs `name` with `target` replaced by `data`; the reason the case
-    fails, or None if it passes.  With `refuse`, exit 0 fails it."""
+def run_case(workspace, capsys, case: str, damage: dict, name: str, refuse: bool) -> str | None:
+    """Runs `name` with each input in `damage` replaced by its bytes there;
+    the reason the case fails, or None if it passes.  With `refuse`, exit 0
+    fails it."""
     out = workspace["root"] / "case"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
-    damaged = out / workspace["inputs"][target].name
-    damaged.write_bytes(data)
-    argv, outputs = command(name, {**workspace["inputs"], target: damaged}, workspace["feats"], out)
+    paths = dict(workspace["inputs"])
+    for target, data in damage.items():
+        paths[target] = out / f"{target}-{paths[target].name}"
+        paths[target].write_bytes(data)
+    argv, outputs = command(name, paths, workspace["feats"], out)
     capsys.readouterr()
     try:
         code = cli.main([str(a) for a in argv])
@@ -201,43 +208,50 @@ def set_item(name, index, value):
     return lambda params: params[name].__setitem__(index, value)
 
 
-def fixed_cases(inputs) -> list[tuple[str, str, bytes]]:
-    """(case, input, damaged bytes) of every damage class once known to end
-    in a traceback or in a bad output written with exit 0."""
+def depth_0_mel(frames: int) -> bytes:
+    """A FEAT1 mel of `frames` frames and no mel bins."""
+    return b"FEAT1" + struct.pack("<BI2I", 1, 2, frames, 0)
+
+
+def fixed_cases(inputs) -> list[tuple[str, dict]]:
+    """(case, {input: damaged bytes}) of every damage class once known to
+    end in a traceback or in a bad output written with exit 0."""
     wav = inputs["wav"].read_bytes()
     return [
-        ("wav cut inside a sample", "wav", wav[:-1]),
-        ("wav cut by one sample", "wav", wav[:-2]),
-        ("wav cut by 1000 samples", "wav", wav[:-2000]),
-        ("fmt size flip: wave's EOFError", "wav", flip(wav, 16, 0x10)),
-        ("fmt size flip: wave's RuntimeError", "wav", flip(wav, 16, 0x80)),
-        ("FEAT1 dims past 2**64", "mel", HUGE_FEAT1),
-        ("NaN checkpoint record", "ckpt", damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))),
-        ("infinite checkpoint record", "ckpt",
-         damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))),
-        ("bias past Griffin-Lim's exp", "ckpt",
-         damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", slice(None), -1e3))),
+        ("wav cut inside a sample", {"wav": wav[:-1]}),
+        ("wav cut by one sample", {"wav": wav[:-2]}),
+        ("wav cut by 1000 samples", {"wav": wav[:-2000]}),
+        ("fmt size flip: wave's EOFError", {"wav": flip(wav, 16, 0x10)}),
+        ("fmt size flip: wave's RuntimeError", {"wav": flip(wav, 16, 0x80)}),
+        ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}),
+        ("mel depth 0 on both sides", {"ref_mel": depth_0_mel(5), "mel": depth_0_mel(6)}),
+        ("NaN checkpoint record", {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))}),
+        ("infinite checkpoint record",
+         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))}),
+        ("bias past Griffin-Lim's exp",
+         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", slice(None), -1e3))}),
     ]
 
 
-def train_fixed_cases(inputs) -> list[tuple[str, str, bytes]]:
+def train_fixed_cases(inputs) -> list[tuple[str, dict]]:
     """`fixed_cases` for the files `train` reads."""
     return [
-        ("FEAT1 dims past 2**64", "mel", HUGE_FEAT1),
-        ("NaN resume record", "resume", damaged_checkpoint(inputs["resume"], set_item("out_conv2.b", 0, np.nan))),
-        ("infinite resume record", "resume",
-         damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))),
+        ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}),
+        ("NaN resume record",
+         {"resume": damaged_checkpoint(inputs["resume"], set_item("out_conv2.b", 0, np.nan))}),
+        ("infinite resume record",
+         {"resume": damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))}),
     ]
 
 
 def sweep(inputs, readers, fixed):
-    """Yields (case, input, damaged bytes, command, whether it must exit 1)
-    for the `fixed` cases and `PER_KIND` seeded mutations of each kind, for
-    every input in `readers` and every command that reads it; one at a time,
-    since a damaged checkpoint is megabytes."""
-    for case, target, data in fixed:
-        for name in readers[target]:
-            yield case, target, data, name, True
+    """Yields (case, {input: damaged bytes}, command, whether it must exit
+    1) for the `fixed` cases and `PER_KIND` seeded mutations of each kind,
+    for every input in `readers` and every command that reads it; one at a
+    time, since a damaged checkpoint is megabytes."""
+    for case, damage in fixed:
+        for name in sorted(set().union(*(readers[target] for target in damage))):
+            yield case, damage, name, True
     for seed in SEEDS:
         for target, names in readers.items():
             data = inputs[target].read_bytes()
@@ -250,7 +264,7 @@ def sweep(inputs, readers, fixed):
                         damaged = mutate(data, header, kind, rng)
                         if damaged is not None:
                             refuse = kind == "cut" and form != "config"
-                            yield f"seed {seed} {target} {kind} #{i}", target, damaged, name, refuse
+                            yield f"seed {seed} {target} {kind} #{i}", {target: damaged}, name, refuse
 
 
 def check_all(workspace, capsys, cases) -> None:

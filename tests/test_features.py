@@ -17,7 +17,6 @@ from singvc.features import (
     MEL_FFT,
     SAMPLE_RATE,
     YIN_FRAME,
-    F0Contour,
     LOG_MEL_FLOOR,
     LOUDNESS_FLOOR,
     a_weighting_db,
@@ -43,7 +42,7 @@ N_MELS = RunConfig().n_mels  # the published 80
 
 def mel_stats(log_mels) -> FeatureStats:
     """`compute_feature_stats` over utterances that differ only in their mels."""
-    samples = [TrainingSample(f"u{i}", np.zeros((len(m), 1)), F0Contour(hz=np.zeros(len(m))),
+    samples = [TrainingSample(f"u{i}", np.zeros((len(m), 1)), np.zeros(len(m)),
                               np.zeros(len(m)), m) for i, m in enumerate(log_mels)]
     return compute_feature_stats(samples)
 
@@ -119,36 +118,31 @@ class TestMel:
 
 class TestF0:
     def test_sine_within_3hz(self):
-        contour = estimate_f0(sine(220.0))
-        voiced = contour.hz[contour.voiced]
+        hz = estimate_f0(sine(220.0))
+        voiced = hz[hz > 0]
         assert len(voiced) > 50
         assert abs(np.median(voiced) - 220.0) < 3.0
 
     def test_white_noise_mostly_unvoiced(self):
         noise = RandomStream(0).normal(24000) * 0.3
-        contour = estimate_f0(noise)
-        assert (~contour.voiced).mean() >= 0.8
+        assert (estimate_f0(noise) == 0).mean() >= 0.8
 
     def test_silence_all_unvoiced(self):
-        contour = estimate_f0(np.zeros(24000))
-        assert not contour.voiced.any()
+        assert not estimate_f0(np.zeros(24000)).any()
 
     def test_amplitude_invariance(self):
         base = estimate_f0(sine(220.0, amp=1.0))
         for s in (0.1, 0.4, 1.0):
             scaled = estimate_f0(sine(220.0, amp=s))
-            np.testing.assert_array_equal(scaled.voiced, base.voiced)
-            np.testing.assert_allclose(scaled.hz[base.voiced], base.hz[base.voiced], atol=0.1)
+            voiced = base > 0
+            np.testing.assert_array_equal(scaled > 0, voiced)
+            np.testing.assert_allclose(scaled[voiced], base[voiced], atol=0.1)
 
     def test_search_range_lies_below_nyquist(self):
         assert 0.0 < F0_MIN < F0_MAX < SAMPLE_RATE / 2
 
     def test_longest_period_fits_the_frame(self):
         assert SAMPLE_RATE / F0_MIN <= YIN_FRAME
-
-    def test_log_f0_zero_for_unvoiced(self):
-        contour = F0Contour(hz=np.array([0.0, 100.0, 0.0]))
-        np.testing.assert_allclose(contour.log_f0, [0.0, math.log(100.0), 0.0])
 
     def test_fft_length_is_the_next_5_smooth_one(self):
         # 2649 = YIN_FRAME + tau_max + 1 at 40 Hz; 2650..2699 all have a factor over 5
@@ -167,9 +161,9 @@ class TestF0:
             "voice_in_noise": sine(95.0, seconds=1.5, amp=0.3) + 0.05 * rng.normal(36000),
             "noise": 0.2 * rng.normal(36000),
         }[name]
-        new = estimate_f0(wav).hz
+        new = estimate_f0(wav)
         monkeypatch.setattr(features, "_fft_size", lambda n: 1 << int(np.ceil(np.log2(n + features.YIN_FRAME))))
-        ref = estimate_f0(wav).hz
+        ref = estimate_f0(wav)
         np.testing.assert_array_equal(new > 0, ref > 0)
         voiced = ref > 0
         assert np.all(np.abs(new[voiced] - ref[voiced]) <= 1e-12 * ref[voiced])
@@ -265,7 +259,7 @@ class TestFrameBlocks:
     @pytest.mark.parametrize("frames", LENGTHS)
     def test_f0_matches_the_whole_clip(self, n_mels, frames):
         wav = self.song(frames)
-        hz = estimate_f0(wav).hz
+        hz = estimate_f0(wav)
         assert hz.tobytes() == whole_clip_f0(wav).tobytes()
         assert len(hz) == len(compute_log_mel(wav, n_mels))
         if frames > BLOCK:
@@ -273,7 +267,7 @@ class TestFrameBlocks:
 
     def test_one_sample_clip(self):
         wav = np.array([0.25])  # nothing to reflect: all padding is zeros
-        assert estimate_f0(wav).hz.tobytes() == whole_clip_f0(wav).tobytes()
+        assert estimate_f0(wav).tobytes() == whole_clip_f0(wav).tobytes()
         got = features.power_spectrum(wav, MEL_FFT)
         assert got.tobytes() == whole_clip_power(wav, MEL_FFT).tobytes()
 
@@ -296,36 +290,35 @@ class TestFrameBlocks:
 
 class TestMedianF0:
     def test_identical_contours(self):
-        c = F0Contour(hz=np.array([100.0, 0.0, 220.0]))
-        np.testing.assert_array_equal(median_f0([c, c, c]).hz, c.hz)
+        c = np.array([100.0, 0.0, 220.0])
+        np.testing.assert_array_equal(median_f0([c, c, c]), c)
 
     def test_odd_count_median(self):
-        contours = [F0Contour(hz=np.array([v])) for v in (100.0, 200.0, 300.0)]
-        assert median_f0(contours).hz[0] == 200.0
+        contours = [np.array([v]) for v in (100.0, 200.0, 300.0)]
+        assert median_f0(contours)[0] == 200.0
 
     def test_majority_voiced_median_over_voiced_only(self):
-        contours = [F0Contour(hz=np.array([v])) for v in (100.0, 0.0, 110.0)]
-        assert median_f0(contours).hz[0] == 105.0
+        contours = [np.array([v]) for v in (100.0, 0.0, 110.0)]
+        assert median_f0(contours)[0] == 105.0
 
     def test_majority_unvoiced_wins(self):
-        contours = [F0Contour(hz=np.array([v])) for v in (100.0, 0.0, 0.0)]
-        assert median_f0(contours).hz[0] == 0.0
+        contours = [np.array([v]) for v in (100.0, 0.0, 0.0)]
+        assert median_f0(contours)[0] == 0.0
 
     def test_tie_is_unvoiced(self):
-        contours = [F0Contour(hz=np.array([v])) for v in (100.0, 0.0)]
-        assert median_f0(contours).hz[0] == 0.0
+        contours = [np.array([v]) for v in (100.0, 0.0)]
+        assert median_f0(contours)[0] == 0.0
 
     def test_permutation_invariance(self):
         rng = RandomStream(13)
-        hz = [np.abs(rng.normal(25)) * 100 * (rng.uniform(25) > 0.3) for _ in range(5)]
-        contours = [F0Contour(hz=h) for h in hz]
-        base = median_f0(contours).hz
+        contours = [np.abs(rng.normal(25)) * 100 * (rng.uniform(25) > 0.3) for _ in range(5)]
+        base = median_f0(contours)
         order = [3, 0, 4, 2, 1]
-        np.testing.assert_array_equal(median_f0([contours[i] for i in order]).hz, base)
+        np.testing.assert_array_equal(median_f0([contours[i] for i in order]), base)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            median_f0([F0Contour(hz=np.zeros(3)), F0Contour(hz=np.zeros(4))])
+            median_f0([np.zeros(3), np.zeros(4)])
 
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):

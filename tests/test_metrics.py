@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from singvc.errors import InputError, MetricUndefinedError
-from singvc.features import F0Contour
 from singvc.metrics import dtw, fpc, mcd, mel_to_cepstrum
 from singvc.rng import RandomStream
 
@@ -254,18 +253,18 @@ class TestMcd:
 class TestFpc:
     def test_identical_voiced_contours(self):
         hz = np.array([220.0, 230.0, 0.0, 240.0, 250.0])
-        assert fpc(F0Contour(hz=hz), F0Contour(hz=hz)) == pytest.approx(1.0, abs=1e-12)
+        assert fpc(hz, hz) == pytest.approx(1.0, abs=1e-12)
 
     def test_mirrored_contour_is_minus_one(self):
         ref = np.array([200.0, 220.0, 240.0, 260.0])
         hyp = 2 * ref.mean() - ref  # reflection around the mean, still positive
-        assert fpc(F0Contour(hz=ref), F0Contour(hz=hyp)) == pytest.approx(-1.0, abs=1e-12)
+        assert fpc(ref, hyp) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_direct_pearson_formula(self):
         rng = RandomStream(9)
         ref = np.linspace(100.0, 400.0, 50)
         hyp = ref + rng.normal(50) * 5.0
-        r = fpc(F0Contour(hz=ref), F0Contour(hz=hyp))
+        r = fpc(ref, hyp)
         direct = float(
             ((ref - ref.mean()) * (hyp - hyp.mean())).sum()
             / math.sqrt((((ref - ref.mean()) ** 2).sum() * ((hyp - hyp.mean()) ** 2).sum()))
@@ -276,22 +275,22 @@ class TestFpc:
         rng = RandomStream(10)
         ref = np.abs(rng.normal(30)) * 100 + 100
         hyp = np.abs(rng.normal(30)) * 100 + 100
-        base = fpc(F0Contour(hz=ref), F0Contour(hz=hyp))
-        scaled = fpc(F0Contour(hz=ref), F0Contour(hz=hyp * 1.7 + 11.0))
+        base = fpc(ref, hyp)
+        scaled = fpc(ref, hyp * 1.7 + 11.0)
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_only_jointly_voiced_frames_used(self):
         ref = np.array([100.0, 0.0, 200.0, 300.0])
         hyp = np.array([110.0, 999.0, 190.0, 310.0])
-        r = fpc(F0Contour(hz=ref), F0Contour(hz=hyp))
+        r = fpc(ref, hyp)
         joint_ref, joint_hyp = ref[[0, 2, 3]], hyp[[0, 2, 3]]
         direct = np.corrcoef(joint_ref, joint_hyp)[0, 1]
         assert r == pytest.approx(direct, abs=1e-12)
 
     def test_undefined_below_two_joint_voiced(self):
         with pytest.raises(MetricUndefinedError):
-            fpc(F0Contour(hz=np.array([100.0, 0.0])), F0Contour(hz=np.array([0.0, 100.0])))
+            fpc(np.array([100.0, 0.0]), np.array([0.0, 100.0]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            fpc(F0Contour(hz=np.zeros(3)), F0Contour(hz=np.zeros(4)))
+            fpc(np.zeros(3), np.zeros(4))

@@ -13,14 +13,16 @@ from singvc.config import RunConfig, serialize_config
 from singvc.denoiser import Denoiser
 from singvc.diffusion import diffusion_loss, forward_sample
 from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
-from singvc.features import F0_MAX, F0_MIN, F0Contour
+from singvc.features import F0_MAX, F0_MIN
 from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule
 from singvc.tensor import Tensor
 from singvc.training import (
     Adam,
+    FeatureStats,
     TrainingSample,
     compute_feature_stats,
+    conditioner_bins,
     load_checkpoint,
     save_checkpoint,
     stratified_step,
@@ -53,7 +55,7 @@ def make_sample(name="utt0", frames=32, seed=0, n_mels=8, ppg_dim=12):
     return TrainingSample(
         name=name,
         ppg=np.abs(rng.normal((frames, ppg_dim))),
-        f0=F0Contour(hz=hz),
+        f0=hz,
         loudness=rng.normal(frames) - 10.0,
         log_mel=rng.normal((frames, n_mels)),
     )
@@ -382,7 +384,7 @@ class TestTrainLoop:
         bad = TrainingSample(
             name="bad",
             ppg=np.zeros((5, 12)),
-            f0=F0Contour(hz=np.zeros(6)),
+            f0=np.zeros(6),
             loudness=np.zeros(5),
             log_mel=np.zeros((5, 8)),
         )
@@ -392,9 +394,9 @@ class TestTrainLoop:
     @pytest.mark.parametrize("kind", ["ppg", "f0", "loudness", "mel"])
     def test_non_finite_feature_rejected(self, kind):
         s = make_sample()
-        ppg, hz, loud, mel = s.ppg.copy(), s.f0.hz.copy(), s.loudness.copy(), s.log_mel.copy()
+        ppg, hz, loud, mel = s.ppg.copy(), s.f0.copy(), s.loudness.copy(), s.log_mel.copy()
         {"ppg": ppg, "f0": hz, "loudness": loud, "mel": mel}[kind][5] = np.nan
-        bad = TrainingSample(s.name, ppg, F0Contour(hz=hz), loud, mel)
+        bad = TrainingSample(s.name, ppg, hz, loud, mel)
         with pytest.raises(DataError, match=rf"utt0.*non-finite {kind} value at frame 5"):
             train([bad], TOY_CFG)
 
@@ -405,11 +407,11 @@ class TestTrainLoop:
 
     MALFORMED = {
         "rank_1_ppg": (lambda s: dataclasses.replace(s, ppg=s.ppg[:, 0]), "ppg has rank 1, expected 2"),
-        "zero_frames": (lambda s: TrainingSample(s.name, s.ppg[:0], F0Contour(hz=s.f0.hz[:0]),
+        "zero_frames": (lambda s: TrainingSample(s.name, s.ppg[:0], s.f0[:0],
                                                  s.loudness[:0], s.log_mel[:0]), "no frames"),
         "mel_depth": (lambda s: dataclasses.replace(s, log_mel=s.log_mel[:, :6]),
                       "mel depth 6 != configured n_mels 8"),
-        "rank_2_f0": (lambda s: dataclasses.replace(s, f0=F0Contour(hz=np.stack([s.f0.hz, s.f0.hz], axis=1))),
+        "rank_2_f0": (lambda s: dataclasses.replace(s, f0=np.stack([s.f0, s.f0], axis=1)),
                       "f0 has rank 2, expected 1"),
     }
 
@@ -646,7 +648,7 @@ def mid_checkpoint(tmp_path_factory):
     sample = make_sample("mid", frames=24, n_mels=MID_CFG.n_mels, ppg_dim=MID_CFG.ppg_dim)
     train([sample], MID_CFG, ckpt_path=root / "mid.ckpt")
     featio.write_feat(root / "ppg.feat", sample.ppg)
-    featio.write_feat(root / "f0.feat", sample.f0.hz)
+    featio.write_feat(root / "f0.feat", sample.f0)
     featio.write_feat(root / "loud.feat", sample.loudness)
     return root
 
@@ -757,7 +759,7 @@ class TestTrainingState:
 class TestFeatureStats:
     def test_quantization_ranges_are_percentiles(self, corpus):
         stats = compute_feature_stats(corpus)
-        voiced = np.concatenate([s.f0.log_f0[s.f0.voiced] for s in corpus])
+        voiced = np.log(np.concatenate([s.f0[s.f0 > 0] for s in corpus]))
         lo, hi = np.percentile(voiced, [0.1, 99.9])
         assert stats.f0_lo == pytest.approx(lo)
         assert stats.f0_hi == pytest.approx(hi)
@@ -775,10 +777,19 @@ class TestFeatureStats:
         silent = TrainingSample(
             name=sample.name,
             ppg=sample.ppg,
-            f0=F0Contour(hz=np.zeros(sample.log_mel.shape[0])),
+            f0=np.zeros(sample.log_mel.shape[0]),
             loudness=sample.loudness,
             log_mel=sample.log_mel,
         )
         stats = compute_feature_stats([silent])
         assert stats.f0_lo == pytest.approx(math.log(F0_MIN))
         assert stats.f0_hi == pytest.approx(math.log(F0_MAX))
+
+    def test_unvoiced_frames_land_in_bin_0(self):
+        # log-F0 is taken as 0 where hz is 0, below any voiced range
+        stats = FeatureStats(mel_lo=0.0, mel_hi=1.0, f0_lo=math.log(100.0), f0_hi=math.log(400.0),
+                             loud_lo=-1.0, loud_hi=1.0)
+        hz = np.array([0.0, 150.0, 0.0, 300.0, 1000.0, 0.0])
+        f0_bins, loud_bins = conditioner_bins(stats, hz, np.array([-2.0, -0.6, -0.1, 0.2, 0.7, 3.0]), 4)
+        np.testing.assert_array_equal(f0_bins, [0, 1, 0, 3, 3, 0])
+        np.testing.assert_array_equal(loud_bins, [0, 0, 1, 2, 3, 3])
