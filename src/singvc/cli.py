@@ -218,6 +218,9 @@ def cmd_eval(args) -> int:
             raise InputError(f"{hyp_path}: mel depth {mel_hyp.shape[1]} != {mel_ref.shape[1]} in {ref_path}")
         if mel_ref.shape[1] == 0:
             raise InputError(f"{ref_path}: mel depth 0, no cepstrum to compare")
+        for mel_path, mel in ((ref_path, mel_ref), (hyp_path, mel_hyp)):
+            if len(mel) == 0:
+                raise InputError(f"{mel_path}: 0 frames, nothing to align")
         mcd_db, path = metrics.mcd(metrics.mel_to_cepstrum(mel_ref), metrics.mel_to_cepstrum(mel_hyp))
         fpc_field = ""
         ref_f0, hyp_f0 = ref_dir / f"{stem}.f0.feat", hyp_dir / f"{stem}.f0.feat"

@@ -41,15 +41,19 @@ the outputs have the same bits.
 
 Each of a layer's three sums (the conditioner projection into the
 pre-activation, the residual into h, the skip into the running skip sum) is
-a conv's ``addend`` (see ``tensor.conv1d``), so the tape holds no conv
-output that only a sum reads.  A training forward leaves ten [channels,
-frames] buffers per residual layer on the tape: the dilated conv's output
-(two, the cond conv's addend), the pre-activation (two), its tanh and
-sigmoid halves, the gate, the residual sum and its scaled copy, and the skip
-sum.  Each layer's cond conv reads its own transpose of the conditioner:
-backward then adds the layers' conditioner gradients in layer order, the
-order of a graph with separate sums; through one shared transpose it would
-add them from the last layer down, which rounds differently.
+a conv's ``addend`` (see ``tensor.conv1d``), so no sum takes a pass or a
+tape node of its own.  A training forward leaves four [channels, frames]
+buffers per residual layer on the tape, the arrays some backward reads: the
+tanh and sigmoid halves (read by their own backward and the gate's), the
+gate (the residual and skip convs' input) and the scaled residual sum (the
+next layer's input).  The dilated conv's output, the pre-activation, the
+unscaled residual sum and the skip sums are read by no backward, so each is
+freed once the forward has used it (see ``tensor``).
+
+Each layer's cond conv reads its own transpose of the conditioner: backward
+then adds the layers' conditioner gradients in layer order, the order of a
+graph with separate sums; through one shared transpose it would add them
+from the last layer down, which rounds differently.
 """
 
 from __future__ import annotations

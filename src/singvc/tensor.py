@@ -2,17 +2,19 @@
 
 The op set is exactly what the denoiser and trainer need: matmul, same-length
 1-d convolution, a handful of pointwise nonlinearities, embedding lookup, row
-slicing and concatenation, transpose and the reductions.  Each differentiable
-op records (inputs, backward closure) on its output; ``backward`` replays the
-implicit tape in reverse topological order.  The tape is rebuilt on every
-forward pass and consumed by ``backward`` — calling backward twice on the
-same graph is a contract violation.  Backward frees each node as it walks the tape: once a
-node's closure has run, its activation and gradient are released unless the
-caller still holds the tensor, which then keeps its ``.grad``.  ``conv1d``
-takes the tensor its output is summed into as an ``addend``, so a conv
-output that only a sum reads is not held on the tape as a node of its own,
-and it pads its input again in backward instead of holding the padded copy
-from the forward.
+slicing and concatenation, transpose and the reductions.  The tape is made of
+nodes, not tensors: each tensor that requires grad has a ``_Node`` holding its
+shape, gradient, input nodes and backward closure, and a differentiable op's
+closure captures its input nodes and only the arrays its backward reads
+(``conv1d`` its input's data, ``mul`` both factors, ``tanh`` and ``sigmoid``
+their output, ``relu`` its mask), never an input tensor.  So an activation
+that no backward reads is freed as soon as the forward drops the tensor.
+``backward`` replays the tape in reverse topological order.  The tape is
+rebuilt on every forward pass and consumed by ``backward`` — calling backward
+twice on the same graph is a contract violation.  Backward frees each node as
+it walks the tape: once a node's closure has run, the arrays it captured and
+its gradient are released unless the caller still holds the tensor, which
+then keeps its ``.grad``.
 
 Conventions deliberately pinned here because tests rely on them:
   * everything is float64;
@@ -41,41 +43,108 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 
-class Tensor:
-    """N-d value carrier; participates in the gradient tape when required."""
+def _layout(a: np.ndarray) -> tuple[int, ...] | None:
+    """The axes, slowest first, of the buffer ``np.empty_like(a)`` allocates;
+    None for C order.  A gradient keeps its tensor's layout, since the order
+    of a later reduction over it can depend on the layout."""
+    flags = a.flags
+    if flags.c_contiguous:
+        return None
+    if flags.f_contiguous:
+        return tuple(range(a.ndim))[::-1]
+    order = tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+    return None if order == tuple(range(a.ndim)) else order
 
-    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
+class _Node:
+    """A tensor's place on the tape: its shape, layout and gradient, its
+    input nodes and its backward closure, but not its data."""
+
+    __slots__ = ("shape", "layout", "grad", "inputs", "backward")
+
+    def __init__(self, data: np.ndarray, inputs: tuple[_Node, ...] = (), backward=None):
+        self.shape = data.shape
+        self.layout = _layout(data)
         self.grad: np.ndarray | None = None
-        self._inputs: tuple[Tensor, ...] = ()
-        self._backward = None
+        self.inputs = inputs
+        self.backward = backward
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+    def empty(self) -> np.ndarray:
+        """A new array of the tensor's shape and layout: what
+        ``np.empty_like`` gives on its data."""
+        if self.layout is None:
+            return np.empty(self.shape)
+        return np.empty([self.shape[i] for i in self.layout]).transpose(np.argsort(self.layout))
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+    def full(self, value: float) -> np.ndarray:
+        out = self.empty()
+        out.fill(value)
+        return out
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # a private buffer in the data's layout: g may be a view (of a
             # transpose, of another node's grad) or broadcast
-            self.grad = np.empty_like(self.data)
+            self.grad = self.empty()
             np.copyto(self.grad, g)
         else:
             self.grad += g
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    """Attach the tape node if any input participates in gradients."""
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._inputs = inputs
-        out._backward = backward
+class Tensor:
+    """N-d value carrier; a tensor that requires grad has a tape node."""
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self._node: _Node | None = _Node(self.data) if requires_grad else None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if not value:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node(self.data)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ContractError("a gradient needs a tensor that requires grad")
+
+    @property
+    def _backward(self):
+        """The closure of the op that made this tensor, None on a leaf."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
+
+    def __repr__(self):
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _record(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """The op's output, with a tape node if any input has one."""
+    out = Tensor(data)
+    nodes = tuple([t._node for t in inputs if t._node is not None])
+    if nodes:
+        out._node = _Node(out.data, nodes, backward)
     return out
 
 
@@ -95,9 +164,9 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward needs a loss with recorded operations: none were "
                             "recorded, or backward already ran on it; rerun the forward pass")
 
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(loss._node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -107,20 +176,20 @@ def backward(loss: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._inputs:
-            if parent.requires_grad and id(parent) not in visited:
+        for parent in node.inputs:
+            if id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss.accumulate(np.ones_like(loss.data))
+    loss._node.accumulate(np.ones_like(loss.data))
     # pop, not iterate: a node's consumers came earlier in the walk and have
     # dropped their references to it, so once its closure has run, the next
     # pop drops the last one unless the caller still holds the tensor
     while topo:
         node = topo.pop()
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-        node._inputs = ()
-        node._backward = None
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
+        node.inputs = ()
+        node.backward = None
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +198,17 @@ def backward(loss: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    ad, bd, an, bn = a.data, b.data, a._node, b._node
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
+        if an is not None:
+            an.accumulate(g @ bd.T)
+        if bn is not None:
             # a one-row a makes this an outer product, whose every element
             # is one product: the same bits as the K = 1 BLAS call, cheaper
-            b.accumulate(np.multiply(a.data.T, g) if a.shape[0] == 1 else a.data.T @ g)
+            bn.accumulate(np.multiply(ad.T, g) if ad.shape[0] == 1 else ad.T @ g)
 
-    return _record(out, (a, b), grad_fn)
+    return _record(ad @ bd, (a, b), grad_fn)
 
 
 def _spans(lengths, total: int) -> list[tuple[int, int]]:
@@ -179,9 +248,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
 
     With ``addend`` ([C_out, L]), the output is (conv + bias) + addend, summed
     in the conv's own accumulator: the bits of ``add(conv1d(...), addend)``,
-    as IEEE addition commutes, but one tape node, so the tape does not hold
-    a conv output that only the sum reads.  The addend's gradient is the
-    output's.  The padded copy of x is not kept either: the weight gradient
+    as IEEE addition commutes, but one pass over the output and one tape node
+    fewer.  The addend's gradient is the output's.  Backward reads x's data
+    and the weight; the padded copy of x is not kept: the weight gradient
     pads x again when it runs.
     """
     if x.data.ndim != 2 or weight.data.ndim != 3:
@@ -200,32 +269,34 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
     pad = (k - 1) // 2
     # (start, stop, first column of the segment's padded block in xp)
     segs = [(a, b, a + 2 * pad * i) for i, (a, b) in enumerate(_spans(lengths or (width,), width))]
-    xp = _padded(x.data, segs, pad)
+    xd, wd = x.data, weight.data
+    xp = _padded(xd, segs, pad)
 
     acc = np.empty((c_out, width))
     scratch = np.empty(c_out * max(b - a for a, b, _ in segs)) if k > 1 else None
     for a, b, o in segs:
-        np.matmul(weight.data[0], xp[:, o : o + b - a], out=acc[:, a:b])
+        np.matmul(wd[0], xp[:, o : o + b - a], out=acc[:, a:b])
         for tap in range(1, k):
             part = scratch[: c_out * (b - a)].reshape(c_out, b - a)
-            acc[:, a:b] += np.matmul(weight.data[tap], xp[:, o + tap : o + tap + b - a], out=part)
+            acc[:, a:b] += np.matmul(wd[tap], xp[:, o + tap : o + tap + b - a], out=part)
     acc += bias.data[:, None]
     if addend is not None:
         acc += addend.data
-    out = Tensor(acc)
+    xn, wn, bn = x._node, weight._node, bias._node
+    addn = None if addend is None else addend._node
 
     def grad_fn(g):
-        if weight.requires_grad:
-            xp = _padded(x.data, segs, pad)
-            gw = np.empty_like(weight.data)
+        if wn is not None:
+            xp = _padded(xd, segs, pad)
+            gw = np.empty_like(wd)
             for a, b, o in segs:
                 for tap in range(k):
                     np.matmul(g[:, a:b], xp[:, o + tap : o + tap + b - a].T, out=gw[tap])
-                weight.accumulate(gw)
-        if bias.requires_grad:
+                wn.accumulate(gw)
+        if bn is not None:
             for a, b, _ in segs:
-                bias.accumulate(g[:, a:b].sum(axis=1))
-        if x.requires_grad:
+                bn.accumulate(g[:, a:b].sum(axis=1))
+        if xn is not None:
             # tap t moves input column j to output column j + pad - t;
             # the products that would land in the padding are dropped
             gx = np.zeros((c_in, width))
@@ -235,16 +306,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
                     shift = tap - pad
                     lo, hi = max(shift, 0), n + min(shift, 0)
                     if lo < hi:
-                        gx[:, a + lo : a + hi] += (weight.data[tap].T @ g[:, a:b])[:, lo - shift : hi - shift]
-            x.accumulate(gx)
-        if addend is not None and addend.requires_grad:
-            addend.accumulate(g)
+                        gx[:, a + lo : a + hi] += (wd[tap].T @ g[:, a:b])[:, lo - shift : hi - shift]
+            xn.accumulate(gx)
+        if addn is not None:
+            addn.accumulate(g)
 
     # the addend first: `backward` walks the graph as it walks
     # add(addend, conv), the conv's inputs before the addend's, so gradients
     # that several nodes add into one tensor keep their order and their bits
     inputs = (x, weight, bias) if addend is None else (addend, x, weight, bias)
-    return _record(out, inputs, grad_fn)
+    return _record(acc, inputs, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +327,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     row = a.data.ndim == 2 and b.shape == (1, a.shape[1])
     if a.shape != b.shape and not row:
         raise ShapeError(f"add needs equal shapes or a [1, D] row as b: {a.shape} + {b.shape}")
-    out = Tensor(a.data + b.data)
+    same = a.shape == b.shape
+    an, bn = a._node, b._node
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g if b.shape == a.shape else g.sum(axis=0, keepdims=True))
+        if an is not None:
+            an.accumulate(g)
+        if bn is not None:
+            bn.accumulate(g if same else g.sum(axis=0, keepdims=True))
 
-    return _record(out, (a, b), grad_fn)
+    return _record(a.data + b.data, (a, b), grad_fn)
 
 
 def add_per_segment(x: Tensor, rows, lengths) -> Tensor:
@@ -277,15 +349,16 @@ def add_per_segment(x: Tensor, rows, lengths) -> Tensor:
     out = np.empty_like(x.data)
     for r, (a, b) in zip(rows, segs):
         np.add(x.data[:, a:b], r.data.T, out=out[:, a:b])
+    xn, row_nodes = x._node, [r._node for r in rows]
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate(g)
-        for r, (a, b) in zip(rows, segs):
-            if r.requires_grad:
-                r.accumulate(g[:, a:b].sum(axis=1, keepdims=True).T)
+        if xn is not None:
+            xn.accumulate(g)
+        for rn, (a, b) in zip(row_nodes, segs):
+            if rn is not None:
+                rn.accumulate(g[:, a:b].sum(axis=1, keepdims=True).T)
 
-    return _record(Tensor(out), (x, *rows), grad_fn)
+    return _record(out, (x, *rows), grad_fn)
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -295,88 +368,92 @@ def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
+    an, bn = a._node, b._node
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(-g)
+        if an is not None:
+            an.accumulate(g)
+        if bn is not None:
+            bn.accumulate(-g)
 
-    return _record(out, (a, b), grad_fn)
+    return _record(a.data - b.data, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
+    ad, bd, an, bn = a.data, b.data, a._node, b._node
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
+        if an is not None:
+            an.accumulate(g * bd)
+        if bn is not None:
+            bn.accumulate(g * ad)
 
-    return _record(out, (a, b), grad_fn)
+    return _record(ad * bd, (a, b), grad_fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s)
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(g * s)
+        an.accumulate(g * s)
 
-    return _record(out, (a,), grad_fn)
+    return _record(a.data * s, (a,), grad_fn)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0  # subgradient at 0 is 0
-    out = Tensor(np.where(mask, a.data, 0.0))
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(g * mask)
+        an.accumulate(g * mask)
 
-    return _record(out, (a,), grad_fn)
+    return _record(np.where(mask, a.data, 0.0), (a,), grad_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y)
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(g * (1.0 - y * y))
+        an.accumulate(g * (1.0 - y * y))
 
-    return _record(out, (a,), grad_fn)
+    return _record(y, (a,), grad_fn)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below;
-    # three buffers: e, the sign mask and the result
+    # the numerator max(x >= 0, e) is 1 where x >= 0 (e <= 1) and e elsewhere
+    # (NaN for NaN): the bits of np.where(x >= 0, 1.0, e), without a branch
+    # on the sign; three buffers: e, the numerator and the result
     e = np.abs(x, out=np.empty(x.shape))  # an array even when x is 0-d
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.greater_equal(x, 0.0, out=np.empty(x.shape))
+    np.maximum(out, e, out=out)
     np.add(1.0, e, out=e)
     return np.divide(out, e, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid(a.data)
-    out = Tensor(y)
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(g * y * (1.0 - y))
+        an.accumulate(g * y * (1.0 - y))
 
-    return _record(out, (a,), grad_fn)
+    return _record(y, (a,), grad_fn)
 
 
 def swish(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    out = Tensor(a.data * s)
+    ad = a.data
+    s = _sigmoid(ad)
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(g * (s + a.data * s * (1.0 - s)))
+        an.accumulate(g * (s + ad * s * (1.0 - s)))
 
-    return _record(out, (a,), grad_fn)
+    return _record(ad * s, (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +469,27 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     if bad.size:
         pos = int(bad[0])
         raise ShapeError(f"embedding index {int(idx[pos])} out of range [0, {v}) at position {pos}")
-    out = Tensor(table.data[idx])
+    tn = table._node
 
     def grad_fn(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            table.accumulate(gt)
+        gt = tn.full(0.0)
+        np.add.at(gt, idx, g)
+        tn.accumulate(gt)
 
-    return _record(out, (table,), grad_fn)
+    return _record(table.data[idx], (table,), grad_fn)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2 or not (0 <= start < stop <= a.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {a.shape}")
-    out = Tensor(a.data[start:stop])
+    an = a._node
 
     def grad_fn(g):
-        ga = np.zeros_like(a.data)
+        ga = an.full(0.0)
         ga[start:stop] = g
-        a.accumulate(ga)
+        an.accumulate(ga)
 
-    return _record(out, (a,), grad_fn)
+    return _record(a.data[start:stop], (a,), grad_fn)
 
 
 def concat_rows(tensors) -> Tensor:
@@ -422,46 +498,46 @@ def concat_rows(tensors) -> Tensor:
         return tensors[0]
     if any(t.data.ndim != 2 for t in tensors) or len({t.shape[1] for t in tensors}) != 1:
         raise ShapeError(f"concat_rows needs matrices of one width, got {[t.shape for t in tensors]}")
-    out = Tensor(np.concatenate([t.data for t in tensors]))
+    parts = [(t._node, t.shape[0]) for t in tensors]
 
     def grad_fn(g):
         start = 0
-        for t in tensors:
-            if t.requires_grad:
-                t.accumulate(g[start : start + t.shape[0]])
-            start += t.shape[0]
+        for node, n in parts:
+            if node is not None:
+                node.accumulate(g[start : start + n])
+            start += n
 
-    return _record(out, tuple(tensors), grad_fn)
+    return _record(np.concatenate([t.data for t in tensors]), tuple(tensors), grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T)
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(g.T)
+        an.accumulate(g.T)
 
-    return _record(out, (a,), grad_fn)
+    return _record(a.data.T, (a,), grad_fn)
 
 
 def tsum(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(np.full_like(a.data, float(g)))
+        an.accumulate(an.full(float(g)))
 
-    return _record(out, (a,), grad_fn)
+    return _record(a.data.sum(), (a,), grad_fn)
 
 
 def tmean(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean())
     inv_n = 1.0 / a.data.size
+    an = a._node
 
     def grad_fn(g):
-        a.accumulate(np.full_like(a.data, float(g) * inv_n))
+        an.accumulate(an.full(float(g) * inv_n))
 
-    return _record(out, (a,), grad_fn)
+    return _record(a.data.mean(), (a,), grad_fn)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -483,11 +559,11 @@ def segment_mse(a: Tensor, b: Tensor, lengths) -> Tensor:
         m = (d * d).mean()
         total = m if total is None else total + m
     inv_count = 1.0 / len(segs)
-    out = Tensor(total * inv_count)
+    an, bn = a._node, b._node
 
     def grad_fn(g):
-        ga = np.empty_like(a.data) if a.requires_grad else None
-        gb = np.empty_like(b.data) if b.requires_grad else None
+        ga = an.empty() if an is not None else None
+        gb = bn.empty() if bn is not None else None
         for (s, e), d in zip(segs, diffs):
             x = (float(g * inv_count) * (1.0 / d.size)) * d
             gd = x + x  # what mse's mul adds into d, once per factor
@@ -496,11 +572,11 @@ def segment_mse(a: Tensor, b: Tensor, lengths) -> Tensor:
             if gb is not None:
                 gb[s:e] = -gd
         if ga is not None:
-            a.accumulate(ga)
+            an.accumulate(ga)
         if gb is not None:
-            b.accumulate(gb)
+            bn.accumulate(gb)
 
-    return _record(out, (a, b), grad_fn)
+    return _record(total * inv_count, (a, b), grad_fn)
 
 
 def identity(n: int) -> Tensor:

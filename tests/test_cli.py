@@ -605,13 +605,14 @@ class TestEval:
 
     # each damages the hyp side's utt0: a rank-1 mel, a rank-2 F0, a mel 2
     # bins short of the ref's 16, deep enough that both keep all 13 MCD
-    # coefficients and the cepstra alone would not show the mismatch, and an
-    # F0 contour half as long as its mel
+    # coefficients and the cepstra alone would not show the mismatch, an F0
+    # contour half as long as its mel, and a mel of no frames
     MALFORMED = {
         "mel_rank": ("mel", lambda mel: mel[:, 0], "{hyp}: expected a rank-2 feature, got rank 1"),
         "f0_rank": ("f0", lambda f0: f0[:, None], "{hyp}: expected a rank-1 feature, got rank 2"),
         "mel_depth": ("mel", lambda mel: mel[:, :14], "{hyp}: mel depth 14 != 16 in {ref}"),
         "f0_frames": ("f0", lambda f0: f0[:50], "{hyp}: 50 frames != 100 in the mel file {hyp_mel}"),
+        "mel_frames": ("mel", lambda mel: mel[:0], "{hyp}: 0 frames, nothing to align"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)

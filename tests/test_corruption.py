@@ -213,6 +213,11 @@ def depth_0_mel(frames: int) -> bytes:
     return b"FEAT1" + struct.pack("<BI2I", 1, 2, frames, 0)
 
 
+def zero_frame_mel(depth: int) -> bytes:
+    """A FEAT1 mel of `depth` mel bins and no frames."""
+    return b"FEAT1" + struct.pack("<BI2I", 1, 2, 0, depth)
+
+
 def fixed_cases(inputs) -> list[tuple[str, dict]]:
     """(case, {input: damaged bytes}) of every damage class once known to
     end in a traceback or in a bad output written with exit 0."""
@@ -225,6 +230,7 @@ def fixed_cases(inputs) -> list[tuple[str, dict]]:
         ("fmt size flip: wave's RuntimeError", {"wav": flip(wav, 16, 0x80)}),
         ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}),
         ("mel depth 0 on both sides", {"ref_mel": depth_0_mel(5), "mel": depth_0_mel(6)}),
+        ("mel of 0 frames on both sides", {"ref_mel": zero_frame_mel(16), "mel": zero_frame_mel(16)}),
         ("NaN checkpoint record", {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))}),
         ("infinite checkpoint record",
          {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))}),

@@ -292,43 +292,71 @@ class TestTapeMemory:
     LENGTHS = (45, 35)  # 80 frames: [C, frames] is larger than the 512-wide step MLP rows
 
     @staticmethod
-    def arrays_of(fn):
-        """The arrays a closure holds, through the functions it holds."""
-        for cell in fn.__closure__ or ():
-            value = cell.cell_contents
-            if isinstance(value, np.ndarray):
-                yield value
+    def captured(fn):
+        """What a closure holds, through the functions, lists and tuples it
+        holds; nodes are left out (the walk reaches them as inputs)."""
+        stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, (list, tuple)):
+                stack.extend(value)
             elif callable(value) and getattr(value, "__closure__", None):
-                yield from TestTapeMemory.arrays_of(value)
+                stack.extend(cell.cell_contents for cell in value.__closure__)
+            elif not isinstance(value, T._Node):
+                yield value
 
-    def held_units(self, layers):
-        """The buffers reachable from a training-path `predict_eps` output,
-        each counted once (views by their base) and in units of one
-        [channels, frames] float64 buffer, parameters left out."""
+    def training_forward(self, layers):
+        """A model of `layers` residual layers and the output of a
+        training-path `predict_eps` (plain conditioners, in the graph)."""
         cfg = ModelConfig(n_mels=3, channels=self.CHANNELS, layers=layers, ppg_dim=5, cond_dim=6, n_bins=4)
         model = Denoiser.init(cfg, RandomStream(1).split("tape"))
         rng = RandomStream(2).split("tape-inputs")
         conds = [model.build_conditioner(rng.normal((n, 5)), rng.integers(0, 4, n), rng.integers(0, 4, n))
                  for n in self.LENGTHS]
-        out = model.predict_eps(Tensor(rng.normal((sum(self.LENGTHS), 3))), [3, 7], conds)
-        params = {id(p) for p in model.params.values()}
-        buffers, seen, stack = {}, set(), [out]
+        return model, model.predict_eps(Tensor(rng.normal((sum(self.LENGTHS), 3))), [3, 7], conds)
+
+    @staticmethod
+    def closures(out):
+        """The backward closure of every node reachable from out's node."""
+        seen, stack = set(), [out._node]
         while stack:
             node = stack.pop()
-            if id(node) in seen or id(node) in params:
+            if id(node) in seen:
                 continue
             seen.add(id(node))
-            arrays = [node.data] + (list(self.arrays_of(node._backward)) if node._backward else [])
-            for a in arrays:
-                base = a if a.base is None else a.base
+            if node.backward is not None:
+                yield node.backward
+            stack.extend(node.inputs)
+
+    def held_units(self, layers):
+        """The buffers reachable from a training-path `predict_eps` output,
+        each counted once (views by their base) and in units of one
+        [channels, frames] float64 buffer, parameters left out."""
+        model, out = self.training_forward(layers)
+        params = {id(p.data) for p in model.params.values()}
+        buffers = {}
+        arrays = [out.data]
+        for fn in self.closures(out):
+            arrays += [v.data if isinstance(v, Tensor) else v for v in self.captured(fn)
+                       if isinstance(v, (Tensor, np.ndarray))]
+        for a in arrays:
+            base = a if a.base is None else a.base
+            if id(base) not in params:
                 buffers[id(base)] = base
-            stack.extend(node._inputs)
         unit = self.CHANNELS * sum(self.LENGTHS) * 8
         return sum(b.nbytes // unit for b in buffers.values())
 
-    def test_each_residual_layer_holds_ten_channel_buffers(self):
-        # per layer: the dilated conv's [2C, L] output (the cond conv's
-        # addend), the pre-activation [2C, L], the tanh and sigmoid halves,
-        # the gate, the residual sum and its scaled copy, the skip sum; the
-        # sums' conv outputs and the padded conv input are not held
-        assert self.held_units(3) - self.held_units(2) == 10
+    def test_each_residual_layer_holds_four_channel_buffers(self):
+        # per layer: the tanh and sigmoid halves (their own backward reads
+        # them, and so does the gate's), the gate (the residual and skip
+        # convs' input) and the scaled residual sum (the next layer's input);
+        # the dilated conv's output, the pre-activation, the unscaled
+        # residual sum and the skip sums are read by no backward
+        assert self.held_units(3) - self.held_units(2) == 4
+
+    def test_no_closure_captures_a_tensor(self):
+        model, out = self.training_forward(2)
+        params = {id(p) for p in model.params.values()}
+        captured = [v for fn in self.closures(out) for v in self.captured(fn)
+                    if isinstance(v, Tensor) and id(v) not in params]
+        assert captured == []

@@ -269,6 +269,17 @@ class TestSigmoid:
         got = T._sigmoid(x)
         assert got.tobytes() == sigmoid_reference(x).tobytes()
 
+    def test_numerator_has_the_bits_of_the_where_select(self):
+        # the numerator max(x >= 0, e) against the np.where select it replaced
+        def where_sigmoid(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+        edges = [0.0, 800.0, 1e-320, np.inf]
+        x = np.concatenate([edges, np.negative(edges), [np.nan],
+                            np.random.default_rng(5).normal(size=10_000)])
+        assert T._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
     def test_nan_stays_nan(self):
         x = np.array([np.nan, -np.nan, 1.0])
         got = T._sigmoid(x)
@@ -340,6 +351,26 @@ class TestAccumulate:
         backward(T.tsum(y))
         y.grad[...] = 7.0
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+    def test_grad_buffer_has_the_layout_of_empty_like(self):
+        # the node keeps no data, only the layout np.empty_like would give
+        base = np.zeros((6, 7, 5))
+        views = [base, base[:, :, 0], base[:, :, 0].T, base[::2, :, 0], base[::2, :, 0].T,
+                 base.transpose(2, 0, 1), base.transpose(1, 2, 0)[:, ::2], base[:1, :, 0].T,
+                 np.zeros(5)[::2], np.zeros(())]
+        for a in views:
+            assert T._Node(a).empty().strides == np.empty_like(a).strides, (a.shape, a.strides)
+
+    def test_grad_and_requires_grad_are_settable(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        g = np.full(3, 0.5)
+        p.grad = g
+        assert p.grad is g
+        p.requires_grad = False
+        assert p.grad is None and p._backward is None
+        p.grad = None  # no gradient to drop
+        with pytest.raises(ContractError):
+            p.grad = g
 
 
 class TestBackward:
