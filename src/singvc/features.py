@@ -378,18 +378,27 @@ def synth_ppg(frames: int, dim: int, seed: int = 0) -> np.ndarray:
 # mel inversion (best effort; for audible sanity output only)
 
 
-def _istft(spec: np.ndarray) -> np.ndarray:
+def _overlap_norm(count: int) -> np.ndarray:
+    """The overlap-added squared window of `count` frames: `_istft`'s
+    divisor, the same for every spectrogram of that many frames."""
+    n_fft, hop = MEL_FFT, HOP_SIZE
+    window = hann_window(n_fft)
+    norm = np.zeros((count - 1) * hop + n_fft)
+    for t in range(count):
+        norm[t * hop : t * hop + n_fft] += window**2
+    return norm
+
+
+def _istft(spec: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Overlap-add of the frames of spec, divided by `_overlap_norm`'s norm."""
     n_fft, hop = MEL_FFT, HOP_SIZE
     window = hann_window(n_fft)
     frames = np.fft.irfft(spec, n=n_fft, axis=1)
     count = spec.shape[0]
     pad = n_fft // 2
-    total = (count - 1) * hop + n_fft
-    out = np.zeros(total)
-    norm = np.zeros(total)
+    out = np.zeros_like(norm)
     for t in range(count):
         out[t * hop : t * hop + n_fft] += frames[t] * window
-        norm[t * hop : t * hop + n_fft] += window**2
     out = np.divide(out, norm, out=np.zeros_like(out), where=norm > 1e-10)
     # the frames reach (count - 1) * hop + n_fft samples, past the cut
     # whenever hop <= n_fft // 2
@@ -408,10 +417,11 @@ def invert_log_mel(log_mel: np.ndarray) -> np.ndarray:
         mel_power = np.maximum(np.exp(log_mel) - LOG_MEL_FLOOR, 0.0)
         spec_power = np.maximum(mel_power @ np.linalg.pinv(fb).T, 0.0)
         mag = np.sqrt(spec_power)
-        wav = _istft(mag.astype(np.complex128))
+        norm = _overlap_norm(mag.shape[0])
+        wav = _istft(mag.astype(np.complex128), norm)
         for _ in range(GRIFFIN_LIM_ITERATIONS):
             phase = np.angle(stft(wav))
-            wav = _istft(mag * np.exp(1j * phase))
+            wav = _istft(mag * np.exp(1j * phase), norm)
     return wav
 
 

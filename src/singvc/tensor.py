@@ -16,6 +16,18 @@ it walks the tape: once a node's closure has run, the arrays it captured and
 its gradient are released unless the caller still holds the tensor, which
 then keeps its ``.grad``.
 
+A gradient is owned by its node: a buffer nobody else writes, in the layout
+``_Node.empty()`` gives.  An op hands ``_Node.accumulate`` either an array it
+has just made and keeps no use of (``fresh=True``: matmul's products,
+conv1d's input gradient, the bias and row sums, ``segment_mse``'s gradients,
+the pointwise products), which a node without a gradient adopts as it is
+when it has ``empty()``'s strides, or a view (add's and sub's ``g``,
+transpose's ``g.T``, a slice), which a first contribution copies.  Later
+contributions are added in place, in the order backward reaches them.  A
+one-row matmul's later weight contributions (the step MLP's, one per
+segment) are added a block of rows at a time, without the whole outer
+product.
+
 Conventions deliberately pinned here because tests rely on them:
   * everything is float64;
   * the ReLU subgradient at exactly 0 is 0;
@@ -81,14 +93,31 @@ class _Node:
         out.fill(value)
         return out
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g into the gradient.  ``fresh`` says the caller made g and
+        nobody else holds it: a first contribution with ``empty()``'s
+        strides then becomes the gradient as it is, with no copy."""
         if self.grad is None:
+            if fresh and self._fits(g):
+                self.grad = g
+                return
             # a private buffer in the data's layout: g may be a view (of a
             # transpose, of another node's grad) or broadcast
             self.grad = self.empty()
             np.copyto(self.grad, g)
         else:
             self.grad += g
+
+    def _fits(self, g: np.ndarray) -> bool:
+        """Whether g has the shape and strides of ``empty()``."""
+        if g.shape != self.shape:
+            return False
+        step = g.itemsize
+        for axis in reversed(self.layout or range(len(self.shape))):
+            if g.strides[axis] != step:
+                return False
+            step *= self.shape[axis]
+        return True
 
 
 class Tensor:
@@ -180,7 +209,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss._node.accumulate(np.ones_like(loss.data))
+    loss._node.accumulate(np.ones_like(loss.data), fresh=True)
     # pop, not iterate: a node's consumers came earlier in the walk and have
     # dropped their references to it, so once its closure has run, the next
     # pop drops the last one unless the caller still holds the tensor
@@ -202,13 +231,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         if an is not None:
-            an.accumulate(g @ bd.T)
-        if bn is not None:
+            an.accumulate(g @ bd.T, fresh=True)
+        if bn is None:
+            return
+        if ad.shape[0] != 1:
+            bn.accumulate(ad.T @ g, fresh=True)
+        elif bn.grad is None:
             # a one-row a makes this an outer product, whose every element
             # is one product: the same bits as the K = 1 BLAS call, cheaper
-            bn.accumulate(np.multiply(ad.T, g) if ad.shape[0] == 1 else ad.T @ g)
+            bn.accumulate(np.multiply(ad.T, g), fresh=True)
+        else:
+            _add_outer(bn.grad, ad[0], g[0])
 
     return _record(ad @ bd, (a, b), grad_fn)
+
+
+OUTER_BLOCK = 32768  # elements of `_add_outer`'s buffer: 256 KiB, which stays in cache
+
+
+def _add_outer(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+    """out += col[:, None] * row, a block of rows at a time through one
+    small buffer: the bits of adding the whole product, which for a step-MLP
+    weight would be a fresh 2 MB array per segment."""
+    rows = max(1, OUTER_BLOCK // row.size)
+    buf = np.empty((min(rows, col.size), row.size))
+    for i in range(0, col.size, rows):
+        part = buf[: min(rows, col.size - i)]
+        np.multiply(col[i : i + rows, None], row, out=part)
+        out[i : i + rows] += part
 
 
 def _spans(lengths, total: int) -> list[tuple[int, int]]:
@@ -292,10 +342,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
             for a, b, o in segs:
                 for tap in range(k):
                     np.matmul(g[:, a:b], xp[:, o + tap : o + tap + b - a].T, out=gw[tap])
-                wn.accumulate(gw)
+                wn.accumulate(gw, fresh=True)
+                if wn.grad is gw:  # adopted: the later segments need a buffer of their own
+                    gw = np.empty_like(wd)
         if bn is not None:
             for a, b, _ in segs:
-                bn.accumulate(g[:, a:b].sum(axis=1))
+                bn.accumulate(g[:, a:b].sum(axis=1), fresh=True)
         if xn is not None:
             # tap t moves input column j to output column j + pad - t;
             # the products that would land in the padding are dropped
@@ -307,7 +359,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
                     lo, hi = max(shift, 0), n + min(shift, 0)
                     if lo < hi:
                         gx[:, a + lo : a + hi] += (wd[tap].T @ g[:, a:b])[:, lo - shift : hi - shift]
-            xn.accumulate(gx)
+            xn.accumulate(gx, fresh=True)
         if addn is not None:
             addn.accumulate(g)
 
@@ -334,7 +386,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if an is not None:
             an.accumulate(g)
         if bn is not None:
-            bn.accumulate(g if same else g.sum(axis=0, keepdims=True))
+            if same:
+                bn.accumulate(g)
+            else:
+                bn.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
 
     return _record(a.data + b.data, (a, b), grad_fn)
 
@@ -356,7 +411,7 @@ def add_per_segment(x: Tensor, rows, lengths) -> Tensor:
             xn.accumulate(g)
         for rn, (a, b) in zip(row_nodes, segs):
             if rn is not None:
-                rn.accumulate(g[:, a:b].sum(axis=1, keepdims=True).T)
+                rn.accumulate(g[:, a:b].sum(axis=1).reshape(1, -1), fresh=True)
 
     return _record(out, (x, *rows), grad_fn)
 
@@ -374,7 +429,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if an is not None:
             an.accumulate(g)
         if bn is not None:
-            bn.accumulate(-g)
+            bn.accumulate(-g, fresh=True)
 
     return _record(a.data - b.data, (a, b), grad_fn)
 
@@ -385,9 +440,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         if an is not None:
-            an.accumulate(g * bd)
+            an.accumulate(g * bd, fresh=True)
         if bn is not None:
-            bn.accumulate(g * ad)
+            bn.accumulate(g * ad, fresh=True)
 
     return _record(ad * bd, (a, b), grad_fn)
 
@@ -396,7 +451,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(g * s)
+        an.accumulate(g * s, fresh=True)
 
     return _record(a.data * s, (a,), grad_fn)
 
@@ -406,7 +461,7 @@ def relu(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(g * mask)
+        an.accumulate(g * mask, fresh=True)
 
     return _record(np.where(mask, a.data, 0.0), (a,), grad_fn)
 
@@ -416,7 +471,7 @@ def tanh(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(g * (1.0 - y * y))
+        an.accumulate(g * (1.0 - y * y), fresh=True)
 
     return _record(y, (a,), grad_fn)
 
@@ -440,7 +495,7 @@ def sigmoid(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(g * y * (1.0 - y))
+        an.accumulate(g * y * (1.0 - y), fresh=True)
 
     return _record(y, (a,), grad_fn)
 
@@ -451,7 +506,7 @@ def swish(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(g * (s + ad * s * (1.0 - s)))
+        an.accumulate(g * (s + ad * s * (1.0 - s)), fresh=True)
 
     return _record(ad * s, (a,), grad_fn)
 
@@ -474,7 +529,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     def grad_fn(g):
         gt = tn.full(0.0)
         np.add.at(gt, idx, g)
-        tn.accumulate(gt)
+        tn.accumulate(gt, fresh=True)
 
     return _record(table.data[idx], (table,), grad_fn)
 
@@ -487,7 +542,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def grad_fn(g):
         ga = an.full(0.0)
         ga[start:stop] = g
-        an.accumulate(ga)
+        an.accumulate(ga, fresh=True)
 
     return _record(a.data[start:stop], (a,), grad_fn)
 
@@ -525,7 +580,7 @@ def tsum(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(an.full(float(g)))
+        an.accumulate(an.full(float(g)), fresh=True)
 
     return _record(a.data.sum(), (a,), grad_fn)
 
@@ -535,7 +590,7 @@ def tmean(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(an.full(float(g) * inv_n))
+        an.accumulate(an.full(float(g) * inv_n), fresh=True)
 
     return _record(a.data.mean(), (a,), grad_fn)
 
@@ -572,9 +627,9 @@ def segment_mse(a: Tensor, b: Tensor, lengths) -> Tensor:
             if gb is not None:
                 gb[s:e] = -gd
         if ga is not None:
-            an.accumulate(ga)
+            an.accumulate(ga, fresh=True)
         if gb is not None:
-            bn.accumulate(gb)
+            bn.accumulate(gb, fresh=True)
 
     return _record(total * inv_count, (a, b), grad_fn)
 

@@ -215,6 +215,7 @@ def stratified_step(rng: RandomStream, index: int, count: int, steps: int) -> in
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 32768  # elements per pass of `Adam.step`: 256 KiB per buffer, which stays in cache
 
 
 class Adam:
@@ -224,51 +225,62 @@ class Adam:
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._scratch = np.empty((2, 0))
+        self._scratch = np.empty((2, ADAM_BLOCK))
+        self._finite = np.empty(ADAM_BLOCK, dtype=bool)
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
         """One update of every parameter from its ``.grad`` (None reads as
         zero), which is then released.  Every gradient is checked first, so a
         `DivergenceError` leaves parameters, moments and gradients untouched.
 
-        Each parameter is updated in place through two scratch buffers the
-        size of the largest one, reused across parameters and steps.  The
-        arithmetic is the textbook expression's, operation for operation."""
+        Each parameter is updated in place, `ADAM_BLOCK` elements at a time,
+        through two scratch buffers of that size reused across blocks,
+        parameters and steps: a block's textbook passes run while it is in
+        cache.  The arithmetic is the textbook expression's, operation for
+        operation, so blocking changes no bit.  A block is a slice of the
+        flat views of the parameter and its moments, which are therefore
+        C-contiguous: the moments are made in the parameter's layout."""
         for name, p in params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise DivergenceError(f"non-finite gradient in parameter {name!r}")
-        size = max((p.data.size for p in params.values()), default=0)
-        if self._scratch.shape[1] < size:
-            self._scratch = np.empty((2, size))
-
-        def scratch(i: int, p: Tensor) -> np.ndarray:
-            return self._scratch[i, : p.data.size].reshape(p.shape)
+            if not p.data.flags.c_contiguous:
+                raise ContractError(f"ADAM updates C-contiguous parameters only; {name!r} is not")
+            if p.grad is None:
+                continue
+            g = p.grad.reshape(-1)
+            for i in range(0, g.size, ADAM_BLOCK):
+                part = g[i : i + ADAM_BLOCK]
+                if not np.isfinite(part, out=self._finite[: part.size]).all():
+                    raise DivergenceError(f"non-finite gradient in parameter {name!r}")
 
         self.step_count += 1
         c1 = 1.0 - ADAM_BETA1**self.step_count
         c2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in params.items():
-            g = p.grad if p.grad is not None else 0.0
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            # in place: a checkpoint holding these arrays sees every step
-            m, v = self.m[name], self.v[name]
-            s1, s2 = scratch(0, p), scratch(1, p)
-            np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-            m *= ADAM_BETA1
-            m += s1
-            np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
-            s1 *= g
-            v *= ADAM_BETA2
-            v += s1
-            np.divide(v, c2, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += ADAM_EPS  # sqrt(v_hat) + eps
-            np.divide(m, c1, out=s2)
-            s2 *= lr  # lr * m_hat
-            s2 /= s1
-            p.data -= s2
+            # flat views, updated in place: a checkpoint holding these arrays
+            # sees every step
+            data, m, v = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name]))
+            grad = None if p.grad is None else p.grad.reshape(-1)
+            for i in range(0, data.size, ADAM_BLOCK):
+                j = i + ADAM_BLOCK
+                g = 0.0 if grad is None else grad[i:j]
+                mb, vb = m[i:j], v[i:j]
+                s1, s2 = self._scratch[:, : mb.size]
+                np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+                mb *= ADAM_BETA1
+                mb += s1
+                np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+                s1 *= g
+                vb *= ADAM_BETA2
+                vb += s1
+                np.divide(vb, c2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += ADAM_EPS  # sqrt(v_hat) + eps
+                np.divide(mb, c1, out=s2)
+                s2 *= lr  # lr * m_hat
+                s2 /= s1
+                data[i:j] -= s2
             p.grad = None
 
 

@@ -14,9 +14,12 @@ train the published model for hours; `train`'s config lists `ppg_dim`
 last, and such a cut fails on the corpus's PPG width instead.  A case
 passes if the command exits 0, or if it exits 1 with exactly one `error:`
 line and writes none of its outputs; an exception escaping `cli.main` (a
-traceback) fails it.  Payload damage that leaves every value finite may
-exit 0: neither FEAT1 nor DSVC carries a checksum.  Damage every reader
-can see must exit 1: a binary file cut short, and each fixed case.
+traceback) fails it.  A fixed case also names the file its `error:` line
+must begin with: the damaged input where the command reads it, or the
+output the command refused to write.  Payload damage that leaves every
+value finite may exit 0: neither FEAT1 nor DSVC carries a checksum.
+Damage every reader can see must exit 1: a binary file cut short, and each
+fixed case.
 
 The mutations are cuts at any length (odd and even, inside the header or
 the data), flips of one header byte, flips of one payload byte, and bytes
@@ -109,39 +112,44 @@ def workspace(tmp_path_factory):
 
 
 def command(name: str, paths: dict, feats, out):
-    """(argv, output paths) of one command on `paths`, writing under `out`."""
+    """(argv, output paths, {input: the path the command reads it from}) of
+    one command on `paths`, writing under `out`."""
     if name == "extract":
         return (["extract", "--wav", paths["wav"], "--out", out / "feats", "--config", paths["config"],
-                 "--synth-ppg", 0], [out / "feats"])
+                 "--synth-ppg", 0], [out / "feats"], paths)
     if name == "extract_ppg":
         return (["extract", "--wav", paths["wav"], "--out", out / "feats", "--config", paths["config"],
-                 "--ppg", paths["ppg"]], [out / "feats"])
+                 "--ppg", paths["ppg"]], [out / "feats"], paths)
     if name in ("train", "train_resume"):
         # the damaged feature file stands in for its clean copy in --data
         data = out / "data"
         data.mkdir()
         for src in feats.glob("*.feat"):
             shutil.copyfile(src, data / src.name)
+        reads = dict(paths)
         for kind in ("ppg", "f0", "loud", "mel"):
-            shutil.copyfile(paths[kind], data / f"utt0.{kind}.feat")
+            reads[kind] = data / f"utt0.{kind}.feat"
+            shutil.copyfile(paths[kind], reads[kind])
         resume = ["--resume", paths["resume"]] if name == "train_resume" else []
         return (["train", "--data", data, "--config", paths["train_config"], "--out", out / "m.ckpt", *resume],
-                [out / "m.ckpt"])
+                [out / "m.ckpt"], reads)
     if name == "schedule":
-        return ["schedule", "--config", paths["config"], "--out", out / "s.csv"], [out / "s.csv"]
+        return ["schedule", "--config", paths["config"], "--out", out / "s.csv"], [out / "s.csv"], paths
     if name == "convert":
         return (["convert", "--ckpt", paths["ckpt"], "--ppg", paths["ppg"], "--f0", paths["f0"],
                  "--loud", paths["loud"], "--out", out / "c.feat", "--denorm", "--wav", out / "c.wav"],
-                [out / "c.feat", out / "c.wav"])
+                [out / "c.feat", out / "c.wav"], paths)
     # eval: the damaged F0 or mel file stands in for its clean copy on the hyp
     # side, the damaged ref mel on the ref side
+    reads = dict(paths)
     for side, kinds in (("ref", {"mel": "ref_mel"}), ("hyp", {"f0": "f0", "mel": "mel"})):
         (out / side).mkdir()
         for src in feats.glob("*.feat"):
             shutil.copyfile(src, out / side / src.name)
         for kind, target in kinds.items():
-            shutil.copyfile(paths[target], out / side / f"utt0.{kind}.feat")
-    return ["eval", "--ref", out / "ref", "--hyp", out / "hyp", "--out", out / "r.csv"], [out / "r.csv"]
+            reads[target] = out / side / f"utt0.{kind}.feat"
+            shutil.copyfile(paths[target], reads[target])
+    return ["eval", "--ref", out / "ref", "--hyp", out / "hyp", "--out", out / "r.csv"], [out / "r.csv"], reads
 
 
 READERS = {
@@ -161,10 +169,12 @@ TRAIN_READERS = {
 }
 
 
-def run_case(workspace, capsys, case: str, damage: dict, name: str, refuse: bool) -> str | None:
+def run_case(workspace, capsys, case: str, damage: dict, name: str, refuse: bool,
+             named: str | None) -> str | None:
     """Runs `name` with each input in `damage` replaced by its bytes there;
     the reason the case fails, or None if it passes.  With `refuse`, exit 0
-    fails it."""
+    fails it; with `named`, an input or the file name of an output, an
+    error that does not begin with that file's path fails it."""
     out = workspace["root"] / "case"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
@@ -172,7 +182,7 @@ def run_case(workspace, capsys, case: str, damage: dict, name: str, refuse: bool
     for target, data in damage.items():
         paths[target] = out / f"{target}-{paths[target].name}"
         paths[target].write_bytes(data)
-    argv, outputs = command(name, paths, workspace["feats"], out)
+    argv, outputs, reads = command(name, paths, workspace["feats"], out)
     capsys.readouterr()
     try:
         code = cli.main([str(a) for a in argv])
@@ -187,6 +197,10 @@ def run_case(workspace, capsys, case: str, damage: dict, name: str, refuse: bool
     written = [p.name for p in outputs if p.exists()]
     if written:
         return f"{case}: {name} exited 1 ({errors[0]}) but wrote {written}"
+    if named is not None:
+        path = reads[named] if named in reads else next(p for p in outputs if p.name == named)
+        if not errors[0].startswith(f"error: {path}: "):
+            return f"{case}: {name}'s {errors[0]!r} does not name {path}"
     return None
 
 
@@ -218,46 +232,52 @@ def zero_frame_mel(depth: int) -> bytes:
     return b"FEAT1" + struct.pack("<BI2I", 1, 2, 0, depth)
 
 
-def fixed_cases(inputs) -> list[tuple[str, dict]]:
-    """(case, {input: damaged bytes}) of every damage class once known to
-    end in a traceback or in a bad output written with exit 0."""
+def fixed_cases(inputs) -> list[tuple[str, dict, str]]:
+    """(case, {input: damaged bytes}, the file its error names) of every
+    damage class once known to end in a traceback or in a bad output
+    written with exit 0."""
     wav = inputs["wav"].read_bytes()
     return [
-        ("wav cut inside a sample", {"wav": wav[:-1]}),
-        ("wav cut by one sample", {"wav": wav[:-2]}),
-        ("wav cut by 1000 samples", {"wav": wav[:-2000]}),
-        ("fmt size flip: wave's EOFError", {"wav": flip(wav, 16, 0x10)}),
-        ("fmt size flip: wave's RuntimeError", {"wav": flip(wav, 16, 0x80)}),
-        ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}),
-        ("mel depth 0 on both sides", {"ref_mel": depth_0_mel(5), "mel": depth_0_mel(6)}),
-        ("mel of 0 frames on both sides", {"ref_mel": zero_frame_mel(16), "mel": zero_frame_mel(16)}),
-        ("NaN checkpoint record", {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))}),
+        ("wav cut inside a sample", {"wav": wav[:-1]}, "wav"),
+        ("wav cut by one sample", {"wav": wav[:-2]}, "wav"),
+        ("wav cut by 1000 samples", {"wav": wav[:-2000]}, "wav"),
+        ("fmt size flip: wave's EOFError", {"wav": flip(wav, 16, 0x10)}, "wav"),
+        ("fmt size flip: wave's RuntimeError", {"wav": flip(wav, 16, 0x80)}, "wav"),
+        ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}, "mel"),
+        # eval reads the ref side first
+        ("mel depth 0 on both sides", {"ref_mel": depth_0_mel(5), "mel": depth_0_mel(6)}, "ref_mel"),
+        ("mel of 0 frames on both sides", {"ref_mel": zero_frame_mel(16), "mel": zero_frame_mel(16)}, "ref_mel"),
+        ("NaN checkpoint record",
+         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))}, "ckpt"),
         ("infinite checkpoint record",
-         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))}),
+         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))}, "ckpt"),
+        # every record is finite: the WAV that Griffin-Lim makes of the mel is not
         ("bias past Griffin-Lim's exp",
-         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", slice(None), -1e3))}),
+         {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", slice(None), -1e3))}, "c.wav"),
     ]
 
 
-def train_fixed_cases(inputs) -> list[tuple[str, dict]]:
+def train_fixed_cases(inputs) -> list[tuple[str, dict, str]]:
     """`fixed_cases` for the files `train` reads."""
     return [
-        ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}),
+        ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}, "mel"),
         ("NaN resume record",
-         {"resume": damaged_checkpoint(inputs["resume"], set_item("out_conv2.b", 0, np.nan))}),
+         {"resume": damaged_checkpoint(inputs["resume"], set_item("out_conv2.b", 0, np.nan))}, "resume"),
         ("infinite resume record",
-         {"resume": damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))}),
+         {"resume": damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))},
+         "resume"),
     ]
 
 
 def sweep(inputs, readers, fixed):
     """Yields (case, {input: damaged bytes}, command, whether it must exit
-    1) for the `fixed` cases and `PER_KIND` seeded mutations of each kind,
-    for every input in `readers` and every command that reads it; one at a
-    time, since a damaged checkpoint is megabytes."""
-    for case, damage in fixed:
+    1, the file its error must name or None) for the `fixed` cases and
+    `PER_KIND` seeded mutations of each kind, for every input in `readers`
+    and every command that reads it; one at a time, since a damaged
+    checkpoint is megabytes."""
+    for case, damage, named in fixed:
         for name in sorted(set().union(*(readers[target] for target in damage))):
-            yield case, damage, name, True
+            yield case, damage, name, True, named
     for seed in SEEDS:
         for target, names in readers.items():
             data = inputs[target].read_bytes()
@@ -270,7 +290,7 @@ def sweep(inputs, readers, fixed):
                         damaged = mutate(data, header, kind, rng)
                         if damaged is not None:
                             refuse = kind == "cut" and form != "config"
-                            yield f"seed {seed} {target} {kind} #{i}", {target: damaged}, name, refuse
+                            yield f"seed {seed} {target} {kind} #{i}", {target: damaged}, name, refuse, None
 
 
 def check_all(workspace, capsys, cases) -> None:

@@ -483,6 +483,30 @@ class TestInvertMel:
         rec = invert_log_mel(np.full((25, 80), math.log(LOG_MEL_FLOOR)))
         assert len(rec) == 25 * HOP_SIZE
 
+    def test_norm_once_per_invert_keeps_the_wav_bytes(self, tmp_path, monkeypatch):
+        # the window-square norm is built once per invert, no longer in each
+        # of the 33 inverse STFTs: the WAV keeps its bytes
+        def per_call_istft(spec, norm=None):
+            window = features.hann_window(MEL_FFT)
+            frames = np.fft.irfft(spec, n=MEL_FFT, axis=1)
+            count = spec.shape[0]
+            total = (count - 1) * HOP_SIZE + MEL_FFT
+            out, norm = np.zeros(total), np.zeros(total)
+            for t in range(count):
+                out[t * HOP_SIZE : t * HOP_SIZE + MEL_FFT] += frames[t] * window
+                norm[t * HOP_SIZE : t * HOP_SIZE + MEL_FFT] += window**2
+            out = np.divide(out, norm, out=np.zeros_like(out), where=norm > 1e-10)
+            return out[MEL_FFT // 2 : MEL_FFT // 2 + count * HOP_SIZE]
+
+        log_mel = compute_log_mel(sine(440.0, seconds=0.5), N_MELS)
+        once = invert_log_mel(log_mel)
+        monkeypatch.setattr(features, "_istft", per_call_istft)
+        per_call = invert_log_mel(log_mel)
+        assert once.tobytes() == per_call.tobytes()
+        write_wav(tmp_path / "once.wav", once)
+        write_wav(tmp_path / "per_call.wav", per_call)
+        assert (tmp_path / "once.wav").read_bytes() == (tmp_path / "per_call.wav").read_bytes()
+
     @pytest.mark.parametrize("bins", [slice(3, 4), slice(None)], ids=["one_bin", "all_bins"])
     def test_overflow_is_non_finite_without_warnings(self, bins):
         # exp(8200) overflows, in one bin or in every bin

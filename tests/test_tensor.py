@@ -66,6 +66,22 @@ class TestMatmul:
         backward(T.tsum(T.mul(T.matmul(a, b), Tensor(probe))))
         assert b.grad.tobytes() == (a.data.T @ probe).tobytes()
 
+    @pytest.mark.parametrize("k, n", [(512, 512), (513, 64), (3, T.OUTER_BLOCK + 7)])
+    def test_later_rank1_contributions_add_whole_products_bits(self, k, n):
+        # three one-row inputs share a weight: the second and third outer
+        # products are added a block of rows at a time
+        rng = np.random.default_rng(k + n)
+        b = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+        rows = [rng.normal(size=(1, k)) for _ in range(3)]
+        probes = [rng.normal(size=(1, n)) for _ in range(3)]
+        terms = [T.tsum(T.mul(T.matmul(Tensor(r), b), Tensor(p))) for r, p in zip(rows, probes)]
+        backward(T.add(T.add(terms[0], terms[1]), terms[2]))
+        expected = None
+        for r, p in zip(rows, probes):  # the order backward reaches them in
+            outer = r.T @ p
+            expected = outer if expected is None else expected + outer
+        assert b.grad.tobytes() == expected.tobytes()
+
 
 def conv1d_reference(w, x, b, dilation, g):
     """The per-tap loop on a [C_out, C_in, K] weight: output and the x, w, b
@@ -360,6 +376,41 @@ class TestAccumulate:
                  np.zeros(5)[::2], np.zeros(())]
         for a in views:
             assert T._Node(a).empty().strides == np.empty_like(a).strides, (a.shape, a.strides)
+
+    @pytest.mark.parametrize("graph", ["add_twice", "segment_mse_twice", "matmul_transposed", "transposed_slab"])
+    def test_adopted_gradients_never_alias(self, graph):
+        # one gradient reaches two inputs, or one input twice: no two
+        # gradients may share a buffer, and each keeps its node's layout
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        y = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        xf = Tensor(np.asfortranarray(rng.normal(size=(4, 6))), requires_grad=True)  # an F-ordered leaf
+        held = [x, y, xf]
+        if graph == "add_twice":
+            held += [T.add(x, x), T.add(xf, xf)]
+            held.append(T.mul(T.add(held[-2], held[-1]), y))
+        elif graph == "segment_mse_twice":
+            held += [T.segment_mse(x, x, (1, 3)), T.segment_mse(xf, y, (3, 1))]
+            held.append(T.add(held[-2], T.scale(held[-1], 2.0)))
+        elif graph == "matmul_transposed":
+            held += [T.transpose(x), T.transpose(xf)]
+            held += [T.matmul(x, held[-2]), T.matmul(xf, held[-1]), T.matmul(y, held[-2])]
+            held.append(T.add(T.add(held[-3], held[-2]), held[-1]))
+        else:
+            w = Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
+            b = Tensor(rng.normal(size=5), requires_grad=True)
+            slab = T.transpose(T.add(x, xf))  # [6, 4]: segments of 2 and 2 frames
+            held += [w, b, slab, T.conv1d(slab, w, b, (2, 2)), T.conv1d(T.transpose(y), w, b, (1, 3))]
+            held.append(T.add(held[-2], held[-1]))
+        loss = T.tsum(held[-1])
+        held.append(loss)
+        backward(loss)
+        grads = [t for t in held if t.grad is not None]
+        assert {id(t) for t in (x, y, xf)} <= {id(t) for t in grads}
+        for i, t in enumerate(grads):
+            assert t.grad.strides == t._node.empty().strides, (graph, i)
+            for u in grads[:i]:
+                assert not np.shares_memory(t.grad, u.grad), graph
 
     def test_grad_and_requires_grad_are_settable(self):
         p = Tensor(np.ones(3), requires_grad=True)

@@ -18,6 +18,7 @@ from singvc.rng import RandomStream
 from singvc.schedule import linear_schedule
 from singvc.tensor import Tensor
 from singvc.training import (
+    ADAM_BLOCK,
     Adam,
     FeatureStats,
     TrainingSample,
@@ -30,6 +31,7 @@ from singvc.training import (
 )
 
 from conftest import config_block_lines, set_config_value
+from test_acceptance import OVERFIT_CFG, _overfit_sample
 
 TOY_CFG = RunConfig(
     n_mels=8,
@@ -147,9 +149,13 @@ class TestAdam:
 
     def test_in_place_update_matches_out_of_place_reference(self):
         rng = RandomStream(21)
-        shapes = {"a": (5, 7), "b": (3,)}
+        # "c" spans three blocks, the last one short; "d" has no gradient
+        # at every other step
+        shapes = {"a": (5, 7), "b": (3,), "c": (2, ADAM_BLOCK + 5), "d": (4,)}
         init = {n: rng.normal(shape) for n, shape in shapes.items()}
         grads = [{n: 2.0 * rng.normal(shape) for n, shape in shapes.items()} for _ in range(6)]
+        for step_grads in grads[::2]:
+            step_grads["d"] = None
 
         # the update as it was before the moments were updated in place:
         # every step binds new moment arrays
@@ -160,6 +166,7 @@ class TestAdam:
         for count, step_grads in enumerate(grads, start=1):
             c1, c2 = 1.0 - b1**count, 1.0 - b2**count
             for n, g in step_grads.items():
+                g = np.zeros(shapes[n]) if g is None else g
                 m[n] = b1 * m[n] + (1.0 - b1) * g
                 v[n] = b2 * v[n] + (1.0 - b2) * g * g
                 ref[n] -= lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
@@ -176,6 +183,37 @@ class TestAdam:
             assert p.data.tobytes() == ref[n].tobytes()
             assert opt.m[n].tobytes() == m[n].tobytes() and opt.v[n].tobytes() == v[n].tobytes()
             assert opt.m[n] is moments[n][0] and opt.v[n] is moments[n][1]
+
+    def test_strided_parameter_is_a_contract_error(self):
+        # a flat view of it would be a copy, and the update would be lost
+        p = Tensor(np.zeros((4, 3)).T, requires_grad=True)
+        p.grad = np.ones((3, 4))
+        with pytest.raises(ContractError, match="'p'"):
+            Adam().step({"p": p}, lr=0.01)
+
+    def test_divergence_in_the_last_block_of_a_long_parameter(self):
+        # the check runs block by block and still ends before any update
+        shapes = {"a": (3,), "b": (2, ADAM_BLOCK + 5), "c": (3,)}
+        params = {n: Tensor(np.full(shape, 1.0), requires_grad=True) for n, shape in shapes.items()}
+        opt = Adam()
+        for p in params.values():
+            p.grad = np.full(p.shape, 0.25)
+        opt.step(params, lr=0.01)
+        grads = {n: np.full(shape, 0.5) for n, shape in shapes.items()}
+        grads["b"][-1, -1] = np.nan
+        for n, p in params.items():
+            p.grad = grads[n]
+
+        def state():
+            arrays = (*(p.data for p in params.values()), *opt.m.values(), *opt.v.values())
+            return [a.tobytes() for a in arrays], opt.step_count
+
+        before = state()
+        with pytest.raises(DivergenceError, match="'b'"):
+            opt.step(params, lr=0.01)
+        assert state() == before
+        for n, p in params.items():
+            assert p.grad is grads[n]
 
 
 def reference_predict_eps(model, y_t, t, cond):
@@ -299,6 +337,38 @@ class TestBatchedIteration:
         cfg = RunConfig(**{**TOY_CFG.__dict__, "batch": batch, "n_iter": 1})
         train(corpus, cfg)
         assert len(calls) == 4 * cfg.layers + 3
+
+
+class TestGradientAdoption:
+    def test_adopting_fresh_gradients_matches_copying_them(self, monkeypatch):
+        # the fast path (a node adopts a fresh first contribution, later
+        # rank-1 products are added in row blocks) against the copying path
+        # it replaced, in one process: losses, parameters and moments
+        data = [_overfit_sample()]
+        cfg = dataclasses.replace(OVERFIT_CFG, n_iter=3)
+        accumulate, add_outer = T._Node.accumulate, T._add_outer
+        adopted, blocked = [], []
+
+        def spy_accumulate(node, g, fresh=False):
+            accumulate(node, g, fresh)
+            adopted.append(node.grad is g)
+
+        def spy_add_outer(out, col, row):
+            add_outer(out, col, row)
+            blocked.append(out.shape)
+
+        def state(ckpt, losses):
+            return repr(losses), [{n: a.tobytes() for n, a in d.items()}
+                                  for d in (ckpt.params, ckpt.adam.m, ckpt.adam.v)]
+
+        monkeypatch.setattr(T._Node, "accumulate", spy_accumulate)
+        monkeypatch.setattr(T, "_add_outer", spy_add_outer)
+        fast = state(*train(data, cfg))
+        assert any(adopted) and (512, 512) in blocked
+
+        monkeypatch.setattr(T._Node, "accumulate", lambda node, g, fresh=False: accumulate(node, g))
+        monkeypatch.setattr(T, "_add_outer", lambda out, col, row: out.__iadd__(np.multiply(col[:, None], row)))
+        assert state(*train(data, cfg)) == fast
 
 
 class TestStratifiedStep:
