@@ -16,17 +16,24 @@ it walks the tape: once a node's closure has run, the arrays it captured and
 its gradient are released unless the caller still holds the tensor, which
 then keeps its ``.grad``.
 
-A gradient is owned by its node: a buffer nobody else writes, in the layout
-``_Node.empty()`` gives.  An op hands ``_Node.accumulate`` either an array it
-has just made and keeps no use of (``fresh=True``: matmul's products,
-conv1d's input gradient, the bias and row sums, ``segment_mse``'s gradients,
-the pointwise products), which a node without a gradient adopts as it is
-when it has ``empty()``'s strides, or a view (add's and sub's ``g``,
-transpose's ``g.T``, a slice), which a first contribution copies.  Later
-contributions are added in place, in the order backward reaches them.  A
-one-row matmul's later weight contributions (the step MLP's, one per
-segment) are added a block of rows at a time, without the whole outer
-product.
+A gradient is a C-ordered buffer owned by its node: nobody else writes it,
+whatever the layout of the tensor's data.  An op hands ``_Node.accumulate``
+either an array it has just made and keeps no use of (``fresh=True``:
+matmul's products, conv1d's gradients, the bias and row sums,
+``segment_mse``'s gradients, the pointwise products), which a node without a
+gradient adopts as it is when it is C-contiguous, or a view (add's and
+sub's ``g``, transpose's ``g.T``, a slice), which a first contribution copies
+into a new C-ordered buffer.  Later contributions are added in place, in the
+order backward reaches them.  A one-row matmul's later weight contributions
+(the step MLP's, one per segment) are added a block of rows at a time,
+without the whole outer product.  A gradient's layout changes no bit except
+through a reduction over it: an elementwise op on a transpose gives an
+F-ordered output, and a sum over that output's gradient (``add``'s row sum,
+say) adds in one order over a C-ordered buffer and in another over an
+F-ordered one.  No such case occurs in the model: its only F-ordered outputs
+are transposes, whose backward is an elementwise copy or add, and every
+reduction or BLAS call over a gradient reads the gradient of a C-ordered
+output.
 
 Conventions deliberately pinned here because tests rely on them:
   * everything is float64;
@@ -55,69 +62,31 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 
-def _layout(a: np.ndarray) -> tuple[int, ...] | None:
-    """The axes, slowest first, of the buffer ``np.empty_like(a)`` allocates;
-    None for C order.  A gradient keeps its tensor's layout, since the order
-    of a later reduction over it can depend on the layout."""
-    flags = a.flags
-    if flags.c_contiguous:
-        return None
-    if flags.f_contiguous:
-        return tuple(range(a.ndim))[::-1]
-    order = tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
-    return None if order == tuple(range(a.ndim)) else order
-
-
 class _Node:
-    """A tensor's place on the tape: its shape, layout and gradient, its
-    input nodes and its backward closure, but not its data."""
+    """A tensor's place on the tape: its shape and gradient, its input nodes
+    and its backward closure, but not its data."""
 
-    __slots__ = ("shape", "layout", "grad", "inputs", "backward")
+    __slots__ = ("shape", "grad", "inputs", "backward")
 
-    def __init__(self, data: np.ndarray, inputs: tuple[_Node, ...] = (), backward=None):
-        self.shape = data.shape
-        self.layout = _layout(data)
+    def __init__(self, shape: tuple[int, ...], inputs: tuple[_Node, ...] = (), backward=None):
+        self.shape = shape
         self.grad: np.ndarray | None = None
         self.inputs = inputs
         self.backward = backward
 
-    def empty(self) -> np.ndarray:
-        """A new array of the tensor's shape and layout: what
-        ``np.empty_like`` gives on its data."""
-        if self.layout is None:
-            return np.empty(self.shape)
-        return np.empty([self.shape[i] for i in self.layout]).transpose(np.argsort(self.layout))
-
-    def full(self, value: float) -> np.ndarray:
-        out = self.empty()
-        out.fill(value)
-        return out
-
     def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add g into the gradient.  ``fresh`` says the caller made g and
-        nobody else holds it: a first contribution with ``empty()``'s
-        strides then becomes the gradient as it is, with no copy."""
-        if self.grad is None:
-            if fresh and self._fits(g):
-                self.grad = g
-                return
-            # a private buffer in the data's layout: g may be a view (of a
-            # transpose, of another node's grad) or broadcast
-            self.grad = self.empty()
-            np.copyto(self.grad, g)
-        else:
+        nobody else holds it: a first contribution of the node's shape in C
+        order then becomes the gradient as it is, with no copy."""
+        if self.grad is not None:
             self.grad += g
-
-    def _fits(self, g: np.ndarray) -> bool:
-        """Whether g has the shape and strides of ``empty()``."""
-        if g.shape != self.shape:
-            return False
-        step = g.itemsize
-        for axis in reversed(self.layout or range(len(self.shape))):
-            if g.strides[axis] != step:
-                return False
-            step *= self.shape[axis]
-        return True
+        elif fresh and g.shape == self.shape and g.flags.c_contiguous:
+            self.grad = g
+        else:
+            # a private C-ordered buffer: g may be a view (of a transpose, of
+            # another node's grad)
+            self.grad = np.empty(self.shape)
+            np.copyto(self.grad, g)
 
 
 class Tensor:
@@ -127,7 +96,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self._node: _Node | None = _Node(self.data) if requires_grad else None
+        self._node: _Node | None = _Node(self.data.shape) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,13 +105,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return self._node is not None
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        if not value:
-            self._node = None
-        elif self._node is None:
-            self._node = _Node(self.data)
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -173,7 +135,7 @@ def _record(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     nodes = tuple([t._node for t in inputs if t._node is not None])
     if nodes:
-        out._node = _Node(out.data, nodes, backward)
+        out._node = _Node(out.data.shape, nodes, backward)
     return out
 
 
@@ -338,13 +300,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
     def grad_fn(g):
         if wn is not None:
             xp = _padded(xd, segs, pad)
-            gw = np.empty_like(wd)
+            gw = np.empty(wd.shape)
             for a, b, o in segs:
                 for tap in range(k):
                     np.matmul(g[:, a:b], xp[:, o + tap : o + tap + b - a].T, out=gw[tap])
                 wn.accumulate(gw, fresh=True)
                 if wn.grad is gw:  # adopted: the later segments need a buffer of their own
-                    gw = np.empty_like(wd)
+                    gw = np.empty(wd.shape)
         if bn is not None:
             for a, b, _ in segs:
                 bn.accumulate(g[:, a:b].sum(axis=1), fresh=True)
@@ -527,7 +489,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     tn = table._node
 
     def grad_fn(g):
-        gt = tn.full(0.0)
+        gt = np.zeros(tn.shape)
         np.add.at(gt, idx, g)
         tn.accumulate(gt, fresh=True)
 
@@ -540,7 +502,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        ga = an.full(0.0)
+        ga = np.zeros(an.shape)
         ga[start:stop] = g
         an.accumulate(ga, fresh=True)
 
@@ -580,7 +542,7 @@ def tsum(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(an.full(float(g)), fresh=True)
+        an.accumulate(np.full(an.shape, float(g)), fresh=True)
 
     return _record(a.data.sum(), (a,), grad_fn)
 
@@ -590,7 +552,7 @@ def tmean(a: Tensor) -> Tensor:
     an = a._node
 
     def grad_fn(g):
-        an.accumulate(an.full(float(g) * inv_n), fresh=True)
+        an.accumulate(np.full(an.shape, float(g) * inv_n), fresh=True)
 
     return _record(a.data.mean(), (a,), grad_fn)
 
@@ -617,8 +579,8 @@ def segment_mse(a: Tensor, b: Tensor, lengths) -> Tensor:
     an, bn = a._node, b._node
 
     def grad_fn(g):
-        ga = an.empty() if an is not None else None
-        gb = bn.empty() if bn is not None else None
+        ga = None if an is None else np.empty(an.shape)
+        gb = None if bn is None else np.empty(bn.shape)
         for (s, e), d in zip(segs, diffs):
             x = (float(g * inv_count) * (1.0 / d.size)) * d
             gd = x + x  # what mse's mul adds into d, once per factor

@@ -46,7 +46,8 @@ are twice the size of the parameters.  A record read that holds NaN or
 infinity fails the load with a `FormatError` naming it.  The records read
 are then checked against the config's parameter layout
 (``denoiser.parameter_layout``), so a missing, extra or misshapen record
-fails the load with a `FormatError`.
+fails the load with a `FormatError`.  So does a file with one ADAM moment
+set only, or with none after iteration 0, when the moments are read.
 
 A `Checkpoint` is the training state itself: `train` builds one, advances
 its parameter arrays, ADAM moments, stream and iteration in place, and saves
@@ -405,7 +406,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             else:
                 params[name] = arr
 
-    _check_records(path, config, params, adam)
+    _check_records(path, config, params, adam, state["iteration"])
     iteration = state.pop("iteration")
     rng = RandomStream(state.pop("rng_seed"), state.pop("rng_counter"))
     if adam is not None:
@@ -448,15 +449,19 @@ def _parse_state(path, extras: dict[str, str]) -> dict:
     return state
 
 
-def _check_records(path, config: RunConfig, params: dict[str, np.ndarray], adam: Adam | None) -> None:
+def _check_records(path, config: RunConfig, params: dict[str, np.ndarray], adam: Adam | None,
+                   iteration: int) -> None:
     """The records hold every parameter of the config's layout at its shape
-    and nothing else; each ADAM moment set covers them too, or is empty (a
-    save before the first step)."""
+    and nothing else, and each ADAM moment set covers them too.  Only a
+    save before the first step (iteration 0) holds no moments."""
     shapes = {name: shape for name, shape, _ in parameter_layout(config.model_config())}
-    groups = [("", params)] + ([] if adam is None else [("adam.m.", adam.m), ("adam.v.", adam.v)])
+    groups = [("", params)]
+    if adam is not None and (adam.m or adam.v or iteration):
+        groups += [("adam.m.", adam.m), ("adam.v.", adam.v)]
     for prefix, arrays in groups:
         if prefix and not arrays:
-            continue
+            raise FormatError(f"{path}: no {prefix}* records at iteration {iteration}; "
+                              "only a save at iteration 0 may have none")
         missing = [prefix + name for name in shapes if name not in arrays]
         if missing:
             raise FormatError(f"{path}: missing records {missing}")

@@ -205,10 +205,10 @@ def run_case(workspace, capsys, case: str, damage: dict, name: str, refuse: bool
 
 
 def damaged_checkpoint(path, damage) -> bytes:
-    """The bytes of the checkpoint at `path` with its parameters altered by
-    `damage`; `load_checkpoint` and `save_checkpoint` do the encoding."""
+    """The bytes of the checkpoint at `path` altered by `damage`;
+    `load_checkpoint` and `save_checkpoint` do the encoding."""
     ckpt = load_checkpoint(path)
-    damage(ckpt.params)
+    damage(ckpt)
     out = path.with_name("fixed.ckpt")
     save_checkpoint(out, ckpt)
     return out.read_bytes()
@@ -219,7 +219,13 @@ HUGE_FEAT1 = b"FEAT1" + struct.pack("<BI3I", 1, 3, 2**22, 2**21, 2**21)
 
 
 def set_item(name, index, value):
-    return lambda params: params[name].__setitem__(index, value)
+    return lambda ckpt: ckpt.params[name].__setitem__(index, value)
+
+
+def drop_moments(*moments: str):
+    """Empties ADAM's `moments` ("m", "v"): a save writes the parameters,
+    then adam.m.*, then adam.v.*, so this is the file cut short."""
+    return lambda ckpt: [getattr(ckpt.adam, moment).clear() for moment in moments]
 
 
 def depth_0_mel(frames: int) -> bytes:
@@ -266,6 +272,11 @@ def train_fixed_cases(inputs) -> list[tuple[str, dict, str]]:
         ("infinite resume record",
          {"resume": damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))},
          "resume"),
+        # the resume checkpoint is 2 iterations in, so it must hold both moment sets
+        ("resume cut after its parameters",
+         {"resume": damaged_checkpoint(inputs["resume"], drop_moments("m", "v"))}, "resume"),
+        ("resume cut between adam.m and adam.v",
+         {"resume": damaged_checkpoint(inputs["resume"], drop_moments("v"))}, "resume"),
     ]
 
 

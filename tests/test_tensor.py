@@ -368,19 +368,10 @@ class TestAccumulate:
         y.grad[...] = 7.0
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
-    def test_grad_buffer_has_the_layout_of_empty_like(self):
-        # the node keeps no data, only the layout np.empty_like would give
-        base = np.zeros((6, 7, 5))
-        views = [base, base[:, :, 0], base[:, :, 0].T, base[::2, :, 0], base[::2, :, 0].T,
-                 base.transpose(2, 0, 1), base.transpose(1, 2, 0)[:, ::2], base[:1, :, 0].T,
-                 np.zeros(5)[::2], np.zeros(())]
-        for a in views:
-            assert T._Node(a).empty().strides == np.empty_like(a).strides, (a.shape, a.strides)
-
     @pytest.mark.parametrize("graph", ["add_twice", "segment_mse_twice", "matmul_transposed", "transposed_slab"])
     def test_adopted_gradients_never_alias(self, graph):
         # one gradient reaches two inputs, or one input twice: no two
-        # gradients may share a buffer, and each keeps its node's layout
+        # gradients may share a buffer, and each is C-ordered
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         y = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
@@ -408,20 +399,19 @@ class TestAccumulate:
         grads = [t for t in held if t.grad is not None]
         assert {id(t) for t in (x, y, xf)} <= {id(t) for t in grads}
         for i, t in enumerate(grads):
-            assert t.grad.strides == t._node.empty().strides, (graph, i)
+            assert t.grad.flags.c_contiguous, (graph, i)
             for u in grads[:i]:
                 assert not np.shares_memory(t.grad, u.grad), graph
 
-    def test_grad_and_requires_grad_are_settable(self):
+    def test_grad_is_settable(self):
         p = Tensor(np.ones(3), requires_grad=True)
         g = np.full(3, 0.5)
         p.grad = g
         assert p.grad is g
-        p.requires_grad = False
-        assert p.grad is None and p._backward is None
-        p.grad = None  # no gradient to drop
+        q = Tensor(np.ones(3))
+        q.grad = None  # no gradient to drop
         with pytest.raises(ContractError):
-            p.grad = g
+            q.grad = g
 
 
 class TestBackward:

@@ -370,6 +370,28 @@ class TestGradientAdoption:
         monkeypatch.setattr(T, "_add_outer", lambda out, col, row: out.__iadd__(np.multiply(col[:, None], row)))
         assert state(*train(data, cfg)) == fast
 
+    def test_one_iteration_copies_no_fresh_gradient(self, monkeypatch):
+        # every gradient is C-ordered, so each fresh first contribution is
+        # adopted: a transposed conditioner's conv1d input gradient too
+        accumulate, step = T._Node.accumulate, Adam.step
+        copied, c_ordered = [], {}
+
+        def spy_accumulate(node, g, fresh=False):
+            first = node.grad is None
+            accumulate(node, g, fresh)
+            if fresh and first and node.grad is not g:
+                copied.append(g.shape)
+
+        def spy_step(opt, params, lr):
+            c_ordered.update({n: p.grad.flags.c_contiguous for n, p in params.items() if p.grad is not None})
+            step(opt, params, lr)
+
+        monkeypatch.setattr(T._Node, "accumulate", spy_accumulate)
+        monkeypatch.setattr(Adam, "step", spy_step)
+        train([_overfit_sample()], dataclasses.replace(OVERFIT_CFG, n_iter=1))
+        assert copied == []
+        assert c_ordered and all(c_ordered.values()), [n for n, c in c_ordered.items() if not c]
+
 
 class TestStratifiedStep:
     def test_batch_mixture_uniform(self):
@@ -534,6 +556,17 @@ class TestCheckpoint:
             return arrays
 
         assert state_bytes(resumed) == state_bytes(full)
+
+    def test_only_an_iteration_0_save_lacks_adam_moments(self, corpus, tmp_path):
+        # the save before any ADAM step has no moments and resumes as a fresh run
+        start, _ = train(corpus, dataclasses.replace(TOY_CFG, n_iter=0))
+        path = tmp_path / "start.ckpt"
+        save_checkpoint(path, start)
+        assert train(corpus, TOY_CFG, resume=load_checkpoint(path))[1] == train(corpus, TOY_CFG)[1]
+        set_config_value(path, "iteration", "1")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: no adam.m.* records at iteration 1")):
+            load_checkpoint(path)
+        assert load_checkpoint(path, optimizer=False).iteration == 1
 
     def test_config_block_ends_with_the_training_state(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
