@@ -216,8 +216,8 @@ def cmd_eval(args) -> int:
         mel_ref, mel_hyp = _read_rank(ref_path, 2), _read_rank(hyp_path, 2)
         if mel_ref.shape[1] != mel_hyp.shape[1]:
             raise InputError(f"{hyp_path}: mel depth {mel_hyp.shape[1]} != {mel_ref.shape[1]} in {ref_path}")
-        if mel_ref.shape[1] == 0:
-            raise InputError(f"{ref_path}: mel depth 0, no cepstrum to compare")
+        if mel_ref.shape[1] < 2:
+            raise InputError(f"{ref_path}: mel depth {mel_ref.shape[1]}, MCD needs at least 2 mel bins")
         for mel_path, mel in ((ref_path, mel_ref), (hyp_path, mel_hyp)):
             if len(mel) == 0:
                 raise InputError(f"{mel_path}: 0 frames, nothing to align")

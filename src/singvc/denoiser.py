@@ -102,9 +102,9 @@ def _fan_in_uniform(rng: RandomStream, shape, fan_in: int) -> np.ndarray:
 
 def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Each parameter's name, stored shape and initializer, in the training
-    state's parameter order, in which a checkpoint writes its records.
-    `Denoiser.init` draws from this list and `training.load_checkpoint`
-    checks a file's records against it.
+    state's parameter order, in which each section of a checkpoint holds
+    its arrays.  `Denoiser.init` draws from this list, and
+    `training.load_checkpoint` reads a file's arrays by it.
 
     Initializers: "fan_in" U(-1, 1)/sqrt(fan_in); "unit" U(-1, 1), the
     step-path FC weights, whose fan-in constant `_step_fc` applies; "table"

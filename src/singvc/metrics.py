@@ -123,9 +123,12 @@ def mcd(ref: np.ndarray, hyp: np.ndarray) -> tuple[float, np.ndarray]:
     """Mel-cepstrum distortion in dB between two [frames, n_coeffs] cepstra,
     and the DTW path it is averaged over: coefficients 1..12 aligned with
     DTW, (10/ln 10) * sqrt(2 * sum of squared diffs), averaged over the
-    path's (ref, hyp) frame pairs."""
+    path's (ref, hyp) frame pairs.  Fewer than 2 coefficients is an
+    `InputError`: without coefficient 0 nothing is left to compare."""
     if ref.shape[1] != hyp.shape[1]:
         raise InputError(f"coefficient count mismatch: {ref.shape[1]} vs {hyp.shape[1]}")
+    if ref.shape[1] < 2:
+        raise InputError(f"MCD needs at least 2 coefficients, c0 left out; got {ref.shape[1]}")
     r = ref[:, 1:]
     h = hyp[:, 1:]
     path, _ = dtw(r, h)

@@ -71,8 +71,9 @@ class RandomStream:
         return RandomStream(int(child))
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
+        # the counter wraps mod 2^64, as the rest of the arithmetic does
+        idx = np.arange(1, n + 1, dtype=np.uint64) + _U64(self._counter)
+        self._counter = (self._counter + n) % 2**64
         with np.errstate(over="ignore"):
             return _mix64(self._seed + idx * _GOLDEN)
 

@@ -24,30 +24,30 @@ config block (key=value lines: the run config, whose settings `RunConfig`
 checks, a bad one failing the load as a `FormatError` naming the file, then
 the training state in `_STATE_KEYS` order, the iteration, the stream's seed
 and counter and the `FeatureStats` fields, each written and read through its
-one type; a value that does not parse, a negative count or a range that is
-not finite is a `FormatError` naming the key, and so is a range whose low
-end is not below its high end), then named tensor records {u16 name length, name UTF-8, u32 rank, u32 x rank dims,
-float64 LE data}.  Nothing derivable is stored: the noise schedule follows
-from the config (`RunConfig.schedule`) and ADAM's step count equals the
-iteration, since every save follows a whole iteration.  Payloads are 64-bit
-so that a reloaded state continues training bit-exactly.  Records are looked
-up by name; they are written in the model's parameter order (parameters,
-then ``adam.m.*``, then ``adam.v.*``) and a loaded checkpoint keeps the order
-of its file, so saving it again writes the same bytes.  ADAM updates each
-parameter from its own gradient alone, so a resumed run's updates do not
-depend on that order.
+one type; a value that does not parse, a count outside 0 to 2^64 - 1 or a
+range that is not finite is a `FormatError` naming the key, and so is a
+range whose low end is not below its high end), then three float64 LE
+sections with no headers: the parameters, ADAM's first moments and its
+second moments, each holding the arrays of the config's parameter layout
+(``denoiser.parameter_layout``) in its order and at its shapes.  Nothing
+derivable is stored: the arrays' names and shapes follow from the config,
+and so does the noise schedule (`RunConfig.schedule`); ADAM's step count
+equals the iteration, since every save follows a whole iteration.  Payloads
+are 64-bit so that a reloaded state continues training bit-exactly.  A
+fresh run holds zero moments from iteration 0, so every file holds both
+moment sets.  ADAM updates each parameter from its own gradient alone, so a
+resumed run's updates do not depend on the layout's order.
 Saves are atomic: the file is written under a temporary name in the same
 directory and renamed over the target, so an interrupted save leaves the
 previous checkpoint intact.
-The reader streams: each record is read straight into its final array, its
-size checked against the bytes left in the file first, and a read for
-inference (``optimizer=False``) seeks past the ADAM moment records, which
-are twice the size of the parameters.  A record read that holds NaN or
-infinity fails the load with a `FormatError` naming it.  The records read
-are then checked against the config's parameter layout
-(``denoiser.parameter_layout``), so a missing, extra or misshapen record
-fails the load with a `FormatError`.  So does a file with one ADAM moment
-set only, or with none after iteration 0, when the moments are read.
+The reader compares the bytes after the config block with the three
+sections' size before it allocates anything, so a cut, appended bytes or a
+config whose layout does not fit the arrays fail the load with one
+`FormatError` naming the file.  It then reads each array straight into its
+final array; one that holds NaN or infinity fails the load with a
+`FormatError` naming it (a moment as ``adam.m.<name>`` or
+``adam.v.<name>``).  A read for inference (``optimizer=False``) stops after
+the parameters: the moments are twice their size.
 
 A `Checkpoint` is the training state itself: `train` builds one, advances
 its parameter arrays, ADAM moments, stream and iteration in place, and saves
@@ -97,7 +97,10 @@ CKPT_MAGIC = b"DSVC"
 # 10: the audio front end is a set of constants of `features`; a version-9
 # config block also sets `sample_rate`, `n_fft`, `hop_size`, `f0_min` and
 # `f0_max`, which are no longer keys
-CKPT_VERSION = 10
+# 11: the arrays are three headerless sections in the config's parameter
+# layout; a version-10 file gives each array a record header (name, rank,
+# dims) and may leave the moments out at iteration 0
+CKPT_VERSION = 11
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -220,12 +223,15 @@ ADAM_BLOCK = 32768  # elements per pass of `Adam.step`: 256 KiB per buffer, whic
 
 
 class Adam:
-    """Bias-corrected ADAM over a named parameter dict."""
+    """Bias-corrected ADAM over a named parameter dict: its moments by
+    parameter name and the steps taken.  `step` gives a parameter that has
+    no moments zero ones."""
 
-    def __init__(self):
-        self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, m: dict[str, np.ndarray] | None = None, v: dict[str, np.ndarray] | None = None,
+                 step_count: int = 0):
+        self.step_count = step_count
+        self.m = {} if m is None else m
+        self.v = {} if v is None else v
         self._scratch = np.empty((2, ADAM_BLOCK))
         self._finite = np.empty(ADAM_BLOCK, dtype=bool)
 
@@ -333,40 +339,29 @@ def _write_checkpoint(f, ckpt: Checkpoint) -> None:
     f.write(struct.pack("<B", CKPT_VERSION))
     f.write(struct.pack("<I", len(block)))
     f.write(block)
-
-    def record(name: str, arr: np.ndarray) -> None:
-        encoded = name.encode("utf-8")
-        f.write(struct.pack("<H", len(encoded)))
-        f.write(encoded)
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(np.ascontiguousarray(arr, dtype="<f8"))
-
-    for name, arr in ckpt.params.items():
-        record(name, arr)
-    for name, arr in ckpt.adam.m.items():
-        record(f"adam.m.{name}", arr)
-    for name, arr in ckpt.adam.v.items():
-        record(f"adam.v.{name}", arr)
+    layout = parameter_layout(ckpt.config.model_config())
+    for arrays in (ckpt.params, ckpt.adam.m, ckpt.adam.v):
+        for name, shape, _ in layout:
+            if arrays[name].shape != shape:
+                raise ContractError(f"cannot save {name!r} of shape {arrays[name].shape}: "
+                                    f"the config's layout has {shape}")
+            f.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
-    """Read a checkpoint record by record, each straight into its array.
+    """Read a checkpoint, each array straight into its final array.
 
-    With ``optimizer=False`` the ``adam.*`` records are skipped, not read,
-    and the checkpoint's ``adam`` is None: enough for
-    inference, not for resuming.  Every length is checked against the bytes
-    left in the file before anything is allocated or read.
+    With ``optimizer=False`` the read stops after the parameters, and the
+    checkpoint's ``adam`` is None: enough for inference, not for resuming.
+    Every length is checked against the bytes left in the file before
+    anything is allocated or read.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
-        def check(n: int, what: str) -> None:
+        def take(n: int, what: str) -> bytes:
             if n > size - f.tell():
                 raise FormatError(f"{path}: truncated {what} at byte {f.tell()}")
-
-        def take(n: int, what: str) -> bytes:
-            check(n, what)
             return f.read(n)
 
         if take(4, "magic") != CKPT_MAGIC:
@@ -375,60 +370,47 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (block_len,) = struct.unpack("<I", take(4, "config length"))
-        block = _decode(path, take(block_len, "config block"), "config block")
+        raw = take(block_len, "config block")
         try:
-            config, extras = parse_config_text(block, extra_keys=tuple(_STATE_KEYS))
+            config, extras = parse_config_text(raw.decode("utf-8"), extra_keys=tuple(_STATE_KEYS))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: config block is not UTF-8 ({exc})") from None
         except ConfigError as exc:
             raise FormatError(f"{path}: {exc}") from exc
         state = _parse_state(path, extras)
 
-        params: dict[str, np.ndarray] = {}
-        adam = Adam() if optimizer else None
-        while f.tell() < size:
-            (name_len,) = struct.unpack("<H", take(2, "record name length"))
-            name = _decode(path, take(name_len, "record name"), "record name")
-            (rank,) = struct.unpack("<I", take(4, "record rank"))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
-            nbytes = 8 * math.prod(dims)
-            check(nbytes, f"record {name!r}")
-            if not optimizer and name.startswith(("adam.m.", "adam.v.")):
-                f.seek(nbytes, os.SEEK_CUR)
-                continue
-            arr = np.empty(dims, dtype="<f8")
-            f.readinto(arr)
-            if not np.isfinite(arr).all():
-                index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-                raise FormatError(f"{path}: record {name!r}: non-finite value {arr[index]} at index {index}")
-            if name.startswith("adam.m."):
-                adam.m[name[len("adam.m.") :]] = arr
-            elif name.startswith("adam.v."):
-                adam.v[name[len("adam.v.") :]] = arr
-            else:
-                params[name] = arr
+        layout = parameter_layout(config.model_config())
+        need = 3 * 8 * sum(math.prod(shape) for _, shape, _ in layout)
+        if size - f.tell() != need:
+            raise FormatError(f"{path}: {size - f.tell()} bytes after the config block, "
+                              f"its parameter layout needs {need}")
 
-    _check_records(path, config, params, adam, state["iteration"])
+        def read(prefix: str) -> dict[str, np.ndarray]:
+            arrays = {}
+            for name, shape, _ in layout:
+                arr = arrays[name] = np.empty(shape, dtype="<f8")
+                f.readinto(arr)
+                if not np.isfinite(arr).all():
+                    index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                    raise FormatError(f"{path}: record {prefix + name!r}: non-finite value {arr[index]} "
+                                      f"at index {index}")
+            return arrays
+
+        params = read("")
+        # `train` saves only between iterations, each one ADAM step
+        adam = Adam(read("adam.m."), read("adam.v."), state["iteration"]) if optimizer else None
+
     iteration = state.pop("iteration")
     rng = RandomStream(state.pop("rng_seed"), state.pop("rng_counter"))
-    if adam is not None:
-        # `train` saves only between iterations, each one ADAM step
-        adam.step_count = iteration
     return Checkpoint(config=config, params=params, adam=adam, stats=FeatureStats(**state),
                       iteration=iteration, rng=rng)
 
 
-def _decode(path, raw: bytes, what: str) -> str:
-    """UTF-8 text from a checkpoint; bytes that are not UTF-8 are a
-    `FormatError` naming the file."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {what} is not UTF-8 ({exc})") from None
-
-
 def _parse_state(path, extras: dict[str, str]) -> dict:
     """The state keys' values, each cast to its type; a missing key, a value
-    that does not parse, a negative count, a range end that is not finite or
-    a range whose low end is not below its high end is a `FormatError`."""
+    that does not parse, a count outside 0 to 2^64 - 1 (the stream's state
+    is two 64-bit integers), a range end that is not finite or a range whose
+    low end is not below its high end is a `FormatError`."""
     missing = [key for key in _STATE_KEYS if key not in extras]
     if missing:
         raise FormatError(f"{path}: config block missing state keys {missing}")
@@ -436,7 +418,7 @@ def _parse_state(path, extras: dict[str, str]) -> dict:
     for key, cast in _STATE_KEYS.items():
         try:
             state[key] = cast(extras[key])
-            valid = math.isfinite(state[key]) if cast is float else state[key] >= 0
+            valid = math.isfinite(state[key]) if cast is float else 0 <= state[key] < 2**64
         except ValueError:
             valid = False
         if not valid:
@@ -447,30 +429,6 @@ def _parse_state(path, extras: dict[str, str]) -> dict:
             raise FormatError(f"{path}: state keys {lo}, {hi}: need {lo} < {hi}, "
                               f"got {state[lo]!r} >= {state[hi]!r}")
     return state
-
-
-def _check_records(path, config: RunConfig, params: dict[str, np.ndarray], adam: Adam | None,
-                   iteration: int) -> None:
-    """The records hold every parameter of the config's layout at its shape
-    and nothing else, and each ADAM moment set covers them too.  Only a
-    save before the first step (iteration 0) holds no moments."""
-    shapes = {name: shape for name, shape, _ in parameter_layout(config.model_config())}
-    groups = [("", params)]
-    if adam is not None and (adam.m or adam.v or iteration):
-        groups += [("adam.m.", adam.m), ("adam.v.", adam.v)]
-    for prefix, arrays in groups:
-        if prefix and not arrays:
-            raise FormatError(f"{path}: no {prefix}* records at iteration {iteration}; "
-                              "only a save at iteration 0 may have none")
-        missing = [prefix + name for name in shapes if name not in arrays]
-        if missing:
-            raise FormatError(f"{path}: missing records {missing}")
-        for name, arr in arrays.items():
-            if name not in shapes:
-                raise FormatError(f"{path}: unexpected record {prefix + name!r}")
-            if arr.shape != shapes[name]:
-                raise FormatError(f"{path}: record {prefix + name!r} has shape {arr.shape}, "
-                                  f"expected {shapes[name]}")
 
 
 _DIM_FIELDS = (*(f.name for f in fields(ModelConfig)), "diffusion_steps")
@@ -525,10 +483,12 @@ def train(
     else:
         master = RandomStream(cfg.seed)
         init = Denoiser.init(cfg.model_config(), master.split("init")).params
+        params = {name: p.data for name, p in init.items()}
+        zeros = [{name: np.zeros_like(arr) for name, arr in params.items()} for _ in range(2)]
         state = Checkpoint(
             config=cfg,
-            params={name: p.data for name, p in init.items()},
-            adam=Adam(),
+            params=params,
+            adam=Adam(*zeros),
             stats=compute_feature_stats(data),
             iteration=0,
             rng=master.split("train"),

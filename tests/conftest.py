@@ -1,3 +1,4 @@
+import math
 import struct
 import wave
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from singvc.config import RunConfig, serialize_config
+from singvc.denoiser import parameter_layout
 from singvc.features import write_wav
+from singvc.training import load_checkpoint
 
 
 def synth_voice(freq, seconds=1.0, sr=24000, vibrato_hz=5.0, vibrato_cents=30.0, seed=0):
@@ -43,6 +46,41 @@ def config_block_lines(path) -> list[str]:
     data = path.read_bytes()
     (length,) = struct.unpack_from("<I", data, 5)  # after the magic and the u8 version
     return data[9 : 9 + length].decode("utf-8").splitlines()
+
+
+def array_spans(path) -> dict[str, tuple[int, int]]:
+    """The (start, stop) byte span of each array of a checkpoint, by the
+    name its errors give it: the parameter's, or ``adam.m.`` or ``adam.v.``
+    and the parameter's for a moment.  Three sections follow the config
+    block, each holding its config's parameter layout in order."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 5)
+    at = 9 + length
+    layout = parameter_layout(load_checkpoint(path, optimizer=False).config.model_config())
+    spans = {}
+    for prefix in ("", "adam.m.", "adam.v."):
+        for name, shape, _ in layout:
+            spans[prefix + name] = (at, at + 8 * math.prod(shape))
+            at = spans[prefix + name][1]
+    return spans
+
+
+def layout_mismatch(path, spans: dict[str, tuple[int, int]], size: int) -> str:
+    """`load_checkpoint`'s error on the file at `path` cut or extended to
+    `size` bytes, whose arrays sat at `spans` when it was whole."""
+    start, stop = min(a for a, _ in spans.values()), max(b for _, b in spans.values())
+    return f"{path}: {size - start} bytes after the config block, its parameter layout needs {stop - start}"
+
+
+def cut_array(data: bytes, span: tuple[int, int], keep: int = 0) -> bytes:
+    """`data` without the bytes of the array at `span` past its first `keep`."""
+    return data[: span[0] + keep] + data[span[1] :]
+
+
+def put_value(data: bytes, span: tuple[int, int], index: int, value: float) -> bytes:
+    """`data` with element `index` (flat) of the array at `span` set to `value`."""
+    at = span[0] + 8 * index
+    return data[:at] + struct.pack("<d", value) + data[at + 8 :]
 
 
 def set_config_value(path, key, value) -> None:

@@ -10,7 +10,8 @@ from singvc.denoiser import Denoiser
 from singvc.features import write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
-from conftest import config_block_lines, set_config_value, synth_voice, write_pcm_wav, write_raw_feat
+from conftest import (array_spans, config_block_lines, cut_array, layout_mismatch, put_value, set_config_value,
+                      synth_voice, write_pcm_wav, write_raw_feat)
 
 
 def run(*argv):
@@ -427,12 +428,10 @@ class TestConvert:
         assert capsys.readouterr().err == f"error: {old}: unsupported checkpoint version 8\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["config block", "record name"])
+    @pytest.mark.parametrize("where", ["config block"])
     def test_non_utf8_byte_is_error(self, extracted, trained, tmp_path, capsys, where):
         data = bytearray(trained.read_bytes())
-        (block_len,) = struct.unpack_from("<I", data, 5)  # after the magic and the u8 version
-        # the config block starts at byte 9; the first record's name after its u16 length
-        data[9 if where == "config block" else 9 + block_len + 2] = 0xFF
+        data[9] = 0xFF  # the config block starts after the magic, the u8 version and its u32 length
         bad, out = tmp_path / "bad.ckpt", tmp_path / "x.feat"
         bad.write_bytes(bytes(data))
         assert run("convert", "--ckpt", bad, "--ppg", extracted / "utt0.ppg.feat",
@@ -476,33 +475,33 @@ class TestConvert:
 
     @staticmethod
     def convert_damaged(trained, extracted, tmp_path, damage):
-        """`convert` on a copy of the trained checkpoint whose parameters
-        `damage` altered; returns the exit code, the copy and the output."""
-        ckpt = load_checkpoint(trained)
-        damage(ckpt.params)
+        """`convert` on a copy of the trained checkpoint whose bytes `damage`
+        altered, given the span of every array; returns the exit code, the
+        copy, the output and the error a file of the copy's size gets if
+        its arrays no longer fill the config's layout."""
+        spans = array_spans(trained)
         damaged, out = tmp_path / "damaged.ckpt", tmp_path / "x.feat"
-        save_checkpoint(damaged, ckpt)
+        damaged.write_bytes(damage(trained.read_bytes(), spans))
         code = run("convert", "--ckpt", damaged, "--ppg", extracted / "utt1.ppg.feat",
                    "--f0", extracted / "utt1.f0.feat", "--loud", extracted / "utt1.loud.feat",
                    "--out", out)
-        return code, damaged, out
+        return code, damaged, out, layout_mismatch(damaged, spans, damaged.stat().st_size)
 
     def test_short_embedding_table_is_error(self, extracted, trained, tmp_path, capsys):
-        def cut(params):
-            params["f0_table"] = params["f0_table"][:3]  # 3 of n_bins 16 rows
+        def cut(data, spans):
+            return cut_array(data, spans["f0_table"], 3 * 16 * 8)  # 3 of n_bins 16 rows
 
-        code, damaged, out = self.convert_damaged(trained, extracted, tmp_path, cut)
+        code, damaged, out, mismatch = self.convert_damaged(trained, extracted, tmp_path, cut)
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {damaged}: record 'f0_table' has shape (3, 16), expected (16, 16)\n")
+        assert capsys.readouterr().err == f"error: {mismatch}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_record_is_error(self, extracted, trained, tmp_path, capsys, bad):
-        def spoil(params):
-            params["out_conv2.b"][0] = bad
+        def spoil(data, spans):
+            return put_value(data, spans["out_conv2.b"], 0, bad)
 
-        code, damaged, out = self.convert_damaged(trained, extracted, tmp_path, spoil)
+        code, damaged, out, _ = self.convert_damaged(trained, extracted, tmp_path, spoil)
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {damaged}: record 'out_conv2.b': non-finite value {bad} at index (0,)\n")
@@ -539,10 +538,10 @@ class TestConvert:
         assert len(recwarn) == 0
 
     def test_missing_record_is_error(self, extracted, trained, tmp_path, capsys):
-        code, damaged, out = self.convert_damaged(trained, extracted, tmp_path,
-                                                  lambda params: params.pop("layer1.skip.w"))
+        code, damaged, out, mismatch = self.convert_damaged(
+            trained, extracted, tmp_path, lambda data, spans: cut_array(data, spans["layer1.skip.w"]))
         assert code == 1
-        assert capsys.readouterr().err == f"error: {damaged}: missing records ['layer1.skip.w']\n"
+        assert capsys.readouterr().err == f"error: {mismatch}\n"
         assert not out.exists()
 
 

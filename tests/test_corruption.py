@@ -40,7 +40,7 @@ from singvc.features import write_wav
 from singvc.rng import RandomStream
 from singvc.training import load_checkpoint, save_checkpoint
 
-from conftest import SMALL_CFG, synth_voice
+from conftest import SMALL_CFG, array_spans, synth_voice
 
 SEEDS = (0, 1)
 PER_KIND = 8  # random mutations per seed, input, command and kind
@@ -222,15 +222,18 @@ def set_item(name, index, value):
     return lambda ckpt: ckpt.params[name].__setitem__(index, value)
 
 
-def drop_moments(*moments: str):
-    """Empties ADAM's `moments` ("m", "v"): a save writes the parameters,
-    then adam.m.*, then adam.v.*, so this is the file cut short."""
-    return lambda ckpt: [getattr(ckpt.adam, moment).clear() for moment in moments]
+def cut_after(path, name: str) -> bytes:
+    """The checkpoint at `path` cut after its array `name`, as
+    `conftest.array_spans` names it: its sections hold the parameters, then
+    adam.m, then adam.v."""
+    return path.read_bytes()[: array_spans(path)[name][1]]
 
 
-def depth_0_mel(frames: int) -> bytes:
-    """A FEAT1 mel of `frames` frames and no mel bins."""
-    return b"FEAT1" + struct.pack("<BI2I", 1, 2, frames, 0)
+def narrow_mel(frames: int, depth: int) -> bytes:
+    """A FEAT1 mel of `frames` frames and `depth` mel bins, each bin of a
+    frame holding the frame's index."""
+    values = np.repeat(np.arange(frames, dtype="<f4"), depth)
+    return b"FEAT1" + struct.pack("<BI2I", 1, 2, frames, depth) + values.tobytes()
 
 
 def zero_frame_mel(depth: int) -> bytes:
@@ -251,7 +254,9 @@ def fixed_cases(inputs) -> list[tuple[str, dict, str]]:
         ("fmt size flip: wave's RuntimeError", {"wav": flip(wav, 16, 0x80)}, "wav"),
         ("FEAT1 dims past 2**64", {"mel": HUGE_FEAT1}, "mel"),
         # eval reads the ref side first
-        ("mel depth 0 on both sides", {"ref_mel": depth_0_mel(5), "mel": depth_0_mel(6)}, "ref_mel"),
+        ("mel depth 0 on both sides", {"ref_mel": narrow_mel(5, 0), "mel": narrow_mel(6, 0)}, "ref_mel"),
+        # one bin gives one cepstral coefficient, c0, which MCD leaves out
+        ("mel depth 1 on both sides", {"ref_mel": narrow_mel(5, 1), "mel": narrow_mel(6, 1)}, "ref_mel"),
         ("mel of 0 frames on both sides", {"ref_mel": zero_frame_mel(16), "mel": zero_frame_mel(16)}, "ref_mel"),
         ("NaN checkpoint record",
          {"ckpt": damaged_checkpoint(inputs["ckpt"], set_item("out_conv2.b", 0, np.nan))}, "ckpt"),
@@ -272,11 +277,10 @@ def train_fixed_cases(inputs) -> list[tuple[str, dict, str]]:
         ("infinite resume record",
          {"resume": damaged_checkpoint(inputs["resume"], set_item("layer0.dilated.w", (0, 0, 0), np.inf))},
          "resume"),
-        # the resume checkpoint is 2 iterations in, so it must hold both moment sets
-        ("resume cut after its parameters",
-         {"resume": damaged_checkpoint(inputs["resume"], drop_moments("m", "v"))}, "resume"),
+        # every checkpoint holds both moment sets, so a cut before either fails
+        ("resume cut after its parameters", {"resume": cut_after(inputs["resume"], "out_conv2.b")}, "resume"),
         ("resume cut between adam.m and adam.v",
-         {"resume": damaged_checkpoint(inputs["resume"], drop_moments("v"))}, "resume"),
+         {"resume": cut_after(inputs["resume"], "adam.m.out_conv2.b")}, "resume"),
     ]
 
 

@@ -249,6 +249,14 @@ class TestMcd:
         with pytest.raises(InputError):
             mcd(np.zeros((3, 13)), np.zeros((3, 12)))
 
+    def test_one_coefficient_rejected(self):
+        # a 1-bin mel keeps only c0, which MCD leaves out: DTW would align
+        # 0-wide frames at no cost and report 0 dB for unrelated mels
+        rng = RandomStream(12)
+        ref, hyp = mel_to_cepstrum(rng.normal((20, 1))), mel_to_cepstrum(rng.normal((25, 1)))
+        with pytest.raises(InputError, match="MCD needs at least 2 coefficients, c0 left out; got 1"):
+            mcd(ref, hyp)
+
 
 class TestFpc:
     def test_identical_voiced_contours(self):

@@ -38,6 +38,16 @@ def test_state_roundtrip_continues_stream():
     np.testing.assert_array_equal(s.normal((3, 4)), resumed.normal((3, 4)))
 
 
+def test_counter_wraps_at_2_64():
+    # a counter 2 below 2^64 draws at indices 2^64 - 1, 0, 1 and 2, so its
+    # last two draws are a fresh counter's first two
+    top = RandomStream(5, 2**64 - 2)
+    draws = top.uniform(4)
+    assert top.state == (5, 2)
+    np.testing.assert_array_equal(draws[2:], RandomStream(5).uniform(2))
+    np.testing.assert_array_equal(draws[1:2], RandomStream(5, 2**64 - 1).uniform(1))
+
+
 def test_integers_cover_range_uniformly():
     vals = RandomStream(3).integers(1, 101, 50_000)
     assert vals.min() == 1 and vals.max() == 100

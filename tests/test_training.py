@@ -10,7 +10,7 @@ import pytest
 from singvc import cli, featio, training
 from singvc import tensor as T
 from singvc.config import RunConfig, serialize_config
-from singvc.denoiser import Denoiser
+from singvc.denoiser import Denoiser, parameter_layout
 from singvc.diffusion import diffusion_loss, forward_sample
 from singvc.errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
 from singvc.features import F0_MAX, F0_MIN
@@ -30,7 +30,7 @@ from singvc.training import (
     train,
 )
 
-from conftest import config_block_lines, set_config_value
+from conftest import array_spans, config_block_lines, cut_array, layout_mismatch, put_value, set_config_value
 from test_acceptance import OVERFIT_CFG, _overfit_sample
 
 TOY_CFG = RunConfig(
@@ -557,16 +557,17 @@ class TestCheckpoint:
 
         assert state_bytes(resumed) == state_bytes(full)
 
-    def test_only_an_iteration_0_save_lacks_adam_moments(self, corpus, tmp_path):
-        # the save before any ADAM step has no moments and resumes as a fresh run
+    def test_an_iteration_0_save_holds_zero_moments(self, corpus, tmp_path):
+        # the save before any ADAM step holds both moment sets, all zero,
+        # and resumes as a fresh run
         start, _ = train(corpus, dataclasses.replace(TOY_CFG, n_iter=0))
         path = tmp_path / "start.ckpt"
         save_checkpoint(path, start)
-        assert train(corpus, TOY_CFG, resume=load_checkpoint(path))[1] == train(corpus, TOY_CFG)[1]
-        set_config_value(path, "iteration", "1")
-        with pytest.raises(FormatError, match=re.escape(f"{path}: no adam.m.* records at iteration 1")):
-            load_checkpoint(path)
-        assert load_checkpoint(path, optimizer=False).iteration == 1
+        loaded = load_checkpoint(path)
+        for moments in (loaded.adam.m, loaded.adam.v):
+            assert list(moments) == list(loaded.params)
+            assert not any(arr.any() for arr in moments.values())
+        assert train(corpus, TOY_CFG, resume=loaded)[1] == train(corpus, TOY_CFG)[1]
 
     def test_config_block_ends_with_the_training_state(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
@@ -591,6 +592,9 @@ class TestCheckpoint:
         ("iteration", "z", "state key iteration: bad value 'z'"),
         ("rng_counter", "7.5", "state key rng_counter: bad value '7.5'"),
         ("rng_counter", "-3", "state key rng_counter: bad value '-3'"),
+        # the stream's state is two 64-bit integers
+        ("rng_counter", "18446744073709551616", "state key rng_counter: bad value '18446744073709551616'"),
+        ("rng_seed", "18446744073709551621", "state key rng_seed: bad value '18446744073709551621'"),
         ("mel_lo", "q.0003", "state key mel_lo: bad value 'q.0003'"),
         ("f0_hi", "nan", "state key f0_hi: bad value 'nan'"),
         # each range's ends out of order
@@ -624,22 +628,33 @@ class TestCheckpoint:
         path = tmp_path / "keep.ckpt"
         save_checkpoint(path, ckpt)
         before = path.read_bytes()
-        # parameters are written in the dict's order, "zzz" is the last one
-        # and cannot be converted to float64, so the write fails after the
-        # other parameters went out
-        broken = dataclasses.replace(ckpt, params={**ckpt.params, "zzz": np.array(["x"])})
+        # parameters are written in layout order, "out_conv2.b" is the last
+        # one and cannot be converted to float64, so the write fails after
+        # the other parameters went out
+        unconvertible = np.full(ckpt.params["out_conv2.b"].shape, "x")
+        broken = dataclasses.replace(ckpt, params={**ckpt.params, "out_conv2.b": unconvertible})
         with pytest.raises(ValueError):
             save_checkpoint(path, broken)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["keep.ckpt"]
 
+    def test_save_refuses_an_array_off_the_layout(self, corpus, tmp_path):
+        # a transposed weight has the layout's size, so a file holding it
+        # would load at the layout's shape without an error
+        ckpt, _ = train(corpus, TOY_CFG)
+        broken = dataclasses.replace(ckpt, params={**ckpt.params, "ppg_prenet.w": ckpt.params["ppg_prenet.w"].T})
+        with pytest.raises(ContractError, match=re.escape(
+                "cannot save 'ppg_prenet.w' of shape (16, 12): the config's layout has (12, 16)")):
+            save_checkpoint(tmp_path / "t.ckpt", broken)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_rejected(self, corpus, tmp_path):
         ckpt, _ = train(corpus, TOY_CFG)
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, ckpt)
-        data = path.read_bytes()
+        spans, data = array_spans(path), path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=re.escape(layout_mismatch(path, spans, len(data) // 2))):
             load_checkpoint(path)
 
     def test_old_version_rejected(self, corpus, tmp_path):
@@ -649,8 +664,9 @@ class TestCheckpoint:
         # residual conv settings in the config block; 5: the mel band's edges
         # in the config block; 6: the loudness FFT length in the config block;
         # 7: the gradient-clip norm in the config block; 8: the schedule's beta
-        # range in the config block; 9: the audio front end in the config block
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+        # range in the config block; 9: the audio front end in the config block;
+        # 10: a record header per array
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
@@ -659,17 +675,17 @@ class TestCheckpoint:
             with pytest.raises(FormatError, match=f"version {version}"):
                 load_checkpoint(path)
 
+    # each damages the file's bytes, given the span of every array; a file
+    # whose arrays no longer fill the config's layout fails on its size
     DAMAGE = {
-        "missing": (lambda ck: ck.params.pop("layer1.skip.w"), r"missing records \['layer1.skip.w'\]"),
-        "short_table": (lambda ck: ck.params.update(f0_table=ck.params["f0_table"][:3]),
-                        r"record 'f0_table' has shape \(3, 16\), expected \(16, 16\)"),
-        "unexpected": (lambda ck: ck.params.update(extra=np.zeros(2)), r"unexpected record 'extra'"),
-        "missing_moment": (lambda ck: ck.adam.v.pop("out_conv2.b"), r"missing records \['adam.v.out_conv2.b'\]"),
-        "moment_shape": (lambda ck: ck.adam.m.update({"step_fc1.b": np.zeros((1, 3))}),
-                         r"record 'adam.m.step_fc1.b' has shape \(1, 3\), expected \(1, 512\)"),
-        "nan_param": (lambda ck: ck.params["out_conv2.b"].__setitem__(3, np.nan),
+        "missing": (lambda data, spans: cut_array(data, spans["layer1.skip.w"]), None),
+        "short_table": (lambda data, spans: cut_array(data, spans["f0_table"], 3 * 16 * 8), None),  # 3 of 16 rows
+        "unexpected": (lambda data, spans: data + bytes(16), None),
+        "missing_moment": (lambda data, spans: cut_array(data, spans["adam.v.out_conv2.b"]), None),
+        "moment_shape": (lambda data, spans: cut_array(data, spans["adam.m.step_fc1.b"], 3 * 8), None),
+        "nan_param": (lambda data, spans: put_value(data, spans["out_conv2.b"], 3, np.nan),
                       r"record 'out_conv2.b': non-finite value nan at index \(3,\)"),
-        "inf_moment": (lambda ck: ck.adam.v["step_fc1.b"].__setitem__((0, 7), -np.inf),
+        "inf_moment": (lambda data, spans: put_value(data, spans["adam.v.step_fc1.b"], 7, -np.inf),
                        r"record 'adam.v.step_fc1.b': non-finite value -inf at index \(0, 7\)"),
     }
 
@@ -677,12 +693,15 @@ class TestCheckpoint:
     def test_damaged_records_rejected_at_load(self, corpus, tmp_path, kind):
         damage, message = self.DAMAGE[kind]
         ckpt, _ = train(corpus, TOY_CFG)
-        damage(ckpt)
         path = tmp_path / "damaged.ckpt"
         save_checkpoint(path, ckpt)
+        spans = array_spans(path)
+        data = damage(path.read_bytes(), spans)
+        path.write_bytes(data)
+        message = message or re.escape(layout_mismatch(path, spans, len(data)))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
-        if "moment" not in kind:  # an inference load skips the moments
+        if kind != "inf_moment":  # an inference load checks the moments' size, not their values
             with pytest.raises(FormatError, match=message):
                 load_checkpoint(path, optimizer=False)
 
@@ -704,25 +723,23 @@ class TestCheckpoint:
 
 
 class TestRecordSizes:
-    @staticmethod
-    def header_bytes(path) -> bytes:
-        """The checkpoint up to its first tensor record."""
-        data = path.read_bytes()
-        (block_len,) = struct.unpack_from("<I", data, 5)
-        return data[: 9 + block_len]
-
-    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1)])
+    # config settings whose layout needs far more bytes than the file holds:
+    # 1.6 GB of arrays at 2**20 channels, past 2**64 bytes at 2**40
+    @pytest.mark.parametrize("dims", [{"channels": 2**20}, {"channels": 2**40, "cond_dim": 2**40}])
     def test_oversized_record_rejected_before_allocating(self, corpus, tmp_path, dims):
-        # (65536,)*4 wraps to 0 elements in int64, (2**32-1)**2 to a negative
-        # byte count; both are far more than the file holds
         ckpt, _ = train(corpus, TOY_CFG)
         path = tmp_path / "big.ckpt"
         save_checkpoint(path, ckpt)
-        record = struct.pack("<H", 1) + b"x" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
-        path.write_bytes(self.header_bytes(path) + record + bytes(64))
+        for key, value in dims.items():
+            set_config_value(path, key, value)
+        layout = parameter_layout(dataclasses.replace(TOY_CFG, **dims).model_config())
+        need = 3 * 8 * sum(math.prod(shape) for _, shape, _ in layout)
+        data = path.read_bytes()
+        left = len(data) - 9 - struct.unpack_from("<I", data, 5)[0]  # after the magic, version and block
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="truncated record 'x'"):
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{path}: {left} bytes after the config block, its parameter layout needs {need}")):
                 load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -730,12 +747,14 @@ class TestRecordSizes:
         assert peak < 1024 * 1024
 
     def test_oversized_skipped_record_rejected(self, corpus, tmp_path):
+        # an inference read skips the moments, but the file must hold them
         ckpt, _ = train(corpus, TOY_CFG)
         path = tmp_path / "big.ckpt"
         save_checkpoint(path, ckpt)
-        record = struct.pack("<H", 8) + b"adam.m.x" + struct.pack("<II", 1, 2**32 - 1)
-        path.write_bytes(self.header_bytes(path) + record)
-        with pytest.raises(FormatError, match="truncated record 'adam.m.x'"):
+        spans = array_spans(path)
+        data = path.read_bytes()[: spans["adam.v.out_conv2.b"][0]]
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(layout_mismatch(path, spans, len(data)))):
             load_checkpoint(path, optimizer=False)
 
 
