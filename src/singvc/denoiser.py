@@ -1,12 +1,19 @@
 """The conditional noise predictor.
 
-Pipeline: sinusoidal step encoding -> two FC+Swish layers -> shared
-projection added to every frame; PPG prenet plus melody/loudness embedding
+Pipeline: a linear input Conv1x1 from mel depth to the channels, plus a
+step vector added to every frame (sinusoidal step encoding -> two FC+Swish
+layers -> shared projection); PPG prenet plus melody/loudness embedding
 tables fused into a per-frame conditioner; a stack of gated residual
 convolution blocks whose summed skip connections map back to mel depth
 through Conv1x1 -> ReLU -> Conv1x1.  Each block's first conv has 3 taps,
 dilation 1 and no causal shift; its parameters keep DiffWave's name
 ``layer{i}.dilated``, though here nothing dilates it.
+
+DiffWave (arXiv 2009.09761) puts a ReLU after the input Conv1x1.  Here it
+zeroed part of the noise in the near-silent mel bins before any layer could
+read it, and the toy overfit run of acceptance criterion 5 stalled: it
+passed at 5 of 30 (seed, OpenBLAS kernel) pairs with the ReLU and at 29 of
+30 without it, seed 0 on all three kernels (``BENCH_input_relu.json``).
 
 The three step-path FC layers use an equalized-learning-rate
 parametrization (Karras et al. 2018, arXiv 1710.10196): weights are stored
@@ -246,7 +253,7 @@ class Denoiser:
         if len(steps) != len(lengths):
             raise ShapeError(f"{len(steps)} steps for {len(lengths)} conditioners")
 
-        h = T.relu(self._conv("input_conv", T.transpose(y_t), lengths))  # [C, L]
+        h = self._conv("input_conv", T.transpose(y_t), lengths)  # [C, L]
         h = T.add_per_segment(h, [self.step_vector(s) for s in steps], lengths)
         prepared = cond.layers if isinstance(cond, Conditioning) else None
         if prepared is None:

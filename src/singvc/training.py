@@ -100,7 +100,9 @@ CKPT_MAGIC = b"DSVC"
 # 11: the arrays are three headerless sections in the config's parameter
 # layout; a version-10 file gives each array a record header (name, rank,
 # dims) and may leave the moments out at iteration 0
-CKPT_VERSION = 11
+# 12: the input conv is linear; a version-11 file holds weights trained
+# with a ReLU after it, which this network would read as something else
+CKPT_VERSION = 12
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -459,9 +461,10 @@ def train(
     log_path=None,
     ckpt_path=None,
 ) -> tuple[Checkpoint, list[float]]:
-    """Run cfg.n_iter total iterations (resume continues the counter);
-    returns the final training state and the per-iteration losses of this
-    call.  A resume trains a copy of `resume`, never `resume` itself."""
+    """Run cfg.n_iter total iterations (resume continues the counter, and
+    a checkpoint past n_iter is a ConfigError); returns the final training
+    state and the per-iteration losses of this call.  A resume trains a copy
+    of `resume`, never `resume` itself."""
     if not data:
         raise DataError("empty training corpus")
     for sample in data:
@@ -477,6 +480,8 @@ def train(
 
     if resume is not None:
         _check_resume_config(cfg, resume)
+        if resume.iteration > cfg.n_iter:
+            raise ConfigError(f"checkpoint is at iteration {resume.iteration}, past n_iter = {cfg.n_iter}")
         _require_optimizer_state(resume, "resume from")
         state = copy.deepcopy(resume)
         state.config = cfg

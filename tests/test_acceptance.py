@@ -195,10 +195,13 @@ def test_criterion_4_perfect_predictor_consistency():
     report(4, "perfect predictor reconstructs y0 from t=1", err < 1e-9, f"max err {err:.2e}")
 
 
-def test_criterion_5_overfit_reconstruction(overfit_run):
-    losses = overfit_run["losses"]
+def overfit_check(ckpt, data, losses, seconds) -> dict:
+    """Criterion 5's numbers and verdict for an overfit run: the running-mean
+    loss, the per-bin Pearson of one seeded sample against the target mel,
+    the wall time and the largest rise of the loss's 500-iteration moving
+    average (a trainer invariant)."""
+    losses = np.asarray(losses)
     running = float(losses[-500:].mean())
-    ckpt, data = overfit_run["ckpt"], overfit_run["data"]
 
     model = ckpt.build_model()
     f0_bins, loud_bins = conditioner_bins(ckpt.stats, data.f0, data.loudness, OVERFIT_CFG.n_bins)
@@ -210,7 +213,6 @@ def test_criterion_5_overfit_reconstruction(overfit_run):
         [np.corrcoef(out[:, b], target[:, b])[0, 1] for b in range(OVERFIT_CFG.n_mels)]
     )
 
-    # trainer invariant: 500-iteration moving average non-increasing
     kernel = np.ones(500) / 500
     ma = np.convolve(losses, kernel, mode="valid")
     max_ma_rise = float(np.diff(ma).max())
@@ -218,15 +220,21 @@ def test_criterion_5_overfit_reconstruction(overfit_run):
     ok = (
         running < 0.05
         and pearson.mean() >= 0.8
-        and overfit_run["seconds"] < 900.0
+        and seconds < 900.0
         and max_ma_rise < 5e-3
     )
+    return {"loss": running, "pearson_mean": float(pearson.mean()), "pearson_min": float(pearson.min()),
+            "seconds": seconds, "max_ma_rise": max_ma_rise, "pass": bool(ok)}
+
+
+def test_criterion_5_overfit_reconstruction(overfit_run):
+    r = overfit_check(overfit_run["ckpt"], overfit_run["data"], overfit_run["losses"], overfit_run["seconds"])
     report(
         5,
         "toy overfit: running-mean loss < 0.05 and per-bin Pearson >= 0.8",
-        ok,
-        f"loss {running:.4f}, pearson mean {pearson.mean():.3f} min {pearson.min():.3f}, "
-        f"{overfit_run['seconds']:.0f}s, max MA rise {max_ma_rise:.2e}",
+        r["pass"],
+        f"loss {r['loss']:.4f}, pearson mean {r['pearson_mean']:.3f} min {r['pearson_min']:.3f}, "
+        f"{r['seconds']:.0f}s, max MA rise {r['max_ma_rise']:.2e}",
     )
 
 

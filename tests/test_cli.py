@@ -214,6 +214,18 @@ class TestTrain:
                    "--out", ckpt, "--resume", ckpt) == 0
         assert load_checkpoint(ckpt).iteration == 15  # n_iter already reached
 
+    def test_resume_past_n_iter_is_error(self, cli_workspace, extracted, tmp_path, capsys):
+        ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
+        assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"], "--out", ckpt) == 0
+        saved = ckpt.read_bytes()
+        capsys.readouterr()
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "short.cfg", "n_iter", 7)
+        assert run("train", "--data", extracted, "--config", cfg, "--out", ckpt, "--resume", ckpt,
+                   "--log", log) == 1
+        assert capsys.readouterr().err == "error: checkpoint is at iteration 15, past n_iter = 7\n"
+        assert ckpt.read_bytes() == saved
+        assert not log.exists()
+
     def test_non_finite_mel_is_error(self, cli_workspace, extracted, tmp_path, capsys):
         data = tmp_path / "nan_feats"
         data.mkdir()

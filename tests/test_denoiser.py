@@ -140,6 +140,16 @@ class TestPredictEps:
         out = toy_model.predict_eps(y, 3, cond)
         np.testing.assert_array_equal(out.data, np.zeros((7, TOY.n_mels)))
 
+    def test_input_projection_is_linear(self, live_model):
+        # a bias far below zero would put every input projection under a
+        # ReLU's floor, and the output would no longer depend on y_t
+        live_model.params["input_conv.b"].data[:] = -1e3
+        y, ppg, f0_bins, loud_bins = toy_inputs(7)
+        cond = live_model.build_conditioner(ppg, f0_bins, loud_bins)
+        a = live_model.predict_eps(y, 3, cond).data
+        b = live_model.predict_eps(Tensor(y.data + 0.5), 3, cond).data
+        assert not np.array_equal(a, b)
+
     def test_shape_mismatch_rejected(self, toy_model):
         y, ppg, f0_bins, loud_bins = toy_inputs(6)
         cond = toy_model.build_conditioner(ppg, f0_bins, loud_bins)

@@ -224,7 +224,7 @@ def reference_predict_eps(model, y_t, t, cond):
     def conv(name, x):
         return T.conv1d(x, p[f"{name}.w"], p[f"{name}.b"])
 
-    h = T.relu(conv("input_conv", T.transpose(y_t)))
+    h = conv("input_conv", T.transpose(y_t))
     h = T.add_per_segment(h, [model.step_vector(t)], (h.shape[1],))  # one segment: a column add
     ec = T.transpose(cond)
     c, skip = cfg.channels, None
@@ -665,8 +665,9 @@ class TestCheckpoint:
         # in the config block; 6: the loudness FFT length in the config block;
         # 7: the gradient-clip norm in the config block; 8: the schedule's beta
         # range in the config block; 9: the audio front end in the config block;
-        # 10: a record header per array
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        # 10: a record header per array; 11: weights trained with a ReLU after
+        # the input conv
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
