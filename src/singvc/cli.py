@@ -10,9 +10,10 @@ are made before the work starts.
 `convert` projects the conditioner into the residual layers once
 (`Denoiser.prepare`) and runs every sampling step on that projection.
 
-`eval` aligns each pair once: MCD's cepstral DTW path (`metrics.mcd`) also
-indexes the two F0 contours for FPC, so each F0 file must have its mel
-file's frame count.
+`eval` scores the utterances whose `*.mel.feat` stem is in both directories,
+and finding none is an error.  It aligns each pair once: MCD's cepstral DTW
+path (`metrics.mcd`) also indexes the two F0 contours for FPC, so each F0
+file must have its mel file's frame count.
 """
 
 from __future__ import annotations
@@ -200,11 +201,16 @@ def cmd_convert(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _output_path(args.out)
     ref_dir, hyp_dir = Path(args.ref), Path(args.hyp)
+    for root in (ref_dir, hyp_dir):
+        if not root.is_dir():
+            raise InputError(f"{root}: not a directory")
+    out = _output_path(args.out)
     ref_stems = {p.name[: -len(".mel.feat")] for p in ref_dir.glob("*.mel.feat")}
     hyp_stems = {p.name[: -len(".mel.feat")] for p in hyp_dir.glob("*.mel.feat")}
     matched = sorted(ref_stems & hyp_stems)
+    if not matched:
+        raise InputError(f"{ref_dir}, {hyp_dir}: no *.mel.feat stem in both, nothing to evaluate")
     unmatched = sorted(ref_stems ^ hyp_stems)
     for stem in unmatched:
         side = "hyp" if stem in ref_stems else "ref"

@@ -378,27 +378,30 @@ def synth_ppg(frames: int, dim: int, seed: int = 0) -> np.ndarray:
 # mel inversion (best effort; for audible sanity output only)
 
 
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """The rows of `frames`, [count, MEL_FFT], added at HOP_SIZE steps in
+    row order: (count - 1) * HOP_SIZE + MEL_FFT samples."""
+    n_fft, hop = MEL_FFT, HOP_SIZE
+    out = np.zeros((frames.shape[0] - 1) * hop + n_fft)
+    for t, frame in enumerate(frames):
+        out[t * hop : t * hop + n_fft] += frame
+    return out
+
+
 def _overlap_norm(count: int) -> np.ndarray:
     """The overlap-added squared window of `count` frames: `_istft`'s
     divisor, the same for every spectrogram of that many frames."""
-    n_fft, hop = MEL_FFT, HOP_SIZE
-    window = hann_window(n_fft)
-    norm = np.zeros((count - 1) * hop + n_fft)
-    for t in range(count):
-        norm[t * hop : t * hop + n_fft] += window**2
-    return norm
+    return _overlap_add(np.broadcast_to(hann_window(MEL_FFT) ** 2, (count, MEL_FFT)))
 
 
 def _istft(spec: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Overlap-add of the frames of spec, divided by `_overlap_norm`'s norm."""
     n_fft, hop = MEL_FFT, HOP_SIZE
-    window = hann_window(n_fft)
     frames = np.fft.irfft(spec, n=n_fft, axis=1)
+    frames *= hann_window(n_fft)
     count = spec.shape[0]
     pad = n_fft // 2
-    out = np.zeros_like(norm)
-    for t in range(count):
-        out[t * hop : t * hop + n_fft] += frames[t] * window
+    out = _overlap_add(frames)
     out = np.divide(out, norm, out=np.zeros_like(out), where=norm > 1e-10)
     # the frames reach (count - 1) * hop + n_fft samples, past the cut
     # whenever hop <= n_fft // 2

@@ -49,15 +49,16 @@ final array; one that holds NaN or infinity fails the load with a
 ``adam.v.<name>``).  A read for inference (``optimizer=False``) stops after
 the parameters: the moments are twice their size.
 
-A `Checkpoint` is the training state itself: `train` builds one, advances
-its parameter arrays, ADAM moments, stream and iteration in place, and saves
-it as it stands, so a save copies nothing.  A resumed run trains a deep copy
-of the checkpoint it is given, which the caller keeps unchanged.
+A `Checkpoint` is the training state itself: `train` builds one, or takes
+the one it resumes, advances its parameter arrays, ADAM moments, stream and
+iteration in place, and saves it as it stands, so neither a resume nor a
+save copies the state.  `train` writes a file only for an iteration it ran,
+and for a fresh run's iteration 0; a resume already at `n_iter` writes
+nothing.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import struct
@@ -463,8 +464,10 @@ def train(
 ) -> tuple[Checkpoint, list[float]]:
     """Run cfg.n_iter total iterations (resume continues the counter, and
     a checkpoint past n_iter is a ConfigError); returns the final training
-    state and the per-iteration losses of this call.  A resume trains a copy
-    of `resume`, never `resume` itself."""
+    state and the per-iteration losses of this call.  A resume advances
+    `resume` itself, in place, and returns it.  With `ckpt_path`, every
+    `ckpt_every`-th iteration and the last one are saved, and a fresh run
+    with n_iter = 0 saves its initial state."""
     if not data:
         raise DataError("empty training corpus")
     for sample in data:
@@ -483,7 +486,7 @@ def train(
         if resume.iteration > cfg.n_iter:
             raise ConfigError(f"checkpoint is at iteration {resume.iteration}, past n_iter = {cfg.n_iter}")
         _require_optimizer_state(resume, "resume from")
-        state = copy.deepcopy(resume)
+        state = resume
         state.config = cfg
     else:
         master = RandomStream(cfg.seed)
@@ -513,7 +516,6 @@ def train(
     if log_file:
         log_file.write("iteration,loss,wall_ms\n")
     losses: list[float] = []
-    saved = None  # the iteration of this call's last save
     try:
         for it in range(state.iteration + 1, cfg.n_iter + 1):
             tic = time.perf_counter()
@@ -543,13 +545,12 @@ def train(
             wall_ms = (time.perf_counter() - tic) * 1e3
             if log_file and (it % cfg.log_every == 0 or it == cfg.n_iter):
                 log_file.write(f"{it},{loss!r},{wall_ms:.3f}\n")
-            if ckpt_path and cfg.ckpt_every > 0 and it % cfg.ckpt_every == 0:
+            if ckpt_path and (it == cfg.n_iter or (cfg.ckpt_every > 0 and it % cfg.ckpt_every == 0)):
                 save_checkpoint(ckpt_path, state)
-                saved = it
     finally:
         if log_file:
             log_file.close()
 
-    if ckpt_path and saved != state.iteration:
+    if ckpt_path and resume is None and cfg.n_iter == 0:
         save_checkpoint(ckpt_path, state)
     return state, losses

@@ -213,6 +213,11 @@ class TestTrain:
         assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"],
                    "--out", ckpt, "--resume", ckpt) == 0
         assert load_checkpoint(ckpt).iteration == 15  # n_iter already reached
+        # a resume that trains nothing writes nothing, so another lr is not saved
+        saved = ckpt.read_bytes()
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "lr.cfg", "lr", 0.5)
+        assert run("train", "--data", extracted, "--config", cfg, "--out", ckpt, "--resume", ckpt) == 0
+        assert ckpt.read_bytes() == saved
 
     def test_resume_past_n_iter_is_error(self, cli_workspace, extracted, tmp_path, capsys):
         ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
@@ -593,6 +598,27 @@ class TestEval:
         err = capsys.readouterr().err
         assert "skipped 1" in err
         assert len(out.read_text().splitlines()) == 2
+
+    # a missing directory on either side, and a file where a directory goes
+    @pytest.mark.parametrize("side, name", [("ref", "no_such_dir"), ("hyp", "no_such_dir"), ("ref", "file")],
+                             ids=["ref_missing", "hyp_missing", "ref_file"])
+    def test_ref_or_hyp_not_a_directory_is_error(self, extracted, tmp_path, capsys, side, name):
+        bad, out = tmp_path / name, tmp_path / "r.csv"
+        if name == "file":
+            bad.write_bytes((extracted / "utt0.mel.feat").read_bytes())
+        dirs = {"ref": extracted, "hyp": extracted, side: bad}
+        assert run("eval", "--ref", dirs["ref"], "--hyp", dirs["hyp"], "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not a directory\n"
+        assert not out.exists()
+
+    def test_no_shared_stem_is_error(self, extracted, tmp_path, capsys):
+        hyp, out = tmp_path / "hyp", tmp_path / "r.csv"
+        hyp.mkdir()
+        (hyp / "other.mel.feat").write_bytes((extracted / "utt0.mel.feat").read_bytes())
+        assert run("eval", "--ref", extracted, "--hyp", hyp, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: {extracted}, {hyp}: no *.mel.feat stem in both, "
+                                           "nothing to evaluate\n")
+        assert not out.exists()
 
     def test_time_stretched_pair_scores_fpc_on_the_mcd_path(self, cli_workspace, extracted, tmp_path):
         # the same note sung 5% slower: 105 frames against the ref's 100

@@ -558,11 +558,10 @@ class TestCheckpoint:
         assert state_bytes(resumed) == state_bytes(full)
 
     def test_an_iteration_0_save_holds_zero_moments(self, corpus, tmp_path):
-        # the save before any ADAM step holds both moment sets, all zero,
-        # and resumes as a fresh run
-        start, _ = train(corpus, dataclasses.replace(TOY_CFG, n_iter=0))
+        # a fresh run at n_iter = 0 saves its state before any ADAM step:
+        # both moment sets, all zero, and it resumes as a fresh run
         path = tmp_path / "start.ckpt"
-        save_checkpoint(path, start)
+        train(corpus, dataclasses.replace(TOY_CFG, n_iter=0), ckpt_path=path)
         loaded = load_checkpoint(path)
         for moments in (loaded.adam.m, loaded.adam.v):
             assert list(moments) == list(loaded.params)
@@ -862,21 +861,32 @@ class TestTrainingState:
         growth = peak - after_step[-1]
         assert growth < 0.1 * state_bytes, f"save phase +{growth / state_bytes:.2f}x the state bytes"
 
-    def test_resume_leaves_its_argument_unchanged(self, corpus):
-        ckpt, _ = train(corpus, TOY_CFG)
+    def test_resume_advances_its_argument_in_place(self, monkeypatch):
+        # from train's start to its first ADAM step a resume allocates that
+        # step's gradients, left out of the bound, and no copy of the state
+        sample = make_sample("mid", frames=24, n_mels=MID_CFG.n_mels, ppg_dim=MID_CFG.ppg_dim)
+        ckpt, _ = train([sample], MID_CFG)
+        state_bytes = sum(a.nbytes for arrays in (ckpt.params, ckpt.adam.m, ckpt.adam.v)
+                          for a in arrays.values())
+        before_step = []
+        inner = Adam.__dict__["step"]
 
-        def fingerprint(ck):
-            arrays = {n: a.tobytes() for n, a in ck.params.items()}
-            arrays.update({f"m.{n}": a.tobytes() for n, a in ck.adam.m.items()})
-            arrays.update({f"v.{n}": a.tobytes() for n, a in ck.adam.v.items()})
-            return arrays, ck.adam.step_count, ck.iteration, ck.rng.state
+        def step(self, params, lr):
+            grads = sum(p.grad.nbytes for p in params.values() if p.grad is not None)
+            before_step.append(tracemalloc.get_traced_memory()[1] - grads)
+            inner(self, params, lr)
 
-        before = fingerprint(ckpt)
-        cfg = RunConfig(**{**TOY_CFG.__dict__, "n_iter": TOY_CFG.n_iter + 3})
-        state, losses = train(corpus, cfg, resume=ckpt)
-        assert len(losses) == 3 and state.iteration == cfg.n_iter
-        assert fingerprint(ckpt) == before
-        assert fingerprint(state) != before
+        monkeypatch.setattr(Adam, "step", step)
+        cfg = dataclasses.replace(MID_CFG, n_iter=MID_CFG.n_iter + 1)
+        tracemalloc.start()
+        try:
+            state, losses = train([sample], cfg, resume=ckpt)
+        finally:
+            tracemalloc.stop()
+        growth = before_step[0]
+        assert growth < 0.1 * state_bytes, f"resume +{growth / state_bytes:.2f}x the state bytes"
+        assert state is ckpt and len(losses) == 1
+        assert ckpt.iteration == ckpt.adam.step_count == cfg.n_iter
 
 
 class TestFeatureStats:
