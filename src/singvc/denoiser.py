@@ -49,13 +49,14 @@ the outputs have the same bits.
 Each of a layer's three sums (the conditioner projection into the
 pre-activation, the residual into h, the skip into the running skip sum) is
 a conv's ``addend`` (see ``tensor.conv1d``), so no sum takes a pass or a
-tape node of its own.  A training forward leaves four [channels, frames]
+tape node of its own.  A training forward leaves three [channels, frames]
 buffers per residual layer on the tape, the arrays some backward reads: the
-tanh and sigmoid halves (read by their own backward and the gate's), the
-gate (the residual and skip convs' input) and the scaled residual sum (the
-next layer's input).  The dilated conv's output, the pre-activation, the
-unscaled residual sum and the skip sums are read by no backward, so each is
-freed once the forward has used it (see ``tensor``).
+tanh and sigmoid halves (read by their own backward, the gate's, and the
+residual and skip convs', which rebuild the gate from them) and the scaled
+residual sum (the next layer's input).  The dilated conv's output, the
+pre-activation, the gate, the unscaled residual sum and the skip sums are
+read by no backward, so each is freed once the forward has used it (see
+``tensor``).
 
 Each layer's cond conv reads its own transpose of the conditioner: backward
 then adds the layers' conditioner gradients in layer order, the order of a
@@ -270,10 +271,14 @@ class Denoiser:
             else:
                 u = self._conv(f"layer{i}.dilated", h, lengths, prepared[i])
             gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
+            del u  # no backward reads the pre-activation
             h = T.scale(self._conv(f"layer{i}.residual", gate, lengths, h), T.SQRT_HALF)
             skip = self._conv(f"layer{i}.skip", gate, lengths, skip)
+            del gate  # the residual and skip convs rebuild it from its factors
 
-        out = T.relu(self._conv("out_conv1", T.scale(skip, 1.0 / math.sqrt(cfg.layers)), lengths))
+        del h  # the last layer's residual sum, which nothing reads
+        skip = T.scale(skip, 1.0 / math.sqrt(cfg.layers))
+        out = T.relu(self._conv("out_conv1", skip, lengths))
         return T.transpose(self._conv("out_conv2", out, lengths))
 
     __call__ = predict_eps

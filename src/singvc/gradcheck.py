@@ -111,6 +111,12 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     check("conv1d_k3_addend", {"x": x, "w": w, "b": bias, "addend": addend},
           lambda: T.tsum(T.mul(T.conv1d(x, w, bias, lengths, addend), addend)))
 
+    # a conv of a product on the tape, whose backward rebuilds the product
+    # from the factors; its own stream, like the addend's
+    f0, f1 = (_param(RandomStream(seed).split(f"gradcheck-factor{i}"), (2, 7)) for i in range(2))
+    check("conv1d_of_product", {"f0": f0, "f1": f1, "w": w, "b": bias},
+          lambda: T.tsum(T.mul(T.conv1d(T.mul(f0, f1), w, bias, lengths), addend)))
+
     p, q = _param(rng, (3, 5)), _param(rng, (3, 5))
     check("add", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.add(p, q), q)))
     check("sub", {"p": p, "q": q}, lambda: T.tsum(T.mul(T.sub(p, q), p)))

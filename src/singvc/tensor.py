@@ -8,13 +8,28 @@ shape, gradient, input nodes and backward closure, and a differentiable op's
 closure captures its input nodes and only the arrays its backward reads
 (``conv1d`` its input's data, ``mul`` both factors, ``tanh`` and ``sigmoid``
 their output, ``relu`` its mask), never an input tensor.  So an activation
-that no backward reads is freed as soon as the forward drops the tensor.
-``backward`` replays the tape in reverse topological order.  The tape is
-rebuilt on every forward pass and consumed by ``backward`` — calling backward
-twice on the same graph is a contract violation.  Backward frees each node as
-it walks the tape: once a node's closure has run, the arrays it captured and
-its gradient are released unless the caller still holds the tensor, which
-then keeps its ``.grad``.
+that no backward reads is freed as soon as the forward drops the tensor.  A
+conv1d whose input is a product on the tape keeps the product's two factors
+instead, which ``mul``'s backward holds until after the conv's has run, and
+rebuilds the product with the same ``np.multiply`` when it needs it: the
+denoiser's gate is then freed once its residual and skip convs have read it.
+The tape is rebuilt on every forward pass and consumed by ``backward`` —
+calling backward twice on the same graph is a contract violation.
+
+``backward`` runs a node once all its consumers have run, and of the nodes
+that are ready, the latest made.  On the denoiser this finishes one residual
+layer before it starts the next one down, so the gradient of each layer's
+gate is made at its layer's turn and not earlier.  A node that ops read
+three or more times (the conditioner, read by one transpose per layer; the
+step MLP, prenet and table parameters, read once per segment) adds their
+contributions in the order its consumers were made: each of those consumers
+also waits for the one made just before it.  With two reads the order
+changes no bit, as a + b = b + a.  When one of those consumers feeds another
+(x * x + x), no order of runs can give creation order; the walk then runs
+the latest-made waiting node.  Backward frees each node as it walks the
+tape: once a node's closure has run, the arrays it captured and its gradient
+are released unless the caller still holds the tensor, which then keeps its
+``.grad``.
 
 A gradient is a C-ordered buffer owned by its node: nobody else writes it,
 whatever the layout of the tensor's data.  An op hands ``_Node.accumulate``
@@ -24,12 +39,12 @@ matmul's products, conv1d's gradients, the bias and row sums,
 gradient adopts as it is when it is C-contiguous, or a view (add's and
 sub's ``g``, transpose's ``g.T``, a slice), which a first contribution copies
 into a new C-ordered buffer.  Later contributions are added in place, in the
-order backward reaches them.  A one-row matmul's later weight contributions
-(the step MLP's, one per segment) are added a block of rows at a time,
-without the whole outer product.  A gradient's layout changes no bit except
-through a reduction over it: an elementwise op on a transpose gives an
-F-ordered output, and a sum over that output's gradient (``add``'s row sum,
-say) adds in one order over a C-ordered buffer and in another over an
+order backward runs their consumers.  A one-row matmul's later weight
+contributions (the step MLP's, one per segment) are added a block of rows at
+a time, without the whole outer product.  A gradient's layout changes no bit
+except through a reduction over it: an elementwise op on a transpose gives
+an F-ordered output, and a sum over that output's gradient (``add``'s row
+sum, say) adds in one order over a C-ordered buffer and in another over an
 F-ordered one.  No such case occurs in the model: its only F-ordered outputs
 are transposes, whose backward is an elementwise copy or add, and every
 reduction or BLAS call over a gradient reads the gradient of a C-ordered
@@ -55,24 +70,30 @@ width that is not a multiple of 8 to a remainder kernel).
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from heapq import heappop, heappush
+from itertools import accumulate, count, pairwise
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
+_created = count()  # tape nodes in creation order
+
 
 class _Node:
     """A tensor's place on the tape: its shape and gradient, its input nodes
-    and its backward closure, but not its data."""
+    and its backward closure, but not its data.  ``index`` is its place in
+    creation order; ``pending``, ``waits`` and ``after`` are the walk state
+    of `backward` (see `_schedule`)."""
 
-    __slots__ = ("shape", "grad", "inputs", "backward")
+    __slots__ = ("shape", "grad", "inputs", "backward", "index", "pending", "waits", "after")
 
     def __init__(self, shape: tuple[int, ...], inputs: tuple[_Node, ...] = (), backward=None):
         self.shape = shape
         self.grad: np.ndarray | None = None
         self.inputs = inputs
         self.backward = backward
+        self.index = next(_created)
 
     def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add g into the gradient.  ``fresh`` says the caller made g and
@@ -90,13 +111,15 @@ class _Node:
 
 
 class Tensor:
-    """N-d value carrier; a tensor that requires grad has a tape node."""
+    """N-d value carrier; a tensor that requires grad has a tape node.  A
+    product that `mul` put on the tape also keeps its two ``_factors``."""
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "_node", "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._node: _Node | None = _Node(self.data.shape) if requires_grad else None
+        self._factors: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -142,11 +165,13 @@ def _record(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad tensor reachable from loss.
 
-    The traversal order is a reverse topological sort of the recorded ops, so
-    each op contributes its input gradients exactly once.  Each node leaves
-    the tape as soon as it has been processed, so peak memory is what the
-    forward held plus the gradients still in flight, not every activation
-    and every gradient at once.
+    A node runs once every consumer has added its contribution, and of the
+    nodes that are ready the latest made runs first, so the walk finishes
+    one residual layer before it starts the one below, and each gradient
+    leaves the tape soon after it is complete.  Each node leaves the tape as
+    soon as it has been processed, so peak memory is what the forward held
+    plus the gradients still in flight, not every activation and every
+    gradient at once.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -155,32 +180,71 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward needs a loss with recorded operations: none were "
                             "recorded, or backward already ran on it; rerun the forward pass")
 
-    topo: list[_Node] = []
-    visited: set[int] = set()
-    stack: list[tuple[_Node, bool]] = [(loss._node, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.inputs:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-
-    loss._node.accumulate(np.ones_like(loss.data), fresh=True)
-    # pop, not iterate: a node's consumers came earlier in the walk and have
-    # dropped their references to it, so once its closure has run, the next
-    # pop drops the last one unless the caller still holds the tensor
-    while topo:
-        node = topo.pop()
+    root = loss._node
+    _schedule(root)
+    root.accumulate(np.ones_like(loss.data), fresh=True)
+    ready = [(-root.index, root)]  # a max-heap on creation order
+    parked: dict[int, _Node] = {}  # every consumer has run; an earlier-made sibling has not
+    while ready or parked:
+        if ready:
+            node = heappop(ready)[1]
+        else:
+            # one consumer of a node with three or more contributions feeds
+            # another (x * x + x): creation order cannot hold, any order is right
+            node = parked.pop(max(parked, key=lambda k: parked[k].index))
+            node.waits = 0
         if node.backward is not None and node.grad is not None:
             node.backward(node.grad)
-        node.inputs = ()
+        for parent in node.inputs:
+            parent.pending -= 1
+            if parent.pending == 0:
+                if parent.waits:
+                    parked[id(parent)] = parent
+                else:
+                    heappush(ready, (-parent.index, parent))
+        for later in node.after:
+            if later.waits:
+                later.waits -= 1
+                if later.waits == 0 and parked.pop(id(later), None) is not None:
+                    heappush(ready, (-later.index, later))
+        # a node's consumers have all run and dropped their references to
+        # it, so the next pop drops the last one unless the caller still
+        # holds the tensor
+        node.inputs = node.after = ()
         node.backward = None
+
+
+def _schedule(root: _Node) -> None:
+    """Set the walk state of every node reachable from root: ``pending``,
+    its count of consumer edges, and the order of contributions.
+
+    A node with three or more edges adds its consumers' contributions in
+    the order the consumers were made: each consumer ``waits`` for the one
+    made just before it, which lists it in ``after``.  With two edges the
+    order changes no bit, as a + b = b + a.  Nothing here outlives the
+    call, so the walk still frees each node once it has run.
+    """
+    root.pending = root.waits = 0
+    root.after = ()
+    consumers: dict[int, list[_Node]] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for parent in node.inputs:
+            edges = consumers.get(id(parent))
+            if edges is None:
+                edges = consumers[id(parent)] = []
+                parent.pending = parent.waits = 0
+                parent.after = ()
+                stack.append(parent)
+            edges.append(node)
+            parent.pending += 1
+    for edges in consumers.values():
+        if len(edges) >= 3:
+            made = sorted({id(c): c for c in edges}.values(), key=lambda c: c.index)
+            for first, then in pairwise(made):
+                first.after += (then,)
+                then.waits += 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +327,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
     as IEEE addition commutes, but one pass over the output and one tape node
     fewer.  The addend's gradient is the output's.  Backward reads x's data
     and the weight; the padded copy of x is not kept: the weight gradient
-    pads x again when it runs.
+    pads x again when it runs.  When x is a product on the tape (see
+    `mul`), backward keeps its two factors instead, which `mul`'s own
+    backward reads anyway, and rebuilds the product with the same multiply:
+    the product is freed once the forward has read it.
     """
     if x.data.ndim != 2 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects [C_in,L] and [K,C_out,C_in], got {x.shape}, {weight.shape}")
@@ -296,9 +363,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
         acc += addend.data
     xn, wn, bn = x._node, weight._node, bias._node
     addn = None if addend is None else addend._node
+    x_parts = (xd,) if x._factors is None else x._factors
 
     def grad_fn(g):
         if wn is not None:
+            xd = x_parts[0] if len(x_parts) == 1 else np.multiply(*x_parts)
             xp = _padded(xd, segs, pad)
             gw = np.empty(wd.shape)
             for a, b, o in segs:
@@ -325,11 +394,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None, addend: Tensor
         if addn is not None:
             addn.accumulate(g)
 
-    # the addend first: `backward` walks the graph as it walks
-    # add(addend, conv), the conv's inputs before the addend's, so gradients
-    # that several nodes add into one tensor keep their order and their bits
-    inputs = (x, weight, bias) if addend is None else (addend, x, weight, bias)
-    return _record(acc, inputs, grad_fn)
+    return _record(acc, (x, weight, bias) if addend is None else (x, weight, bias, addend), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +471,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if bn is not None:
             bn.accumulate(g * ad, fresh=True)
 
-    return _record(ad * bd, (a, b), grad_fn)
+    out = _record(np.multiply(ad, bd), (a, b), grad_fn)
+    if out._node is not None:
+        out._factors = (ad, bd)  # for `conv1d`, which rebuilds the product
+    return out
 
 
 def scale(a: Tensor, s: float) -> Tensor:

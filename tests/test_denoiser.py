@@ -356,13 +356,13 @@ class TestTapeMemory:
         unit = self.CHANNELS * sum(self.LENGTHS) * 8
         return sum(b.nbytes // unit for b in buffers.values())
 
-    def test_each_residual_layer_holds_four_channel_buffers(self):
+    def test_each_residual_layer_holds_three_channel_buffers(self):
         # per layer: the tanh and sigmoid halves (their own backward reads
-        # them, and so does the gate's), the gate (the residual and skip
-        # convs' input) and the scaled residual sum (the next layer's input);
-        # the dilated conv's output, the pre-activation, the unscaled
-        # residual sum and the skip sums are read by no backward
-        assert self.held_units(3) - self.held_units(2) == 4
+        # them, the gate's, and the residual and skip convs', which rebuild
+        # the gate from them) and the scaled residual sum (the next layer's
+        # input); the dilated conv's output, the pre-activation, the gate,
+        # the unscaled residual sum and the skip sums are read by no backward
+        assert self.held_units(3) - self.held_units(2) == 3
 
     def test_no_closure_captures_a_tensor(self):
         model, out = self.training_forward(2)

@@ -503,3 +503,91 @@ class TestBackward:
         for y in reversed(ys[1:]):
             g = g * (1.0 - y * y)
         np.testing.assert_array_equal(held.grad, g)
+
+
+class TestWalk:
+    """The order in which backward runs the tape, and what it holds."""
+
+    def test_three_consumers_add_in_creation_order(self):
+        # x's three contributions are 1, 2^-53 and -1 per element: left to
+        # right they sum to 0 (1 + 2^-53 rounds to 1), right to left to
+        # 2^-53; the graph combines the consumers last-made first
+        x = Tensor(np.ones(4), requires_grad=True)
+        factors = [np.full(4, 1.0), np.full(4, 2.0**-53), np.full(4, -1.0)]
+        c0, c1, c2 = (T.mul(x, Tensor(f)) for f in factors)
+        backward(T.tsum(T.add(c2, T.add(c1, c0))))
+        expected = (factors[0] + factors[1]) + factors[2]
+        assert expected.tobytes() != ((factors[2] + factors[1]) + factors[0]).tobytes()
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_a_consumer_that_feeds_another_still_adds_its_share(self):
+        # x's three contributions come from mul (twice) and from add, which
+        # reads mul's output: they cannot come in creation order, and all
+        # three still arrive
+        x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+        backward(T.tsum(T.add(T.mul(x, x), x)))
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data + 1.0)
+
+    @staticmethod
+    def skip_chain_peak(layers, c=32, n=1024):
+        """Backward's traced peak above the forward, in [c, n] buffers, of
+        a stack of gated residual layers whose skip convs sum into one
+        chain, as in the denoiser."""
+        rng = np.random.default_rng(5)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape) * 0.1, requires_grad=True)
+
+        layer_params = [(param(3, 2 * c, c), param(2 * c), param(1, c, c), param(c), param(1, c, c), param(c))
+                        for _ in range(layers)]
+        x = Tensor(rng.normal(size=(c, n)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            h, skip = x, None
+            for wu, bu, wr, br, ws, bs in layer_params:
+                u = T.conv1d(h, wu, bu)
+                gate = T.mul(T.tanh(T.slice_rows(u, 0, c)), T.sigmoid(T.slice_rows(u, c, 2 * c)))
+                del u
+                h = T.conv1d(gate, wr, br, addend=h)
+                skip = T.conv1d(gate, ws, bs, addend=skip)
+                del gate
+            loss = T.tsum(skip)
+            del h, skip
+            forward_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - forward_bytes) / (c * n * 8)
+
+    def test_backward_peak_does_not_grow_with_the_layer_count(self):
+        # one layer at a time: the gate gradients of the layers below wait
+        # for nothing, so none is made before its layer's turn
+        for layers in (4, 12):
+            assert self.skip_chain_peak(layers) <= 6.0, layers
+
+    def test_conv1d_of_a_product_keeps_the_factors_and_the_bits(self):
+        rng = np.random.default_rng(11)
+        a, b, g = rng.normal(size=(6, 9)), rng.normal(size=(6, 9)), rng.normal(size=(5, 9))
+        w, bias = rng.normal(size=(3, 5, 6)), rng.normal(size=5)
+
+        def grads(product):
+            wt, bt = Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True)
+            out = T.conv1d(product(), wt, bt, (4, 5))
+            backward(T.tsum(T.mul(out, Tensor(g))))
+            return wt.grad.tobytes(), bt.grad.tobytes()
+
+        gate = T.mul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        assert grads(lambda: gate) == grads(lambda: Tensor(a * b, requires_grad=True))
+        # the closure holds the factors, not the product
+        gate = T.mul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        conv = T.conv1d(gate, Tensor(w, requires_grad=True), Tensor(bias), (4, 5))
+        held = [cell.cell_contents for cell in conv._backward.__closure__]
+        held += [v for h in held if isinstance(h, tuple) for v in h]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(v, gate.data) for v in arrays)
+        assert any(v is a for v in arrays) and any(v is b for v in arrays)
+
+    def test_a_product_off_the_tape_keeps_no_factors(self):
+        assert T.mul(Tensor(np.ones(3)), Tensor(np.ones(3)))._factors is None
