@@ -1,7 +1,9 @@
 """Command-line pipeline: extract | train | convert | eval | schedule | gradcheck.
 
 Exit codes: 0 success, 1 runtime error (running out of memory included), 2
-usage error.  All randomness flows from explicit --seed flags.  Every run
+usage error.  All randomness flows from explicit seeds: `train`'s is the
+config's `seed`, which `--seed` overrides; `convert` and `gradcheck` take
+`--seed` (default 0), and `extract --synth-ppg` takes the PPG's.  Every run
 setting comes from a `--config` file or a checkpoint's config block, and is
 checked as it is read, so a bad one exits 1 before any work.  So does an
 output path that names a directory; an output's missing parent directories
@@ -130,6 +132,8 @@ def cmd_train(args) -> int:
     _, losses = train(data, cfg, resume=resume, log_path=log, ckpt_path=out)
     if losses:
         print(f"trained to iteration {cfg.n_iter}: final loss {losses[-1]:.6f}", file=sys.stderr)
+    else:
+        print(f"nothing trained: already at iteration {cfg.n_iter} = n_iter", file=sys.stderr)
     return 0
 
 

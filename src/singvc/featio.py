@@ -4,7 +4,8 @@ Layout: magic "FEAT1" (5 bytes), u8 format version = 1, u32 LE rank,
 rank x u32 LE dims, then row-major 32-bit LE floats.  Integer contours are
 stored as floats.  Reading rejects NaN and infinite values, which no feature
 can hold and which would otherwise surface far from the file; writing
-refuses them too, including finite values beyond float32's range, so every
+refuses them too, finite values beyond float32's range included, and
+refuses a rank above `MAX_RANK`, which reading takes for damage; so every
 file written can be read back.
 """
 
@@ -20,6 +21,7 @@ from .errors import FormatError, InputError
 
 MAGIC = b"FEAT1"
 VERSION = 1
+MAX_RANK = 8  # a header's rank above this is damage, so nothing writes one
 
 
 def _first_non_finite(path, data: np.ndarray, dims) -> None:
@@ -32,17 +34,21 @@ def _first_non_finite(path, data: np.ndarray, dims) -> None:
 
 
 def as_payload(path, array) -> np.ndarray:
-    """`array` as the float32 payload of a FEAT1 file at `path`; a value
-    that is not finite as float32 is an `InputError` naming the file."""
+    """`array` as the float32 payload of a FEAT1 file at `path`; a rank
+    above `MAX_RANK`, or a value that is not finite as float32, is an
+    `InputError` naming the file."""
     with np.errstate(over="ignore"):  # an overflow shows up as inf, checked next
         arr = np.ascontiguousarray(array, dtype="<f4")
+    if arr.ndim > MAX_RANK:
+        raise InputError(f"{path}: rank {arr.ndim} is above FEAT1's largest, {MAX_RANK}")
     _first_non_finite(path, arr.reshape(-1), arr.shape)
     return arr
 
 
 def write_feat(path, array) -> None:
-    """Writes `array` as float32; a value that is not finite as float32 is
-    an `InputError`, raised before the file is opened."""
+    """Writes `array` as float32; a rank above `MAX_RANK`, or a value that
+    is not finite as float32, is an `InputError`, raised before the file is
+    opened."""
     arr = as_payload(path, array)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
@@ -70,7 +76,7 @@ def read_feat(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported format version {version} at byte 5")
     need(4, 6, "rank")
     (rank,) = struct.unpack_from("<I", raw, 6)
-    if rank == 0 or rank > 8:
+    if rank == 0 or rank > MAX_RANK:
         raise FormatError(f"{path}: implausible rank {rank} at byte 6")
     need(4 * rank, 10, "dims")
     dims = struct.unpack_from(f"<{rank}I", raw, 10)

@@ -54,7 +54,7 @@ the one it resumes, advances its parameter arrays, ADAM moments, stream and
 iteration in place, and saves it as it stands, so neither a resume nor a
 save copies the state.  `train` writes a file only for an iteration it ran,
 and for a fresh run's iteration 0; a resume already at `n_iter` writes
-nothing.
+nothing, loss log included.
 """
 
 from __future__ import annotations
@@ -467,7 +467,9 @@ def train(
     state and the per-iteration losses of this call.  A resume advances
     `resume` itself, in place, and returns it.  With `ckpt_path`, every
     `ckpt_every`-th iteration and the last one are saved, and a fresh run
-    with n_iter = 0 saves its initial state."""
+    with n_iter = 0 saves its initial state.  With `log_path`, every
+    `log_every`-th iteration and the last one are written to the loss log
+    as they run; a call that trains nothing leaves `log_path` alone."""
     if not data:
         raise DataError("empty training corpus")
     for sample in data:
@@ -512,7 +514,11 @@ def train(
         mel = state.stats.normalize_mel(s.log_mel).astype(np.float64, copy=False)
         prepared.append(_Prepared(s.name, mel, s.ppg, f0_bins, loud_bins))
 
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
+    # opened only when an iteration will run, so a resume already at n_iter
+    # keeps the log it would truncate; line-buffered, so each row reaches
+    # the file as it is logged
+    trains = state.iteration < cfg.n_iter
+    log_file = open(log_path, "w", encoding="utf-8", buffering=1) if log_path and trains else None
     if log_file:
         log_file.write("iteration,loss,wall_ms\n")
     losses: list[float] = []

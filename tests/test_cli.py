@@ -219,6 +219,18 @@ class TestTrain:
         assert run("train", "--data", extracted, "--config", cfg, "--out", ckpt, "--resume", ckpt) == 0
         assert ckpt.read_bytes() == saved
 
+    def test_resume_that_trains_nothing_keeps_the_log(self, cli_workspace, extracted, tmp_path, capsys):
+        ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "short.cfg", "n_iter", 4)
+        assert run("train", "--data", extracted, "--config", cfg, "--out", ckpt, "--log", log) == 0
+        logged, saved = log.read_bytes(), ckpt.read_bytes()
+        assert len(logged.splitlines()) == 5
+        capsys.readouterr()
+        assert run("train", "--data", extracted, "--config", cfg, "--out", ckpt, "--resume", ckpt,
+                   "--log", log) == 0
+        assert log.read_bytes() == logged and ckpt.read_bytes() == saved
+        assert capsys.readouterr().err == "nothing trained: already at iteration 4 = n_iter\n"
+
     def test_resume_past_n_iter_is_error(self, cli_workspace, extracted, tmp_path, capsys):
         ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
         assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"], "--out", ckpt) == 0

@@ -455,6 +455,14 @@ class TestFeatFormat:
                 featio.write_feat(path, arr)
         assert path.read_bytes() == b"kept"
 
+    def test_rank_the_reader_refuses_is_not_written(self, tmp_path):
+        path = tmp_path / "sub" / "r9.feat"
+        with pytest.raises(InputError, match=r"r9\.feat: rank 9 is above FEAT1's largest, 8"):
+            featio.write_feat(path, np.ones((1,) * 9))
+        assert not path.parent.exists()
+        featio.write_feat(path, np.ones((1,) * 8))  # the largest rank reads back
+        assert featio.read_feat(path).shape == (1,) * 8
+
     def test_element_count_is_exact(self, tmp_path):
         # 2^22 * 2^21 * 2^21 = 2^64 elements: a wrapping int64 product is 0,
         # which an empty payload would match

@@ -472,6 +472,23 @@ class TestTrainLoop:
         assert lines[0] == "iteration,loss,wall_ms"
         assert len(lines) == 1 + TOY_CFG.n_iter
 
+    def test_log_rows_reach_the_file_as_they_are_logged(self, corpus, tmp_path, monkeypatch):
+        log, on_disk = tmp_path / "loss.csv", []
+        inner = training.Adam.step
+
+        def step(adam, params, lr):
+            on_disk.append(len(log.read_text().splitlines()))
+            inner(adam, params, lr)
+
+        monkeypatch.setattr(training.Adam, "step", step)
+        train(corpus, dataclasses.replace(TOY_CFG, n_iter=5), log_path=log)
+        assert on_disk == [1, 2, 3, 4, 5]  # at iteration k: the header and k - 1 rows
+
+    def test_a_fresh_run_that_trains_nothing_writes_no_log(self, corpus, tmp_path):
+        log = tmp_path / "loss.csv"
+        train(corpus, dataclasses.replace(TOY_CFG, n_iter=0), log_path=log)
+        assert not log.exists()
+
     def test_frame_misaligned_corpus_rejected(self):
         bad = TrainingSample(
             name="bad",
