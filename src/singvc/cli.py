@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 runtime error (running out of memory included), 2
 usage error.  All randomness flows from explicit seeds: `train`'s is the
-config's `seed`, which `--seed` overrides; `convert` and `gradcheck` take
-`--seed` (default 0), and `extract --synth-ppg` takes the PPG's.  Every run
-setting comes from a `--config` file or a checkpoint's config block, and is
-checked as it is read, so a bad one exits 1 before any work.  So does an
-output path that names a directory; an output's missing parent directories
-are made before the work starts.
+config's `seed`, and a resume must keep its checkpoint's; `convert` takes
+`--seed` (default 0), `extract --synth-ppg` takes the PPG's, and
+`gradcheck` runs at seed 0.  Every run setting comes from a `--config` file
+or a checkpoint's config block, and is checked as it is read, so a bad one
+exits 1 before any work.  So does an output path that names a directory; an
+output's missing parent directories are made before the work starts.
 
 `convert` projects the conditioner into the residual layers once
 (`Denoiser.prepare`) and runs every sampling step on that projection.
@@ -21,7 +21,6 @@ file must have its mel file's frame count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -124,8 +123,6 @@ def load_corpus(data_dir) -> list[TrainingSample]:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     data = load_corpus(args.data)
     resume = load_checkpoint(args.resume) if args.resume else None
     out, log = _output_path(args.out), _output_path(args.log)
@@ -263,7 +260,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_checks(seed=args.seed)
+    results = gradcheck.run_checks()
     print(gradcheck.report(results))
     return 0 if all(r.ok for r in results) else 1
 
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--log", default=None, help="loss CSV path")
     p.set_defaults(func=cmd_train)
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable op")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

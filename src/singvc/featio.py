@@ -5,8 +5,9 @@ rank x u32 LE dims, then row-major 32-bit LE floats.  Integer contours are
 stored as floats.  Reading rejects NaN and infinite values, which no feature
 can hold and which would otherwise surface far from the file; writing
 refuses them too, finite values beyond float32's range included, and
-refuses a rank above `MAX_RANK`, which reading takes for damage; so every
-file written can be read back.
+refuses a rank above `MAX_RANK`, which reading takes for damage, and a
+dimension above `MAX_DIM`, which a u32 cannot hold; so every file written
+can be read back.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import FormatError, InputError
 MAGIC = b"FEAT1"
 VERSION = 1
 MAX_RANK = 8  # a header's rank above this is damage, so nothing writes one
+MAX_DIM = 2**32 - 1  # the largest u32 dimension
 
 
 def _first_non_finite(path, data: np.ndarray, dims) -> None:
@@ -35,20 +37,23 @@ def _first_non_finite(path, data: np.ndarray, dims) -> None:
 
 def as_payload(path, array) -> np.ndarray:
     """`array` as the float32 payload of a FEAT1 file at `path`; a rank
-    above `MAX_RANK`, or a value that is not finite as float32, is an
-    `InputError` naming the file."""
+    above `MAX_RANK`, a dimension above `MAX_DIM`, or a value that is not
+    finite as float32, is an `InputError` naming the file."""
     with np.errstate(over="ignore"):  # an overflow shows up as inf, checked next
         arr = np.ascontiguousarray(array, dtype="<f4")
     if arr.ndim > MAX_RANK:
         raise InputError(f"{path}: rank {arr.ndim} is above FEAT1's largest, {MAX_RANK}")
+    if max(arr.shape, default=0) > MAX_DIM:
+        raise InputError(f"{path}: dimension {max(arr.shape)} of shape {arr.shape} is above "
+                         f"FEAT1's largest, {MAX_DIM}")
     _first_non_finite(path, arr.reshape(-1), arr.shape)
     return arr
 
 
 def write_feat(path, array) -> None:
-    """Writes `array` as float32; a rank above `MAX_RANK`, or a value that
-    is not finite as float32, is an `InputError`, raised before the file is
-    opened."""
+    """Writes `array` as float32; a rank above `MAX_RANK`, a dimension
+    above `MAX_DIM`, or a value that is not finite as float32, is an
+    `InputError`, raised before a directory or the file is made."""
     arr = as_payload(path, array)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:

@@ -8,8 +8,10 @@ are stratified (see `stratified_step`): over the batch they are exactly
 uniform on 1..T, so the expected loss is the uniform-t one, but every batch
 spans the range of t instead of sometimes drawing no small t, whose loss is
 an order of magnitude above the large-t one.  All randomness flows from the
-run seed through named streams, so runs and checkpoint resumes are exactly
-reproducible.
+config's `seed` through two named streams, the initial weights' and the
+training stream (`train_stream`), so runs and checkpoint resumes are
+exactly reproducible.  A resume must keep its checkpoint's `seed`: another
+one would continue a stream that the saved config does not name.
 
 The corpus ranges (`FeatureStats`: the mel min/max that normalize the mel
 target, the log-F0 and loudness ranges that quantize the conditioner) are
@@ -22,20 +24,21 @@ them as they are.
 Checkpoint container: magic "DSVC", u8 version, u32-length-prefixed UTF-8
 config block (key=value lines: the run config, whose settings `RunConfig`
 checks, a bad one failing the load as a `FormatError` naming the file, then
-the training state in `_STATE_KEYS` order, the iteration, the stream's seed
-and counter and the `FeatureStats` fields, each written and read through its
-one type; a value that does not parse, a count outside 0 to 2^64 - 1 or a
-range that is not finite is a `FormatError` naming the key, and so is a
-range whose low end is not below its high end), then three float64 LE
-sections with no headers: the parameters, ADAM's first moments and its
-second moments, each holding the arrays of the config's parameter layout
-(``denoiser.parameter_layout``) in its order and at its shapes.  Nothing
-derivable is stored: the arrays' names and shapes follow from the config,
-and so does the noise schedule (`RunConfig.schedule`); ADAM's step count
-equals the iteration, since every save follows a whole iteration.  Payloads
-are 64-bit so that a reloaded state continues training bit-exactly.  A
-fresh run holds zero moments from iteration 0, so every file holds both
-moment sets.  ADAM updates each parameter from its own gradient alone, so a
+the training state in `_STATE_KEYS` order, the iteration, the training
+stream's counter and the `FeatureStats` fields, each written and read
+through its one type; a value that does not parse, a count outside 0 to
+2^64 - 1 or a range that is not finite is a `FormatError` naming the key,
+and so is a range whose low end is not below its high end), then three
+float64 LE sections with no headers: the parameters, ADAM's first moments
+and its second moments, each holding the arrays of the config's parameter
+layout (``denoiser.parameter_layout``) in its order and at its shapes.
+Nothing derivable is stored: the arrays' names and shapes follow from the
+config, and so do the noise schedule (`RunConfig.schedule`) and the
+training stream's seed (`train_stream`); ADAM's step count equals the
+iteration, since every save follows a whole iteration.  Payloads are
+64-bit so that a reloaded state continues training bit-exactly.  A fresh
+run holds zero moments from iteration 0, so every file holds both moment
+sets.  ADAM updates each parameter from its own gradient alone, so a
 resumed run's updates do not depend on the layout's order.
 Saves are atomic: the file is written under a temporary name in the same
 directory and renamed over the target, so an interrupted save leaves the
@@ -54,7 +57,9 @@ the one it resumes, advances its parameter arrays, ADAM moments, stream and
 iteration in place, and saves it as it stands, so neither a resume nor a
 save copies the state.  `train` writes a file only for an iteration it ran,
 and for a fresh run's iteration 0; a resume already at `n_iter` writes
-nothing, loss log included.
+nothing, loss log included.  A resume that trains continues the loss log:
+it keeps the header and the rows up to its checkpoint's iteration, then
+appends its own.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from . import tensor as T
 from .config import RunConfig, parse_config_text, serialize_config
 from .denoiser import Denoiser, ModelConfig, parameter_layout
 from .diffusion import diffusion_loss
-from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError
+from .errors import ConfigError, ContractError, DataError, DivergenceError, FormatError, InputError
 from .features import F0_MAX, F0_MIN, quantize
 from .rng import RandomStream
 from .tensor import Tensor
@@ -103,7 +108,9 @@ CKPT_MAGIC = b"DSVC"
 # dims) and may leave the moments out at iteration 0
 # 12: the input conv is linear; a version-11 file holds weights trained
 # with a ReLU after it, which this network would read as something else
-CKPT_VERSION = 12
+# 13: the training stream is derived from the config's `seed`; a version-12
+# state block also stores the stream's own seed
+CKPT_VERSION = 13
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -158,10 +165,9 @@ class FeatureStats:
 
 
 # the training state in the config block, in file order, with each value's
-# type: the iteration and the stream's (seed, counter), then the ranges
+# type: the iteration and the training stream's counter, then the ranges
 _STATE_KEYS = {
     "iteration": int,
-    "rng_seed": int,
     "rng_counter": int,
     **{f.name: float for f in fields(FeatureStats)},
 }
@@ -204,6 +210,12 @@ def conditioner_bins(stats: FeatureStats, f0_hz: np.ndarray, loudness: np.ndarra
     f0_bins = quantize(log_f0, stats.f0_lo, stats.f0_hi, n_bins)
     loud_bins = quantize(loudness, stats.loud_lo, stats.loud_hi, n_bins)
     return f0_bins, loud_bins
+
+
+def train_stream(cfg: RunConfig, counter: int = 0) -> RandomStream:
+    """The run's training stream, `counter` draws in: the config's `seed`
+    split as "train", so a checkpoint stores only the counter."""
+    return RandomStream(RandomStream(cfg.seed).split("train").state[0], counter)
 
 
 def stratified_step(rng: RandomStream, index: int, count: int, steps: int) -> int:
@@ -335,7 +347,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def _write_checkpoint(f, ckpt: Checkpoint) -> None:
-    state = dict(zip(_STATE_KEYS, (ckpt.iteration, *ckpt.rng.state)), **asdict(ckpt.stats))
+    state = dict(iteration=ckpt.iteration, rng_counter=ckpt.rng.state[1], **asdict(ckpt.stats))
     extras = {key: repr(cast(state[key])) for key, cast in _STATE_KEYS.items()}
     block = serialize_config(ckpt.config, extras).encode("utf-8")
     f.write(CKPT_MAGIC)
@@ -404,16 +416,16 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         adam = Adam(read("adam.m."), read("adam.v."), state["iteration"]) if optimizer else None
 
     iteration = state.pop("iteration")
-    rng = RandomStream(state.pop("rng_seed"), state.pop("rng_counter"))
+    rng = train_stream(config, state.pop("rng_counter"))
     return Checkpoint(config=config, params=params, adam=adam, stats=FeatureStats(**state),
                       iteration=iteration, rng=rng)
 
 
 def _parse_state(path, extras: dict[str, str]) -> dict:
     """The state keys' values, each cast to its type; a missing key, a value
-    that does not parse, a count outside 0 to 2^64 - 1 (the stream's state
-    is two 64-bit integers), a range end that is not finite or a range whose
-    low end is not below its high end is a `FormatError`."""
+    that does not parse, a count outside 0 to 2^64 - 1 (the stream's
+    counter is a 64-bit integer), a range end that is not finite or a range
+    whose low end is not below its high end is a `FormatError`."""
     missing = [key for key in _STATE_KEYS if key not in extras]
     if missing:
         raise FormatError(f"{path}: config block missing state keys {missing}")
@@ -434,16 +446,52 @@ def _parse_state(path, extras: dict[str, str]) -> dict:
     return state
 
 
-_DIM_FIELDS = (*(f.name for f in fields(ModelConfig)), "diffusion_steps")
+# the settings a resume must keep: the arrays' shapes, the schedule's length
+# and the seed its training stream is derived from
+_RESUME_FIELDS = (*(f.name for f in fields(ModelConfig)), "diffusion_steps", "seed")
 
 
 def _check_resume_config(cfg: RunConfig, ckpt: Checkpoint) -> None:
-    bad = [f for f in _DIM_FIELDS if getattr(cfg, f) != getattr(ckpt.config, f)]
+    bad = [f for f in _RESUME_FIELDS if getattr(cfg, f) != getattr(ckpt.config, f)]
     if bad:
         detail = ", ".join(
             f"{f}: {getattr(cfg, f)} != checkpoint {getattr(ckpt.config, f)}" for f in bad
         )
         raise ConfigError(f"config incompatible with checkpoint ({detail})")
+
+
+LOG_HEADER = "iteration,loss,wall_ms\n"
+
+
+def _open_log(path, resumed_at: int | None):
+    """The loss log, line-buffered so each row reaches the file as it is
+    logged.  A fresh run (`resumed_at` None) starts it anew.  A resume
+    keeps its header and the rows up to iteration `resumed_at`, dropping
+    the rows a run killed between saves left past it, and appends after
+    them; a missing log starts with the header.  A log whose first line is
+    not the header, or a row with no iteration, is an `InputError` naming
+    the file."""
+    keep = 0
+    if resumed_at is not None and os.path.exists(path):
+        with open(path, "rb") as f:
+            lines = f.readlines()
+        if not lines or lines[0] != LOG_HEADER.encode():
+            raise InputError(f"{path}: first line is not the loss log header {LOG_HEADER.strip()!r}")
+        keep = len(lines[0])
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                iteration = int(line.split(b",", 1)[0])
+            except ValueError:
+                raise InputError(f"{path}: line {number} has no iteration: {line!r}") from None
+            # a row cut by a kill has no newline; its iteration is past any save
+            if iteration > resumed_at or not line.endswith(b"\n"):
+                break
+            keep += len(line)
+        os.truncate(path, keep)
+    log = open(path, "a" if keep else "w", encoding="utf-8", buffering=1)
+    if not keep:
+        log.write(LOG_HEADER)
+    return log
 
 
 @dataclass(frozen=True)
@@ -469,7 +517,10 @@ def train(
     `ckpt_every`-th iteration and the last one are saved, and a fresh run
     with n_iter = 0 saves its initial state.  With `log_path`, every
     `log_every`-th iteration and the last one are written to the loss log
-    as they run; a call that trains nothing leaves `log_path` alone."""
+    as they run, a resume's after the rows it keeps (see `_open_log`); a
+    call that trains nothing leaves `log_path` alone.  A resume must keep
+    the checkpoint's `seed`, model sizes and `diffusion_steps`; another
+    value is a ConfigError."""
     if not data:
         raise DataError("empty training corpus")
     for sample in data:
@@ -491,8 +542,7 @@ def train(
         state = resume
         state.config = cfg
     else:
-        master = RandomStream(cfg.seed)
-        init = Denoiser.init(cfg.model_config(), master.split("init")).params
+        init = Denoiser.init(cfg.model_config(), RandomStream(cfg.seed).split("init")).params
         params = {name: p.data for name, p in init.items()}
         zeros = [{name: np.zeros_like(arr) for name, arr in params.items()} for _ in range(2)]
         state = Checkpoint(
@@ -501,7 +551,7 @@ def train(
             adam=Adam(*zeros),
             stats=compute_feature_stats(data),
             iteration=0,
-            rng=master.split("train"),
+            rng=train_stream(cfg),
         )
     model = state.build_model(trainable=True)
     schedule = cfg.schedule()
@@ -515,12 +565,10 @@ def train(
         prepared.append(_Prepared(s.name, mel, s.ppg, f0_bins, loud_bins))
 
     # opened only when an iteration will run, so a resume already at n_iter
-    # keeps the log it would truncate; line-buffered, so each row reaches
-    # the file as it is logged
-    trains = state.iteration < cfg.n_iter
-    log_file = open(log_path, "w", encoding="utf-8", buffering=1) if log_path and trains else None
-    if log_file:
-        log_file.write("iteration,loss,wall_ms\n")
+    # leaves the log alone
+    log_file = None
+    if log_path and state.iteration < cfg.n_iter:
+        log_file = _open_log(log_path, None if resume is None else state.iteration)
     losses: list[float] = []
     try:
         for it in range(state.iteration + 1, cfg.n_iter + 1):

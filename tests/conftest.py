@@ -83,6 +83,14 @@ def put_value(data: bytes, span: tuple[int, int], index: int, value: float) -> b
     return data[:at] + struct.pack("<d", value) + data[at + 8 :]
 
 
+def with_setting(cfg_path, out_path, key, value):
+    """Writes a copy of a config file with one key's value replaced."""
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in cfg_path.read_text().splitlines()]
+    out_path.write_text("\n".join(lines) + "\n")
+    return out_path
+
+
 def set_config_value(path, key, value) -> None:
     """Rewrite one key's value in a checkpoint's config block."""
     data = path.read_bytes()

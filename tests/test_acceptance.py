@@ -36,6 +36,7 @@ from singvc.training import (
     train,
 )
 
+from conftest import with_setting
 from test_metrics import enumerate_min_cost
 
 
@@ -133,7 +134,7 @@ def pipeline_corpus(tmp_path_factory):
 
 def test_criterion_1_gradient_suite():
     start = time.perf_counter()
-    results = gradcheck.run_checks(seed=0)
+    results = gradcheck.run_checks()
     elapsed = time.perf_counter() - start
     worst = max(r.max_rel_err for r in results)
     ok = all(r.ok for r in results) and elapsed < 60.0
@@ -302,11 +303,12 @@ def test_criterion_8_determinism(pipeline_corpus, tmp_path):
     )
 
     # train twice -> byte-identical checkpoints
+    seeded = with_setting(cfg, tmp_path / "seed21.cfg", "seed", 21)
     ckpts = []
     for name in ("t1.ckpt", "t2.ckpt"):
         path = tmp_path / name
-        assert cli_main(["train", "--data", str(feats), "--config", str(cfg),
-                         "--out", str(path), "--seed", "21"]) == 0
+        assert cli_main(["train", "--data", str(feats), "--config", str(seeded),
+                         "--out", str(path)]) == 0
         ckpts.append(path.read_bytes())
     train_ok = ckpts[0] == ckpts[1]
 

@@ -11,19 +11,11 @@ from singvc.features import write_wav
 from singvc.training import load_checkpoint, save_checkpoint
 
 from conftest import (array_spans, config_block_lines, cut_array, layout_mismatch, put_value, set_config_value,
-                      synth_voice, write_pcm_wav, write_raw_feat)
+                      synth_voice, with_setting, write_pcm_wav, write_raw_feat)
 
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-def with_setting(cfg_path, out_path, key, value):
-    """Writes a copy of a config file with one key's value replaced."""
-    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
-             for line in cfg_path.read_text().splitlines()]
-    out_path.write_text("\n".join(lines) + "\n")
-    return out_path
 
 
 @pytest.fixture(scope="session")
@@ -188,20 +180,21 @@ class TestTrain:
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
     def test_seeded_rerun_identical_loss_column(self, cli_workspace, extracted, tmp_path):
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "seed11.cfg", "seed", 11)
         logs = []
         for name in ("a", "b"):
             log = tmp_path / f"{name}.csv"
-            assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"],
-                       "--out", tmp_path / f"{name}.ckpt", "--log", log, "--seed", 11) == 0
+            assert run("train", "--data", extracted, "--config", cfg,
+                       "--out", tmp_path / f"{name}.ckpt", "--log", log) == 0
             rows = log.read_text().splitlines()[1:]
             logs.append([r.split(",")[:2] for r in rows])
         assert logs[0] == logs[1]
 
     def test_rerun_checkpoint_bit_identical(self, cli_workspace, extracted, tmp_path):
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "seed12.cfg", "seed", 12)
         paths = [tmp_path / "r1.ckpt", tmp_path / "r2.ckpt"]
         for p in paths:
-            assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"],
-                       "--out", p, "--seed", 12) == 0
+            assert run("train", "--data", extracted, "--config", cfg, "--out", p) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_resume_continues_counter(self, cli_workspace, extracted, tmp_path):
@@ -230,6 +223,69 @@ class TestTrain:
                    "--log", log) == 0
         assert log.read_bytes() == logged and ckpt.read_bytes() == saved
         assert capsys.readouterr().err == "nothing trained: already at iteration 4 = n_iter\n"
+
+    def test_resume_with_another_seed_is_error(self, cli_workspace, extracted, tmp_path, capsys):
+        ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
+        cfg = with_setting(cli_workspace["cfg_small"], tmp_path / "head.cfg", "n_iter", 3)
+        assert run("train", "--data", extracted, "--config", cfg, "--out", ckpt, "--log", log) == 0
+        saved, logged = ckpt.read_bytes(), log.read_bytes()
+        capsys.readouterr()
+        reseeded = with_setting(cli_workspace["cfg_small"], tmp_path / "seed5.cfg", "seed", 5)
+        assert run("train", "--data", extracted, "--config", reseeded, "--out", ckpt, "--resume", ckpt,
+                   "--log", log) == 1
+        assert capsys.readouterr().err == "error: config incompatible with checkpoint (seed: 5 != checkpoint 3)\n"
+        assert ckpt.read_bytes() == saved and log.read_bytes() == logged
+
+    def test_resume_continues_the_log(self, cli_workspace, extracted, tmp_path):
+        head_ckpt, log, fresh_log = tmp_path / "head.ckpt", tmp_path / "loss.csv", tmp_path / "fresh.csv"
+        head = with_setting(cli_workspace["cfg_small"], tmp_path / "head.cfg", "n_iter", 3)
+        full = with_setting(cli_workspace["cfg_small"], tmp_path / "full.cfg", "n_iter", 6)
+        assert run("train", "--data", extracted, "--config", head, "--out", head_ckpt, "--log", log) == 0
+        for resumed_log in (log, fresh_log):
+            assert run("train", "--data", extracted, "--config", full, "--out", tmp_path / "c.ckpt",
+                       "--resume", head_ckpt, "--log", resumed_log) == 0
+        straight = tmp_path / "straight.csv"
+        assert run("train", "--data", extracted, "--config", full, "--out", tmp_path / "s.ckpt",
+                   "--log", straight) == 0
+        lines = straight.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["iteration", "1", "2", "3", "4", "5", "6"]
+
+        def columns(path):
+            return [line.split(",")[:2] for line in path.read_text().splitlines()]
+
+        # rows 1-6 once each, in order, as an uninterrupted run logs them
+        assert columns(log) == columns(straight)
+        # a missing log starts with the header
+        assert columns(fresh_log) == columns(straight)[:1] + columns(straight)[4:]
+
+    def test_resume_drops_log_rows_past_its_checkpoint(self, cli_workspace, extracted, tmp_path):
+        ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
+        head = with_setting(cli_workspace["cfg_small"], tmp_path / "head.cfg", "n_iter", 3)
+        full = with_setting(cli_workspace["cfg_small"], tmp_path / "full.cfg", "n_iter", 5)
+        assert run("train", "--data", extracted, "--config", head, "--out", ckpt, "--log", log) == 0
+        kept = log.read_text()
+        # a run killed after logging iterations 4 and 5, the last row cut, and before saving them
+        log.write_text(kept + "4,9.5,1.0\n5,9.5,1.0\n6,9")
+        assert run("train", "--data", extracted, "--config", full, "--out", ckpt, "--resume", ckpt,
+                   "--log", log) == 0
+        text = log.read_text()
+        assert text.startswith(kept) and "9.5" not in text
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["1", "2", "3", "4", "5"]
+
+    @pytest.mark.parametrize("text", ["step,value\n1,2\n", "", "iteration,loss,wall_ms\nfour,1.0,1.0\n"],
+                             ids=["other_header", "empty", "row_without_iteration"])
+    def test_resume_into_a_foreign_log_is_error(self, cli_workspace, extracted, tmp_path, capsys, text):
+        ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
+        head = with_setting(cli_workspace["cfg_small"], tmp_path / "head.cfg", "n_iter", 3)
+        assert run("train", "--data", extracted, "--config", head, "--out", ckpt) == 0
+        saved = ckpt.read_bytes()
+        log.write_text(text)
+        capsys.readouterr()
+        assert run("train", "--data", extracted, "--config", cli_workspace["cfg_small"], "--out", ckpt,
+                   "--resume", ckpt, "--log", log) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}: ") and err.count("\n") == 1
+        assert log.read_text() == text and ckpt.read_bytes() == saved
 
     def test_resume_past_n_iter_is_error(self, cli_workspace, extracted, tmp_path, capsys):
         ckpt, log = tmp_path / "c.ckpt", tmp_path / "loss.csv"
@@ -416,7 +472,7 @@ class TestConvert:
         assert capsys.readouterr().err == f"error: {paths['ppg']}: zero frames, nothing to convert\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("rng_seed", "z"), ("mel_lo", "q.0003")])
+    @pytest.mark.parametrize("key, value", [("rng_counter", "z"), ("mel_lo", "q.0003")])
     def test_bad_state_value_is_error(self, extracted, trained, tmp_path, capsys, key, value):
         bad, out = tmp_path / "bad.ckpt", tmp_path / "x.feat"
         bad.write_bytes(trained.read_bytes())
@@ -455,6 +511,22 @@ class TestConvert:
                    "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
                    "--out", out) == 1
         assert capsys.readouterr().err == f"error: {old}: unsupported checkpoint version 8\n"
+        assert not out.exists()
+
+    def test_version_12_checkpoint_is_error(self, extracted, trained, tmp_path, capsys):
+        # a version-12 file: its state also stores the training stream's seed
+        lines = config_block_lines(trained)
+        at = next(i for i, line in enumerate(lines) if line.startswith("rng_counter = "))
+        seed = f"rng_seed = {load_checkpoint(trained).rng.state[0]}"
+        block = "\n".join(lines[:at] + [seed] + lines[at:]) + "\n"
+        data = trained.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 5)
+        old, out = tmp_path / "v12.ckpt", tmp_path / "x.feat"
+        old.write_bytes(b"DSVC\x0c" + struct.pack("<I", len(block)) + block.encode() + data[9 + length :])
+        assert run("convert", "--ckpt", old, "--ppg", extracted / "utt0.ppg.feat",
+                   "--f0", extracted / "utt0.f0.feat", "--loud", extracted / "utt0.loud.feat",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {old}: unsupported checkpoint version 12\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["config block"])
@@ -729,6 +801,16 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+# train's seed is the config's, and gradcheck's a constant
+@pytest.mark.parametrize("argv", [("train", "--data", "d", "--config", "c", "--out", "o", "--seed", 1),
+                                  ("gradcheck", "--seed", 1)], ids=["train", "gradcheck"])
+def test_seed_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)

@@ -463,6 +463,16 @@ class TestFeatFormat:
         featio.write_feat(path, np.ones((1,) * 8))  # the largest rank reads back
         assert featio.read_feat(path).shape == (1,) * 8
 
+    def test_dimension_a_u32_cannot_hold_is_not_written(self, tmp_path):
+        # zero elements, so the array needs no memory
+        path = tmp_path / "sub" / "big.feat"
+        with pytest.raises(InputError, match=r"big\.feat: dimension 4294967296 of shape \(4294967296, 0\) "
+                                             r"is above FEAT1's largest, 4294967295"):
+            featio.write_feat(path, np.zeros((2**32, 0)))
+        assert not path.parent.exists()
+        featio.write_feat(path, np.zeros((2**32 - 1, 0)))  # the largest dimension reads back
+        assert featio.read_feat(path).shape == (2**32 - 1, 0)
+
     def test_element_count_is_exact(self, tmp_path):
         # 2^22 * 2^21 * 2^21 = 2^64 elements: a wrapping int64 product is 0,
         # which an empty payload would match

@@ -591,10 +591,9 @@ class TestCheckpoint:
         save_checkpoint(path, ckpt)
         lines = config_block_lines(path)
         stats = ckpt.stats
-        assert lines[:-9] == serialize_config(TOY_CFG).splitlines()
-        assert lines[-9:] == [
+        assert lines[:-8] == serialize_config(TOY_CFG).splitlines()
+        assert lines[-8:] == [
             f"iteration = {TOY_CFG.n_iter}",
-            f"rng_seed = {ckpt.rng.state[0]}",
             f"rng_counter = {ckpt.rng.state[1]}",
             f"mel_lo = {stats.mel_lo!r}",
             f"mel_hi = {stats.mel_hi!r}",
@@ -604,13 +603,23 @@ class TestCheckpoint:
             f"loud_hi = {stats.loud_hi!r}",
         ]
 
+    def test_loaded_stream_is_derived_from_the_config_seed(self, corpus, tmp_path):
+        ckpt, _ = train(corpus, TOY_CFG)
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, ckpt)
+        counter = ckpt.rng.state[1]
+        assert counter > 0
+        assert load_checkpoint(path).rng.state == (RandomStream(TOY_CFG.seed).split("train").state[0], counter)
+        # the file names its stream by the config's seed alone
+        set_config_value(path, "seed", 6)
+        assert load_checkpoint(path).rng.state == (RandomStream(6).split("train").state[0], counter)
+
     BAD_STATE = [
         ("iteration", "z", "state key iteration: bad value 'z'"),
         ("rng_counter", "7.5", "state key rng_counter: bad value '7.5'"),
         ("rng_counter", "-3", "state key rng_counter: bad value '-3'"),
         # the stream's state is two 64-bit integers
         ("rng_counter", "18446744073709551616", "state key rng_counter: bad value '18446744073709551616'"),
-        ("rng_seed", "18446744073709551621", "state key rng_seed: bad value '18446744073709551621'"),
         ("mel_lo", "q.0003", "state key mel_lo: bad value 'q.0003'"),
         ("f0_hi", "nan", "state key f0_hi: bad value 'nan'"),
         # each range's ends out of order
@@ -682,14 +691,14 @@ class TestCheckpoint:
         # 7: the gradient-clip norm in the config block; 8: the schedule's beta
         # range in the config block; 9: the audio front end in the config block;
         # 10: a record header per array; 11: weights trained with a ReLU after
-        # the input conv
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
+        # the input conv; 12: the training stream's seed in the state
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(path, ckpt)
             data = bytearray(path.read_bytes())
             data[4] = version  # the u8 version after the magic
             path.write_bytes(bytes(data))
-            with pytest.raises(FormatError, match=f"version {version}"):
+            with pytest.raises(FormatError, match=re.escape(f"{path}: unsupported checkpoint version {version}")):
                 load_checkpoint(path)
 
     # each damages the file's bytes, given the span of every array; a file
